@@ -115,12 +115,12 @@ def _write_json(path, doc) -> None:
     os.replace(tmp, path)
 
 
-def _error_exit(message, detail=None) -> int:
+def _error_exit(message, detail=None, code=1) -> int:
     doc = {"error": message}
     if detail is not None:
         doc["detail"] = detail
     print(json.dumps(doc, sort_keys=True), file=sys.stderr)
-    return 1
+    return code
 
 
 def load_problem(path) -> dict:
@@ -271,7 +271,9 @@ def cmd_solve(args) -> int:
                       zip(trace.iterations, trace.tv_values,
                           trace.constraint_residuals),
                       header=["iteration", "tv", "constraint_residual"])
-        return 3
+        elif exc.payload is not None:
+            _write_solution(out_dir, exc.payload, doc["kind"], outputs)
+        return _error_exit("solver did not converge", str(exc), code=3)
     except Unbounded as exc:
         _write_json(os.path.join(out_dir, "certificate.json"),
                     {"error": "unbounded",

@@ -37,6 +37,10 @@ class NonConvergence(RepkitError):
         self.payload = payload
 
 
+class NumericalFailure(RepkitError):
+    """A solver reached a state its invariants exclude, through roundoff."""
+
+
 class NotSurjective(RepkitError):
     """An analysis operator expected to have full row rank does not."""
 

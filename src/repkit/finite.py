@@ -1,7 +1,7 @@
 """Finite-dimensional solvers returning decomposable, auditable solutions.
 
 Covers the catalog of classical regularizers: standard-form linear
-programs (basic solutions via the Bland simplex), nonnegative least
+programs (basic solutions via the shared simplex kernel), nonnegative least
 squares (active set), l1-analysis minimization (projected LP
 reformulation), nuclear-norm minimization (Douglas-Rachford with singular
 value soft thresholding) and positive semidefinite feasibility with a

@@ -1,10 +1,13 @@
 """Two-phase primal simplex for standard-form linear programs.
 
-Solves ``min c.x  s.t.  A x = b,  x >= 0`` with Bland's anti-cycling rule,
-so every run is deterministic and the returned point is a basic (vertex)
-solution. This kernel is deliberately free of higher-level imports: the
-convex-geometry module uses it for membership tests and the solver modules
-wrap it, which keeps the dependency graph acyclic.
+Solves ``min c.x  s.t.  A x = b,  x >= 0``. The entering column is chosen
+by Dantzig's rule (most negative reduced cost, lowest index on ties); after
+a run of ``DEGENERATE_RUN`` degenerate pivots the entering rule switches to
+Bland's lowest index until the next nondegenerate pivot, which rules out
+cycling. Every run is deterministic and the returned point is a basic
+(vertex) solution. This kernel is deliberately free of higher-level
+imports: the convex-geometry module uses it for membership tests and the
+solver modules wrap it, which keeps the dependency graph acyclic.
 """
 
 from __future__ import annotations
@@ -13,9 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Infeasible
+from .errors import Infeasible, NumericalFailure
 
 PIVOT_TOL = 1e-10
+# Consecutive degenerate pivots (min-ratio <= PIVOT_TOL) after which the
+# entering rule falls back from Dantzig to Bland until the objective moves.
+DEGENERATE_RUN = 10
 
 
 @dataclass
@@ -46,7 +52,8 @@ class LpSolution:
     For optimal solutions ``x`` is basic: its nonzeros live inside ``basis``.
     ``duals`` are the equality multipliers at optimality; ``ray`` is a
     certified descent direction (``A ray = 0``, ``ray >= 0``, ``c.ray < 0``)
-    when the problem is unbounded.
+    when the problem is unbounded. ``pivots`` counts the basis changes made
+    over both phases.
     """
 
     status: str
@@ -55,19 +62,26 @@ class LpSolution:
     objective: float = np.nan
     duals: np.ndarray | None = None
     ray: np.ndarray | None = None
+    pivots: int = 0
 
 
-def _bland_phase(c, A, b, basis, allow_enter):
+def _simplex_phase(c, A, b, basis, allow_enter):
     """Run simplex pivots until optimal or unbounded.
 
     ``basis`` is mutated in place. ``allow_enter`` masks the columns that may
     enter (used to keep artificial variables out in phase 2). Returns
-    ``(status, x_basic, duals, ray)``.
+    ``(status, x, duals, ray, pivots)``.
+
+    Termination: every nondegenerate pivot strictly lowers the objective, so
+    no basis repeats across them, and a degenerate stretch longer than
+    ``DEGENERATE_RUN`` is finished by Bland's rule, which cannot cycle.
     """
     m, n = A.shape
     in_basis = np.zeros(n, dtype=bool)
     in_basis[basis] = True
     colscale = np.abs(A).max(axis=0, initial=0.0)
+    pivots = 0
+    degenerate = 0
     while True:
         B = A[:, basis]
         xb = np.linalg.solve(B, b)
@@ -83,23 +97,30 @@ def _bland_phase(c, A, b, basis, allow_enter):
         if eligible.size == 0:
             x = np.zeros(n)
             x[basis] = xb
-            return "optimal", x, lam, None
-        j = int(eligible[0])  # Bland: lowest eligible index enters
+            return "optimal", x, lam, None, pivots
+        if degenerate < DEGENERATE_RUN:
+            # Dantzig: most negative reduced cost; argmin keeps the lowest
+            # index among ties.
+            j = int(eligible[np.argmin(reduced[eligible])])
+        else:
+            j = int(eligible[0])  # Bland: lowest eligible index enters
         d = np.linalg.solve(B, A[:, j])
         pos = np.flatnonzero(d > PIVOT_TOL)
         if pos.size == 0:
             ray = np.zeros(n)
             ray[j] = 1.0
             ray[basis] = -d
-            return "unbounded", None, None, ray
+            return "unbounded", None, None, ray, pivots
         ratios = xb[pos] / d[pos]
         rmin = ratios.min()
+        degenerate = degenerate + 1 if rmin <= PIVOT_TOL else 0
         tied = pos[ratios <= rmin + PIVOT_TOL]
         # Bland again: among ties, the basic variable with lowest index leaves.
         leave_pos = int(tied[np.argmin([basis[i] for i in tied])])
         in_basis[basis[leave_pos]] = False
         in_basis[j] = True
         basis[leave_pos] = j
+        pivots += 1
 
 
 def solve_standard_form(c, A, b, feas_tol: float | None = None) -> LpSolution:
@@ -124,10 +145,13 @@ def solve_standard_form(c, A, b, feas_tol: float | None = None) -> LpSolution:
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     basis = list(range(n, n + m))
     allow = np.ones(n + m, dtype=bool)
-    status, x1, _, _ = _bland_phase(c1, A1, b, basis, allow)
-    assert status == "optimal"  # phase-1 objective is bounded below by 0
+    status, x1, _, _, pivots = _simplex_phase(c1, A1, b, basis, allow)
+    if status != "optimal":
+        # The phase-1 objective is bounded below by 0; only roundoff can
+        # produce a descent ray here.
+        raise NumericalFailure(f"phase 1 ended {status}")
     if c1 @ x1 > feas_tol:
-        return LpSolution(status="infeasible")
+        return LpSolution(status="infeasible", pivots=pivots)
 
     # Drive leftover artificial variables out of the basis. A stuck
     # artificial exposes a left null vector of A, i.e. a redundant row
@@ -141,10 +165,12 @@ def solve_standard_form(c, A, b, feas_tol: float | None = None) -> LpSolution:
         Acur = A1[kept]
         B = Acur[:, basis]
         tab_row = np.linalg.solve(B, Acur[:, :n])[stuck]
-        pivots = [int(j) for j in np.flatnonzero(np.abs(tab_row) > PIVOT_TOL)
-                  if j not in basis]
-        if pivots:
-            basis[stuck] = min(pivots)
+        candidates = [int(j) for j in
+                      np.flatnonzero(np.abs(tab_row) > PIVOT_TOL)
+                      if j not in basis]
+        if candidates:
+            basis[stuck] = min(candidates)
+            pivots += 1
             continue
         e = np.zeros(len(kept))
         e[stuck] = 1.0
@@ -155,15 +181,17 @@ def solve_standard_form(c, A, b, feas_tol: float | None = None) -> LpSolution:
     # Phase 2 on the original columns only.
     allow[n:] = False
     c2 = np.concatenate([c, np.zeros(m)])
-    status, x2, lam, ray = _bland_phase(c2, A1[kept], b[kept], basis, allow)
+    status, x2, lam, ray, phase2 = _simplex_phase(c2, A1[kept], b[kept],
+                                                  basis, allow)
+    pivots += phase2
     if status == "unbounded":
-        return LpSolution(status="unbounded", ray=ray[:n])
+        return LpSolution(status="unbounded", ray=ray[:n], pivots=pivots)
     x = x2[:n]
     duals = np.zeros(m)
     duals[kept] = lam
     duals[neg] *= -1.0  # undo the row sign flips in the multipliers
     return LpSolution(status="optimal", x=x, basis=sorted(basis),
-                      objective=float(c @ x), duals=duals)
+                      objective=float(c @ x), duals=duals, pivots=pivots)
 
 
 def row_compress(A, b, tol: float = 1e-10):

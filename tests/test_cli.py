@@ -82,6 +82,24 @@ class TestSolve:
         rows = (out / "solution.csv").read_text().splitlines()
         assert rows[0] == "location,amplitude"
 
+    def test_nonconvergence_writes_partial_solution(self, tmp_path, capsys):
+        g = np.random.default_rng(2)
+        maps = g.standard_normal((3, 3, 3))
+        M0 = np.outer(g.standard_normal(3), g.standard_normal(3))
+        path = write_json(tmp_path / "nuc.json", {
+            "kind": "nuclear",
+            "measurement_maps": maps.tolist(),
+            "y": [float(np.tensordot(a, M0)) for a in maps],
+            "shape": [3, 3],
+            "solver": {"max_iters": 2}})
+        out = tmp_path / "nc"
+        assert run_cli("solve", path, "--out", str(out)) == 3
+        rows = (out / "solution.csv").read_text().splitlines()
+        assert len(rows) == 3
+        assert all(len(row.split(",")) == 3 for row in rows)
+        err = json.loads(capsys.readouterr().err)
+        assert "max_iters" in err["detail"]
+
     def test_byte_identical_reruns(self, tmp_path, lp_problem):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert run_cli("solve", lp_problem, "--out", str(out1)) == 0

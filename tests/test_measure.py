@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repkit import measure
 from repkit.errors import Unbounded
 from repkit.measure import (DiscreteMeasure, MomentSystem, beurling_solve,
                             merge_atoms, moment_lp_solve, moments_of,
                             monomial_system, trigonometric_system)
+from repkit.simplex import solve_standard_form
 
 
 def constant_system():
@@ -75,13 +77,39 @@ class TestBeurling:
         assert abs(mu.total_variation - 1.0) < 1e-12
 
     def test_mean_pinning(self):
-        # grid LP oracle: with moments (1, x) and y = (1, 0.5) any feasible
-        # combination has TV >= 1, attained only at the single atom delta_0.5
+        # With moments (1, x, x^2) and y = (1, 0.5, 0.25), TV >= mass = 1,
+        # and TV = 1 forces a nonnegative probability measure whose variance
+        # 0.25 - 0.5^2 is zero: delta_0.5 is the unique optimum.
+        for grid_n in (16, 64, 512):
+            mu, info = beurling_solve(monomial_system(3), [1.0, 0.5, 0.25],
+                                      grid_n=grid_n)
+            assert len(mu.atoms) == 1
+            x, a = mu.atoms[0]
+            assert abs(x - 0.5) < 1e-12
+            assert abs(a - 1.0) < 1e-12
+
+    def test_mean_only_is_not_unique(self):
+        # With moments (1, x) alone, every probability measure of mean 0.5
+        # has TV 1, so only the value and the atom bound are determined.
         mu, info = beurling_solve(monomial_system(2), [1.0, 0.5], grid_n=16)
-        assert len(mu.atoms) == 1
-        x, a = mu.atoms[0]
-        assert abs(x - 0.5) < 1e-12
-        assert abs(a - 1.0) < 1e-12
+        assert abs(info.objective - 1.0) < 1e-12
+        assert len(mu.atoms) <= 2
+
+    def test_grid_lp_pivot_count(self, monkeypatch):
+        # Dantzig's entering rule needs 27 pivots here; Bland's rule alone
+        # needs 784. Pivot counts repeat exactly, unlike timings.
+        pivots = []
+
+        def counting(*args, **kwargs):
+            sol = solve_standard_form(*args, **kwargs)
+            pivots.append(sol.pivots)
+            return sol
+
+        monkeypatch.setattr(measure, "solve_standard_form", counting)
+        y = np.random.default_rng(3).standard_normal(5)
+        beurling_solve(trigonometric_system(5), y, grid_n=512)
+        assert len(pivots) == 1
+        assert 0 < pivots[0] <= 60
 
     def test_two_spike_recovery(self):
         sys_ = trigonometric_system(4)

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from repkit.errors import Infeasible
+from repkit import simplex
+from repkit.errors import Infeasible, NumericalFailure
 from repkit.simplex import LpProblem, row_compress, solve_standard_form
 
 rng = np.random.default_rng(7)
@@ -89,6 +90,48 @@ def test_deterministic():
     s2 = solve_standard_form(c, A, b)
     assert np.array_equal(s1.x, s2.x)
     assert s1.basis == s2.basis
+
+
+# Beale (1955): from the slack basis, Dantzig's rule with lowest-index ties
+# pivots through six degenerate bases and returns to the start.
+BEALE_C = np.array([0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0])
+BEALE_A = np.array([[1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+                    [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+                    [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]])
+BEALE_B = np.array([0.0, 0.0, 1.0])
+
+
+def test_beale_cycling_example_terminates():
+    best = brute_force_lp(BEALE_C, BEALE_A, BEALE_B)
+    assert abs(best + 1.25) < 1e-12
+    status, x, _, _, pivots = simplex._simplex_phase(
+        BEALE_C, BEALE_A, BEALE_B, [0, 1, 2], np.ones(7, dtype=bool))
+    assert status == "optimal"
+    assert abs(BEALE_C @ x - best) < 1e-12
+    assert pivots > simplex.DEGENERATE_RUN  # the fallback had to engage
+    sol = solve_standard_form(BEALE_C, BEALE_A, BEALE_B)
+    assert sol.status == "optimal"
+    assert abs(sol.objective - best) < 1e-12
+    assert np.allclose(BEALE_A @ sol.x, BEALE_B, atol=1e-12)
+
+
+def test_phase1_failure_raises(monkeypatch):
+    def unbounded_phase(c, A, b, basis, allow_enter):
+        return "unbounded", None, None, np.zeros(A.shape[1]), 0
+
+    monkeypatch.setattr(simplex, "_simplex_phase", unbounded_phase)
+    with pytest.raises(NumericalFailure):
+        solve_standard_form([1.0, 1.0], [[1.0, 1.0]], [1.0])
+
+
+def test_pivot_count():
+    sol = solve_standard_form([1.0, 1.0], [[1.0, 1.0]], [1.0])
+    assert sol.pivots == 1  # one column replaces the artificial
+    g = np.random.default_rng(5)
+    A = g.standard_normal((3, 10))
+    sol = solve_standard_form(g.uniform(0.1, 1.0, 10), A,
+                              A @ np.abs(g.standard_normal(10)))
+    assert sol.pivots >= 3  # every artificial has to leave
 
 
 def test_problem_validation():
