@@ -263,12 +263,7 @@ def decompose_solution(u, spec: RegularizerSpec) -> AtomicDecomposition:
 
     if kind == "tv2d":
         img = np.asarray(u, dtype=float)
-        if img.ndim != 2:
-            raise KindMismatch("2-d image expected")
-        quant_tol = spec.params.get("quant_tol", 0.02)
-        report = spec.params.get("level_report")
-        if report is None:
-            report = level_set_report(img, quant_tol)
+        report = _tv2d_level_report(img, spec)
         values = [v for v, _ in report.levels]
         base = values[0] * np.ones_like(img)
         jumps = []
@@ -358,6 +353,11 @@ def audit(u, spec: RegularizerSpec, Phi, at_infimum: bool | None = None,
     point_bound = m_eff + j_assumed - d + bump
     ray_bound = m_eff + j_assumed - d - 1 + bump
 
+    if kind == "tv2d":
+        # One level-set report serves the decomposition and the
+        # quantization residual below.
+        spec = RegularizerSpec(kind=kind, params={
+            **spec.params, "level_report": _tv2d_level_report(u, spec)})
     decomp = decompose_solution(u, spec)
     uses_rays = len(decomp.ray_atoms) > 0
     atom_count = decomp.atom_count
@@ -369,7 +369,8 @@ def audit(u, spec: RegularizerSpec, Phi, at_infimum: bool | None = None,
             # The decomposition rebuilds the quantized staircase exactly;
             # its distance to the iterate is the quantization residual,
             # which the certificate declares rather than hides.
-            quant_resid = _tv2d_quantization_residual(u, spec)
+            quant_resid = _tv2d_quantization_residual(
+                u, spec.params["level_report"])
             reconstruction_tol = quant_resid + 1e-9
             notes.append(f"quantization residual {quant_resid:.6g}")
         else:
@@ -383,12 +384,20 @@ def audit(u, spec: RegularizerSpec, Phi, at_infimum: bool | None = None,
         decomposition=decomp, notes="; ".join(notes))
 
 
-def _tv2d_quantization_residual(u, spec: RegularizerSpec) -> float:
-    """Relative distance between the image and its quantized staircase."""
+def _tv2d_level_report(u, spec: RegularizerSpec):
+    """The level-set report carried in ``spec``, or a fresh one."""
     img = np.asarray(u, dtype=float)
+    if img.ndim != 2:
+        raise KindMismatch("2-d image expected")
     report = spec.params.get("level_report")
     if report is None:
         report = level_set_report(img, spec.params.get("quant_tol", 0.02))
+    return report
+
+
+def _tv2d_quantization_residual(u, report) -> float:
+    """Relative distance between the image and its quantized staircase."""
+    img = np.asarray(u, dtype=float)
     values = np.array([v for v, _ in report.levels])
     staircase = values[report.labels]
     return float(np.linalg.norm(staircase - img)

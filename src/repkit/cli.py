@@ -13,6 +13,7 @@ the ``REPKIT_LOG`` environment variable (quiet, info, trace).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -160,6 +161,32 @@ def _manifest(out_dir, input_path, config, seed, t0, outputs) -> None:
     })
 
 
+def _solver_config(cls, solver_cfg):
+    """``cls`` built from a problem file's ``solver`` object."""
+    solver_cfg = solver_cfg or {}
+    if not isinstance(solver_cfg, dict):
+        raise ValueError("'solver' must be an object")
+    unknown = set(solver_cfg) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown solver keys: {sorted(unknown)}")
+    return cls(**solver_cfg)
+
+
+def _write_trace(path, trace) -> None:
+    write_csv(path, zip(trace.iterations, trace.tv_values,
+                        trace.constraint_residuals),
+              header=["iteration", "tv", "constraint_residual"])
+
+
+def _write_tv2d(out_dir, u, trace, outputs) -> None:
+    img_path = os.path.join(out_dir, "image.pgm")
+    write_pgm(img_path, u)
+    outputs.append(img_path)
+    trace_path = os.path.join(out_dir, "trace.csv")
+    _write_trace(trace_path, trace)
+    outputs.append(trace_path)
+
+
 def _dispatch_solve(doc, args):
     """Run the solver for a problem document.
 
@@ -191,7 +218,7 @@ def _dispatch_solve(doc, args):
     if kind in ("nuclear", "psd_cone"):
         prob = MatrixProblem(measurement_maps=doc["measurement_maps"], y=y,
                              shape=tuple(doc["shape"]))
-        cfg = SplittingConfig(**solver_cfg) if solver_cfg else SplittingConfig()
+        cfg = _solver_config(SplittingConfig, solver_cfg)
         if kind == "nuclear":
             M = nuclear_min_solve(prob, cfg)
         else:
@@ -216,21 +243,13 @@ def _dispatch_solve(doc, args):
     if kind == "tv2d":
         disks = DiskSet(doc["phi"]["disks"])
         size = tuple(doc["size"])
-        cfg = PdConfig(**solver_cfg) if solver_cfg else PdConfig()
+        cfg = _solver_config(PdConfig, solver_cfg)
         u, trace = chambolle_pock_tv_solve(disks, y, size, cfg)
         spec = RegularizerSpec(kind=kind, params={"disks": disks,
                                                   "size": size})
 
         def extra(out_dir, outputs):
-            img_path = os.path.join(out_dir, "image.pgm")
-            write_pgm(img_path, u)
-            outputs.append(img_path)
-            trace_path = os.path.join(out_dir, "trace.csv")
-            write_csv(trace_path,
-                      zip(trace.iterations, trace.tv_values,
-                          trace.constraint_residuals),
-                      header=["iteration", "tv", "constraint_residual"])
-            outputs.append(trace_path)
+            _write_tv2d(out_dir, u, trace, outputs)
 
         return u, spec, disks, extra
 
@@ -265,14 +284,11 @@ def cmd_solve(args) -> int:
         payload, spec, phi, extra = _dispatch_solve(doc, args)
     except NonConvergence as exc:
         if isinstance(exc.payload, tuple):
-            u, trace = exc.payload
-            write_pgm(os.path.join(out_dir, "image.pgm"), u)
-            write_csv(os.path.join(out_dir, "trace.csv"),
-                      zip(trace.iterations, trace.tv_values,
-                          trace.constraint_residuals),
-                      header=["iteration", "tv", "constraint_residual"])
+            _write_tv2d(out_dir, *exc.payload, outputs)
         elif exc.payload is not None:
             _write_solution(out_dir, exc.payload, doc["kind"], outputs)
+        _manifest(out_dir, args.problem, doc.get("solver", {}),
+                  args.seed, t0, outputs)
         return _error_exit("solver did not converge", str(exc), code=3)
     except Unbounded as exc:
         _write_json(os.path.join(out_dir, "certificate.json"),
@@ -435,9 +451,7 @@ def cmd_fig2(args) -> int:
     write_pgm(result_path, u)
     outputs.append(result_path)
     trace_path = os.path.join(out_dir, "trace.csv")
-    write_csv(trace_path, zip(trace.iterations, trace.tv_values,
-                              trace.constraint_residuals),
-              header=["iteration", "tv", "constraint_residual"])
+    _write_trace(trace_path, trace)
     outputs.append(trace_path)
 
     report = level_set_report(u, quant_tol=args.tol)

@@ -220,7 +220,8 @@ def _sv_soft_threshold(M, thresh):
 
 
 def _affine_projector(prob: MatrixProblem):
-    """Orthogonal projector onto ``{M : <A_i, M> = y_i}``."""
+    """Orthogonal projector onto ``{M : <A_i, M> = y_i}``, with the stacked
+    measurements ``S`` and ``pinv(S S^T)`` it is built from."""
     S = prob.stacked()
     G_pinv = pseudo_inverse(S @ S.T, tol=1e-12)
 
@@ -229,7 +230,7 @@ def _affine_projector(prob: MatrixProblem):
         corr = (S.T @ (G_pinv @ r)).reshape(prob.shape)
         return M - corr
 
-    return project
+    return project, S, G_pinv
 
 
 def nuclear_min_solve(prob: MatrixProblem,
@@ -246,9 +247,7 @@ def nuclear_min_solve(prob: MatrixProblem,
                                  .reshape(prob.shape)) - prob.y) \
             > 1e-6 * (1.0 + np.linalg.norm(prob.y)):
         raise Infeasible("measurement system is inconsistent")
-    project = _affine_projector(prob)
-    S = prob.stacked()
-    G_pinv = pseudo_inverse(S @ S.T, tol=1e-12)
+    project, S, G_pinv = _affine_projector(prob)
     yn = np.linalg.norm(prob.y)
 
     Z = np.zeros(prob.shape)
@@ -301,7 +300,7 @@ def psd_solve(prob: MatrixProblem, cost=None,
     n = prob.shape[0]
     if prob.shape[0] != prob.shape[1]:
         raise ValueError("PSD problems require square shape")
-    project = _affine_projector(prob)
+    project, _, _ = _affine_projector(prob)
     yn = np.linalg.norm(prob.y)
 
     def to_feasible(M, iters):

@@ -6,6 +6,7 @@ import pytest
 
 from repkit.cli import main, write_csv
 from repkit.measure import DiscreteMeasure, moments_of, trigonometric_system
+from repkit.pgm import read_pgm
 
 
 def run_cli(*argv):
@@ -99,6 +100,41 @@ class TestSolve:
         assert all(len(row.split(",")) == 3 for row in rows)
         err = json.loads(capsys.readouterr().err)
         assert "max_iters" in err["detail"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [os.path.basename(p) for p in manifest["outputs"]] == [
+            "solution.csv"]
+
+        path = write_json(tmp_path / "tv.json", {
+            "kind": "tv2d", "phi": {"disks": [[6, 6, 4], [14, 12, 3]]},
+            "y": [0.8, -0.5], "size": [20, 18], "solver": {"max_iters": 3}})
+        out = tmp_path / "nc_tv"
+        assert run_cli("solve", path, "--out", str(out)) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert "max_iters" in err["detail"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(os.path.basename(p) for p in manifest["outputs"]) == [
+            "image.pgm", "trace.csv"]
+        assert manifest["solver_config"] == {"max_iters": 3}
+        assert not (out / "certificate.json").exists()
+        assert read_pgm(out / "image.pgm").shape == (18, 20)
+        rows = (out / "trace.csv").read_text().splitlines()
+        assert rows[0] == "iteration,tv,constraint_residual"
+        assert rows[-1].startswith("3,")
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "nuclear", "measurement_maps": [[[1.0, 0.0], [0.0, 0.0]]],
+         "y": [1.0], "shape": [2, 2]},
+        {"kind": "tv2d", "phi": {"disks": [[4, 4, 3]]}, "y": [0.5],
+         "size": [8, 8]},
+    ], ids=["splitting", "primal-dual"])
+    @pytest.mark.parametrize("solver", [{"bogus": 1}, [1, 2]],
+                             ids=["unknown-key", "not-an-object"])
+    def test_bad_solver_config_exits_1(self, tmp_path, capsys, doc, solver):
+        path = write_json(tmp_path / "p.json", {**doc, "solver": solver})
+        assert run_cli("solve", path, "--out", str(tmp_path / "o")) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "solver failed"
+        assert ("bogus" in err["detail"]) == isinstance(solver, dict)
 
     def test_byte_identical_reruns(self, tmp_path, lp_problem):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

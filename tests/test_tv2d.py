@@ -2,13 +2,123 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repkit.errors import EmptyDisk
-from repkit.linalg import lstsq
-from repkit.tv2d import (DiskSet, PdConfig, chambolle_pock_tv_solve,
-                         discrete_tv, disk_average_adjoint,
-                         disk_average_apply, level_set_report)
+from repkit.cli import DEFAULT_FIG2_DISKS, DEFAULT_FIG2_Y
+from repkit.errors import EmptyDisk, NonConvergence
+from repkit.linalg import lstsq, op_norm_estimate
+from repkit.tv2d import (ConvergenceTrace, DiskSet, PdConfig, _label,
+                         chambolle_pock_tv_solve, discrete_tv,
+                         disk_average_adjoint, disk_average_apply,
+                         level_set_report)
 
 rng = np.random.default_rng(55)
+
+
+def _flood_components(mask, connectivity: int) -> int:
+    """Reference: number of connected components by depth-first flood fill."""
+    if not mask.any():
+        return 0
+    h, w = mask.shape
+    steps = [(-1, 0), (1, 0), (0, -1), (0, 1)]
+    if connectivity == 8:
+        steps += [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+    seen = np.zeros_like(mask, dtype=bool)
+    count = 0
+    for r0, c0 in zip(*np.nonzero(mask)):
+        if seen[r0, c0]:
+            continue
+        count += 1
+        stack = [(r0, c0)]
+        seen[r0, c0] = True
+        while stack:
+            r, c = stack.pop()
+            for dr, dc in steps:
+                rr, cc = r + dr, c + dc
+                if 0 <= rr < h and 0 <= cc < w and mask[rr, cc] \
+                        and not seen[rr, cc]:
+                    seen[rr, cc] = True
+                    stack.append((rr, cc))
+    return count
+
+
+def _reference_cp_solve(disks, y, size, cfg):
+    """Reference: the Chambolle-Pock loop on 2-d arrays with boolean-mask
+    disk means, allocating its temporaries every iteration."""
+
+    def grad(u):
+        gx = np.zeros_like(u)
+        gy = np.zeros_like(u)
+        gx[:, :-1] = u[:, 1:] - u[:, :-1]
+        gy[:-1, :] = u[1:, :] - u[:-1, :]
+        return gx, gy
+
+    def div(px, py):
+        out = np.zeros_like(px)
+        out[:, 0] += px[:, 0]
+        out[:, 1:-1] += px[:, 1:-1] - px[:, :-2]
+        out[:, -1] += -px[:, -2]
+        out[0, :] += py[0, :]
+        out[1:-1, :] += py[1:-1, :] - py[:-2, :]
+        out[-1, :] += -py[-2, :]
+        return out
+
+    y = np.asarray(y, dtype=float)
+    w, h = size
+    masks = disks.masks((h, w))
+    counts = np.array([m.sum() for m in masks], dtype=float)
+    tol_constraint = cfg.tol_constraint
+    if tol_constraint is None:
+        tol_constraint = 1e-4 * max(np.abs(y).max(initial=0.0), 1e-12)
+
+    def phi(u):
+        return np.array([u[m].sum() / c for m, c in zip(masks, counts)])
+
+    row_scales = np.sqrt(8.0 * counts)
+    ys = row_scales * y
+
+    def phi_s_adj(z):
+        out = np.zeros((h, w))
+        for zi, m, c, s in zip(z, masks, counts, row_scales):
+            out[m] += s * zi / c
+        return out
+
+    def K_apply(x):
+        u = x.reshape(h, w)
+        gx, gy = grad(u)
+        return np.concatenate([gx.ravel(), gy.ravel(), row_scales * phi(u)])
+
+    def K_adjoint(x):
+        gx = x[:h * w].reshape(h, w)
+        gy = x[h * w:2 * h * w].reshape(h, w)
+        return (-div(gx, gy) + phi_s_adj(x[2 * h * w:])).ravel()
+
+    norm_K = op_norm_estimate(K_apply, K_adjoint, h * w, iters=60,
+                              seed=cfg.seed)
+    tau = sigma = 0.99 / norm_K
+    u = np.zeros((h, w))
+    u_bar = u.copy()
+    px = np.zeros((h, w))
+    py = np.zeros((h, w))
+    q = np.zeros(len(y))
+    trace = ConvergenceTrace()
+    for it in range(1, cfg.max_iters + 1):
+        gx, gy = grad(u_bar)
+        px = px + sigma * gx
+        py = py + sigma * gy
+        mag = np.maximum(1.0, np.sqrt(px ** 2 + py ** 2))
+        px /= mag
+        py /= mag
+        q = q + sigma * (row_scales * phi(u_bar) - ys)
+        u_old = u
+        u = u + tau * div(px, py) - tau * phi_s_adj(q)
+        u_bar = u + cfg.theta * (u - u_old)
+        if it % cfg.log_every == 0 or it == cfg.max_iters:
+            residual = np.abs(phi(u) - y).max(initial=0.0)
+            trace.log(it, discrete_tv(u), residual)
+            change = np.linalg.norm(u - u_old) / (1.0 + np.linalg.norm(u))
+            if residual <= tol_constraint and change <= cfg.tol_change:
+                return u, trace
+    raise NonConvergence("primal-dual iteration hit max_iters",
+                         payload=(u, trace))
 
 
 class TestDiskOperator:
@@ -24,13 +134,16 @@ class TestDiskOperator:
         assert np.allclose(disk_average_apply(u, disks), 1.0)
 
     def test_adjoint_inner_product(self):
-        disks = DiskSet([(7.0, 7.0, 4.0), (16.0, 12.0, 5.0)])
-        for _ in range(5):
-            u = rng.standard_normal((20, 24))
-            z = rng.standard_normal(2)
-            lhs = disk_average_apply(u, disks) @ z
-            rhs = (u * disk_average_adjoint(z, disks, u.shape)).sum()
-            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+        disjoint = DiskSet([(7.0, 7.0, 4.0), (16.0, 12.0, 5.0)])
+        overlapping = DiskSet([(8.0, 8.0, 6.0), (12.0, 10.0, 6.0),
+                               (10.0, 12.0, 5.0)])
+        for disks in (disjoint, overlapping):
+            for _ in range(5):
+                u = rng.standard_normal((20, 24))
+                z = rng.standard_normal(len(disks))
+                lhs = disk_average_apply(u, disks) @ z
+                rhs = (u * disk_average_adjoint(z, disks, u.shape)).sum()
+                assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     def test_empty_disk_rejected(self):
         with pytest.raises(EmptyDisk):
@@ -150,6 +263,114 @@ class TestChambollePock:
             z = rng.standard_normal(2 * h * w + 1)
             assert abs(K(x) @ z - x @ Kt(z)) <= 1e-12 * max(1.0,
                                                             abs(K(x) @ z))
+
+
+def _fig2_layout(size):
+    scale = size / 200.0
+    return DiskSet([(cx * scale, cy * scale, r * scale)
+                    for cx, cy, r in DEFAULT_FIG2_DISKS])
+
+
+class TestAgainstReferenceLoop:
+    """The in-place solver reproduces the allocating reference loop."""
+
+    @pytest.mark.parametrize("disks, y, size", [
+        # overlapping disks on a non-square image
+        (DiskSet([(8.0, 8.0, 5.0), (14.0, 11.0, 6.0), (17.0, 16.0, 4.0)]),
+         [0.9, -0.3, 0.4], (24, 20)),
+        (_fig2_layout(24), DEFAULT_FIG2_Y, (24, 24)),
+        (_fig2_layout(64), DEFAULT_FIG2_Y, (64, 64)),
+    ], ids=["overlap-24x20", "fig2-24", "fig2-64"])
+    def test_matches_reference(self, disks, y, size):
+        cfg = PdConfig(max_iters=120_000)
+        u, trace = chambolle_pock_tv_solve(disks, y, size, cfg)
+        ref_u, ref_trace = _reference_cp_solve(disks, y, size, cfg)
+        assert trace.iterations == ref_trace.iterations
+        assert np.abs(u - ref_u).max() <= 1e-12
+        assert np.allclose(trace.tv_values, ref_trace.tv_values,
+                           rtol=1e-12, atol=0.0)
+
+    def test_nonconvergence_payload_matches_reference(self):
+        disks = _fig2_layout(24)
+        cfg = PdConfig(max_iters=75, log_every=20)
+        with pytest.raises(NonConvergence) as got:
+            chambolle_pock_tv_solve(disks, DEFAULT_FIG2_Y, (24, 24), cfg)
+        with pytest.raises(NonConvergence) as ref:
+            _reference_cp_solve(disks, DEFAULT_FIG2_Y, (24, 24), cfg)
+        u, trace = got.value.payload
+        ref_u, ref_trace = ref.value.payload
+        assert u.shape == (24, 24)
+        assert trace.iterations == ref_trace.iterations == [20, 40, 60, 75]
+        assert np.abs(u - ref_u).max() <= 1e-12
+
+
+def _serpentine(n):
+    """One-pixel-wide path filling an n x n square row by row."""
+    mask = np.zeros((n, n), dtype=bool)
+    mask[::2] = True
+    for r in range(1, n, 2):
+        mask[r, -1 if r % 4 == 1 else 0] = True
+    return mask
+
+
+class TestLabel:
+    CASES = {
+        "empty": np.zeros((7, 9), dtype=bool),
+        "full": np.ones((5, 6), dtype=bool),
+        "ring": np.pad(np.pad(np.zeros((3, 4), dtype=bool), 2,
+                              constant_values=True), 1),
+        "diagonal": np.eye(6, dtype=bool) | np.eye(6, k=3, dtype=bool),
+        "serpentine": _serpentine(200),
+        "serpentine_t": _serpentine(200).T.copy(),
+        "row": np.array([[True, False, True, True, False, True]]),
+        "column": np.array([[True], [True], [False], [True]]),
+    }
+
+    def _random_masks(self):
+        g = np.random.default_rng(808)
+        for _ in range(40):
+            h, w = g.integers(1, 30, size=2)
+            yield g.random((h, w)) < g.uniform(0.2, 0.8)
+
+    def _all_masks(self):
+        yield from self.CASES.values()
+        yield from self._random_masks()
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_counts_match_flood_fill(self, connectivity):
+        for mask in self._all_masks():
+            labels, count = _label(mask, connectivity)
+            assert count == _flood_components(mask, connectivity)
+            assert (labels > 0).tolist() == mask.tolist()
+            assert set(np.unique(labels[mask])) == set(range(1, count + 1))
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_labels_match_scipy(self, connectivity):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        structure = ndimage.generate_binary_structure(2, connectivity // 4)
+        for mask in self._all_masks():
+            labels, count = _label(mask, connectivity)
+            ref, ref_count = ndimage.label(mask, structure=structure)
+            assert count == ref_count
+            assert np.array_equal(labels, ref)
+
+    def test_known_counts(self):
+        cases = self.CASES
+        assert _label(cases["empty"], 4)[1] == 0
+        assert _label(cases["ring"], 4)[1] == 1
+        assert _label(~cases["ring"], 4)[1] == 2  # the hole and the outside
+        assert _label(~cases["ring"], 8)[1] == 2
+        assert _label(cases["diagonal"], 8)[1] == 2
+        assert _label(cases["diagonal"], 4)[1] == 9
+        touching = np.array([[True, False], [False, True]])
+        assert _label(touching, 8)[1] == 1
+        assert _label(touching, 4)[1] == 2
+        assert _label(cases["serpentine"], 4)[1] == 1
+        assert _label(cases["serpentine"], 8)[1] == 1
+
+    def test_invalid_connectivity(self):
+        with pytest.raises(ValueError):
+            _label(np.ones((3, 3), dtype=bool), 6)
 
 
 class TestLevelSetReport:
