@@ -540,7 +540,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=0.02,
                    help="level quantization tolerance")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="recorded in the manifest; the solver draws "
+                        "nothing from it")
     p.set_defaults(func=cmd_fig2)
 
     p = sub.add_parser("enumerate-slice",

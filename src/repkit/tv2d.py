@@ -1,23 +1,27 @@
 """Total gradient variation minimization on images under disk averages.
 
 Solves ``min TV(u) s.t. Phi u = y`` where each measurement is the mean of
-the image over a disk, using the primal-dual (Chambolle-Pock) iteration
-with the equality constraint enforced exactly through its dual. A level-set
-report quantizes the output and checks, per level, the connectivity and
-hole-freeness that characterize indicators of simple sets.
+the image over a disk, using the primal-dual (Chambolle-Pock) iteration on
+``K = grad`` with steps ``tau = sigma = 0.99 / sqrt(8)`` (``|grad|^2 <= 8``)
+and the equality constraint enforced by its exact prox, the projection
+``u <- u - Phi^T (Phi Phi^T)^+ (Phi u - y)``. The iteration restarts from
+the running average of its current epoch when the average's fixed-point
+residual has decayed enough (Applegate et al., "Faster first-order
+primal-dual methods for linear programming using restarts and sharpness",
+2023), which removes the slow oscillating tail of the gradient dual. A
+level-set report quantizes the output and checks, per level, the
+connectivity and hole-freeness that characterize indicators of simple sets.
 
 Images are 2-d float arrays indexed ``[row, col]``; disk centers are given
 in pixel units as ``(cx, cy)`` with ``cx`` along columns.
 
 The disk-mean operator is built once per call from the disk masks
-(:class:`_DiskMeans`). The iteration runs on flat row-major buffers
-allocated before the loop: forward differences and their adjoint are
-contiguous 1-d slices with the wrap-around across row ends zeroed, and
-every update writes in place. Its arithmetic is that of the plain 2-d
-formulation with boolean-mask means, operation for operation, so the
-iterates are bit-identical to it wherever at most two disks overlap (three
-or more overlapping means may be summed in another order). Connected
-components are labelled by vectorized union-find (:func:`_label`).
+(:class:`_DiskMeans`), with the ``m x m`` Gram matrix behind the
+projection. The iteration runs on flat row-major buffers allocated before
+the loop: forward differences and their adjoint are contiguous 1-d slices
+with the wrap-around across row ends zeroed, and every update writes in
+place. Connected components are labelled by vectorized union-find
+(:func:`_label`).
 """
 
 from __future__ import annotations
@@ -27,7 +31,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyDisk, NonConvergence
-from .linalg import op_norm_estimate
+# Unused here; kept importable because profiling hooks patch this name.
+from .linalg import op_norm_estimate  # noqa: F401
+from .linalg import pseudo_inverse
+
+# |grad|^2 <= 8 for forward differences on a 2-d grid.
+GRAD_NORM_SQ = 8.0
+# Restart rule of Applegate et al. (2023), checked every ``log_every``
+# iterations on the fixed-point residual of the epoch's running average:
+# restart once it falls to RESTART_SUFFICIENT of its value at the last
+# restart, or to RESTART_NECESSARY of it and stops decreasing, or once the
+# epoch spans RESTART_ARTIFICIAL of all iterations so far.
+RESTART_SUFFICIENT = 0.2
+RESTART_NECESSARY = 0.8
+RESTART_ARTIFICIAL = 0.36
 
 
 @dataclass
@@ -63,8 +80,18 @@ class DiskSet:
 class PdConfig:
     """Primal-dual solver parameters.
 
-    Step sizes default to ``0.99 / |K|`` with the operator norm estimated
-    by power iteration, which keeps ``tau * sigma * |K|^2 <= 1``.
+    Step sizes default to ``0.99 / sqrt(8)``, which keeps
+    ``tau * sigma * |grad|^2 <= 1``. ``theta`` is the extrapolation weight.
+    The iteration stops once the constraint residual is at most
+    ``tol_constraint`` and the relative change of the last step at most
+    ``tol_change``, both tested every ``log_every`` iterations, where the
+    restart rule is checked too. Restarts damp the oscillation that kept
+    the unrestarted iterates moving, so the same distance to the optimum
+    shows as a smaller step: ``tol_change`` is 2e-6 where the unrestarted
+    loop stopped at 1e-5 (at 1e-5, 4 of 40 random 40x40 layouts stopped
+    0.13-0.33% above the unrestarted loop's TV). ``seed`` is accepted so
+    that existing problem files keep working; the solver draws nothing
+    from it.
     """
 
     max_iters: int = 20_000
@@ -72,7 +99,7 @@ class PdConfig:
     sigma: float | None = None
     theta: float = 1.0
     tol_constraint: float | None = None  # default 1e-4 * |y|_inf
-    tol_change: float = 1e-5
+    tol_change: float = 2e-6
     log_every: int = 50
     seed: int = 0
 
@@ -138,14 +165,18 @@ class _DiskMeans:
     def apply(self, u) -> np.ndarray:
         return np.array([u[p].sum() for p in self.pixels]) / self.counts
 
-    def adjoint_covered(self, z) -> np.ndarray:
-        """The adjoint applied to ``z``, on the covered pixels."""
-        return (z / self.counts) @ self.cover
-
     def adjoint(self, z) -> np.ndarray:
         out = np.zeros(self.size)
-        out[self.covered] = self.adjoint_covered(z)
+        out[self.covered] = (z / self.counts) @ self.cover
         return out
+
+    def lift(self) -> np.ndarray:
+        """``(Phi Phi^T)^+ Phi`` on the covered pixels, an ``(m, covered)``
+        array: ``u[covered] -= (Phi u - y) @ lift`` projects ``u`` onto
+        ``Phi u = y``. The Gram matrix holds the overlap areas of the disks
+        over the products of their pixel counts."""
+        rows = self.cover / self.counts[:, None]
+        return pseudo_inverse(rows @ rows.T) @ rows
 
 
 def disk_average_apply(u, disks: DiskSet) -> np.ndarray:
@@ -215,12 +246,16 @@ def discrete_tv(u) -> float:
 def chambolle_pock_tv_solve(disks: DiskSet, y, size, cfg: PdConfig | None = None):
     """Approximate minimizer of TV under exact disk-average constraints.
 
-    Saddle formulation with ``K = (grad, Phi)``: the gradient dual is
-    projected onto pointwise Euclidean unit balls, the equality dual takes
-    the affine shift ``q -> q + sigma (Phi u - y)``. Returns
-    ``(image, trace)`` once the sup-norm constraint residual and relative
-    iterate change fall below tolerance; raises :class:`NonConvergence`
-    carrying ``(image, trace)`` otherwise.
+    Saddle formulation with ``K = grad``: the gradient dual is projected
+    onto pointwise Euclidean unit balls, and the primal step ends with the
+    exact projection onto ``Phi u = y``, so every iterate is feasible. Each
+    epoch keeps the running average of its iterates; on the ``log_every``
+    cadence the iteration restarts from that average when the restart rule
+    of :data:`RESTART_SUFFICIENT`, :data:`RESTART_NECESSARY` and
+    :data:`RESTART_ARTIFICIAL` fires. Returns ``(image, trace)`` once the
+    sup-norm constraint residual and relative iterate change fall below
+    tolerance; raises :class:`NonConvergence` carrying ``(image, trace)``
+    otherwise.
     """
     cfg = cfg or PdConfig()
     y = np.asarray(y, dtype=float)
@@ -233,66 +268,69 @@ def chambolle_pock_tv_solve(disks: DiskSet, y, size, cfg: PdConfig | None = None
     tol_constraint = cfg.tol_constraint
     if tol_constraint is None:
         tol_constraint = 1e-4 * max(y_scale, 1e-12)
-
-    # Each mean row has norm 1/sqrt(count), orders of magnitude below the
-    # gradient block (norm ~ sqrt(8)); with uniform steps the equality dual
-    # then orbits instead of converging. Rescaling the rows to the gradient
-    # norm describes the same constraint set and balances the blocks.
-    row_scales = np.sqrt(8.0 * means.counts)
-    ys = row_scales * y
-
-    def K_apply(x):
-        gx, gy = np.zeros(n), np.zeros(n)
-        _grad_into(x, w, gx, gy)
-        return np.concatenate([gx, gy, row_scales * means.apply(x)])
-
-    def K_adjoint(x):
-        # Applied only to outputs of K_apply, whose gradient parts lie in
-        # the range that _div_into requires.
-        out = np.empty(n)
-        _div_into(x[:n], x[n:2 * n], w, out, np.empty(n))
-        return means.adjoint(row_scales * x[2 * n:]) - out
-
-    norm_K = op_norm_estimate(K_apply, K_adjoint, n, iters=60, seed=cfg.seed)
-    tau = cfg.tau if cfg.tau is not None else 0.99 / norm_K
-    sigma = cfg.sigma if cfg.sigma is not None else 0.99 / norm_K
-    if tau * sigma * norm_K ** 2 > 1.0 + 1e-9:
-        raise ValueError("step sizes violate tau * sigma * |K|^2 <= 1")
+    default_step = 0.99 / np.sqrt(GRAD_NORM_SQ)
+    tau = cfg.tau if cfg.tau is not None else default_step
+    sigma = cfg.sigma if cfg.sigma is not None else default_step
+    if tau * sigma * GRAD_NORM_SQ > 1.0 + 1e-9:
+        raise ValueError("step sizes violate tau * sigma * |grad|^2 <= 1")
+    lift = means.lift()
+    covered = means.covered
 
     # Buffers reused by every iteration. gy starts at zero, so its last row
     # stays zero (_grad_into never writes it), and with it the last column
     # of px and the last row of py.
-    u, u_old, u_bar = np.zeros(n), np.zeros(n), np.zeros(n)
-    px, py, gx, gy = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
-    step, scratch = np.empty(n), np.empty(n)
-    q = np.zeros(len(y))
+    gx, gy, u_bar, scratch = np.zeros(n), np.zeros(n), np.zeros(n), np.empty(n)
+
+    def step(u, px, py, u_next):
+        """One iteration from ``(u, p)``: writes the primal into ``u_next``
+        and updates ``px``, ``py`` in place."""
+        # u_next <- projection of u + tau div p onto Phi u = y
+        _div_into(px, py, w, u_next, scratch)
+        u_next *= tau
+        u_next += u
+        u_next[covered] -= (means.apply(u_next) - y) @ lift
+        # p <- p + sigma grad(u_next + theta (u_next - u)), projected onto
+        # pointwise unit balls
+        np.subtract(u_next, u, out=u_bar)
+        np.multiply(u_bar, cfg.theta, out=u_bar)
+        np.add(u_bar, u_next, out=u_bar)
+        _grad_into(u_bar, w, gx, gy)
+        np.multiply(gx, sigma, out=gx)
+        px += gx
+        np.multiply(gy, sigma, out=gy)
+        py += gy
+        # the pointwise norms of p go into u_bar, which is used up
+        np.multiply(px, px, out=u_bar)
+        np.multiply(py, py, out=scratch)
+        np.add(u_bar, scratch, out=u_bar)
+        np.sqrt(u_bar, out=u_bar)
+        np.maximum(u_bar, 1.0, out=u_bar)
+        px /= u_bar
+        py /= u_bar
+
+    def fixed_point_residual(u, px, py):
+        """Distance, in the step-weighted norm, from ``(u, p)`` to the
+        iterate one step later."""
+        u_next, px_next, py_next = np.empty(n), px.copy(), py.copy()
+        step(u, px_next, py_next, u_next)
+        return np.sqrt((np.sum((u_next - u) ** 2)) / tau
+                       + (np.sum((px_next - px) ** 2)
+                          + np.sum((py_next - py) ** 2)) / sigma)
+
+    u, u_old = np.zeros(n), np.zeros(n)
+    u[covered] = y @ lift  # the least-norm feasible image
+    px, py = np.zeros(n), np.zeros(n)
+    u_sum, px_sum, py_sum = np.zeros(n), np.zeros(n), np.zeros(n)
+    epoch_start = 0
+    restart_residual = fixed_point_residual(u, px, py)
+    last_residual = np.inf
     trace = ConvergenceTrace()
     for it in range(1, cfg.max_iters + 1):
-        # p <- p + sigma grad u_bar, projected onto pointwise unit balls
-        _grad_into(u_bar, w, gx, gy)
-        gx *= sigma
-        px += gx
-        gy *= sigma
-        py += gy
-        np.multiply(px, px, out=step)
-        np.multiply(py, py, out=scratch)
-        step += scratch
-        np.sqrt(step, out=step)
-        np.maximum(step, 1.0, out=step)
-        px /= step
-        py /= step
-        q += sigma * (row_scales * means.apply(u_bar) - ys)
-        # u <- u + tau div p - tau Phi_s^T q; the last term is zero off
-        # the disks, so only the covered pixels take it.
         u, u_old = u_old, u
-        _div_into(px, py, w, step, scratch)
-        step *= tau
-        np.add(u_old, step, out=u)
-        u[means.covered] -= tau * means.adjoint_covered(row_scales * q)
-        # u_bar <- u + theta (u - u_old)
-        np.subtract(u, u_old, out=u_bar)
-        u_bar *= cfg.theta
-        u_bar += u
+        step(u_old, px, py, u)
+        u_sum += u
+        px_sum += px
+        py_sum += py
 
         if it % cfg.log_every == 0 or it == cfg.max_iters:
             image = u.reshape(h, w)
@@ -301,6 +339,26 @@ def chambolle_pock_tv_solve(disks: DiskSet, y, size, cfg: PdConfig | None = None
             change = np.linalg.norm(u - u_old) / (1.0 + np.linalg.norm(u))
             if residual <= tol_constraint and change <= cfg.tol_change:
                 return image, trace
+            # Restart to the epoch's average (Applegate et al.) when its
+            # fixed-point residual has decayed enough since the last
+            # restart, or has decayed some and stopped decreasing, or when
+            # the epoch has grown long relative to the whole run.
+            length = it - epoch_start
+            avg = (u_sum / length, px_sum / length, py_sum / length)
+            avg_residual = fixed_point_residual(*avg)
+            if (avg_residual <= RESTART_SUFFICIENT * restart_residual
+                    or (avg_residual <= RESTART_NECESSARY * restart_residual
+                        and avg_residual > last_residual)
+                    or length >= RESTART_ARTIFICIAL * it):
+                u[:], px[:], py[:] = avg
+                u_sum.fill(0.0)
+                px_sum.fill(0.0)
+                py_sum.fill(0.0)
+                epoch_start = it
+                restart_residual = avg_residual
+                last_residual = np.inf
+            else:
+                last_residual = avg_residual
     raise NonConvergence("primal-dual iteration hit max_iters",
                          payload=(u.reshape(h, w), trace))
 
@@ -356,7 +414,9 @@ def level_set_report(u, quant_tol: float = 0.02, min_mass: float = 0.015,
     """Quantize an image into value clusters and flag simple-set structure.
 
     Values are clustered greedily: sorted, split wherever the gap exceeds
-    ``quant_tol`` times the dynamic range. First-order solvers antialias
+    ``quant_tol`` times the larger of the dynamic range and the sup norm,
+    so that a nearly flat image far from zero (a spread of solver noise
+    around one value) stays one cluster. First-order solvers antialias
     plateau boundaries, which leaves stray pixels at intermediate values;
     clusters holding less than ``min_mass`` of the pixels are therefore
     absorbed into the nearest cluster by value (smallest first) before
@@ -371,36 +431,41 @@ def level_set_report(u, quant_tol: float = 0.02, min_mass: float = 0.015,
     u = np.asarray(u, dtype=float)
     flat = np.sort(u.ravel())
     span = flat[-1] - flat[0]
-    if span <= flat_tol * max(1.0, np.abs(flat).max()):
+    peak = max(abs(flat[0]), abs(flat[-1]))
+    if span <= flat_tol * max(1.0, peak):
         return LevelSetReport(levels=[(float(flat.mean()), u.size)],
                               indecomposable=[True], saturated=[True],
                               quantization_tol=quant_tol,
                               labels=np.zeros(u.shape, dtype=int))
-    gap = quant_tol * span
+    gap = quant_tol * max(span, peak)
     cuts = np.flatnonzero(np.diff(flat) > gap)
-    bounds = [flat[0] - 1.0] + [0.5 * (flat[i] + flat[i + 1]) for i in cuts] \
-        + [flat[-1] + 1.0]
-    labels = np.digitize(u, bounds[1:-1])
-    values = [float(u[labels == k].mean()) for k in range(len(bounds) - 1)]
-    counts = [int((labels == k).sum()) for k in range(len(bounds) - 1)]
+    labels = np.digitize(u, 0.5 * (flat[cuts] + flat[cuts + 1]))
+    counts = np.bincount(labels.ravel(), minlength=cuts.size + 1)
+    sums = np.bincount(labels.ravel(), weights=u.ravel(),
+                       minlength=cuts.size + 1)
 
+    # owner[c] is the cluster that initial cluster c now belongs to.
+    owner = np.arange(counts.size)
     floor = min_mass * u.size
-    while len(values) > 1 and min(counts) < floor:
+    while counts.size > 1 and counts.min() < floor:
+        values = sums / counts
         k = int(np.lexsort((values, counts))[0])  # smallest, lowest value
-        others = [i for i in range(len(values)) if i != k]
-        target = min(others, key=lambda i: abs(values[i] - values[k]))
-        labels[labels == k] = target
-        labels[labels > k] -= 1
-        nlev = int(labels.max()) + 1
-        values = [float(u[labels == i].mean()) for i in range(nlev)]
-        counts = [int((labels == i).sum()) for i in range(nlev)]
+        distance = np.abs(values - values[k])
+        distance[k] = np.inf
+        target = int(np.argmin(distance))
+        sums[target] += sums[k]
+        counts[target] += counts[k]
+        sums, counts = np.delete(sums, k), np.delete(counts, k)
+        owner[owner == k] = target
+        owner[owner > k] -= 1
+    labels = owner[labels]
 
     levels = []
     indecomposable = []
     saturated = []
-    for k in range(len(values)):
+    for k in range(counts.size):
         mask = labels == k
-        levels.append((values[k], counts[k]))
+        levels.append((float(u[mask].mean()), int(counts[k])))
         indecomposable.append(_label(mask, 4)[1] <= 1)
         supermask = labels >= k
         saturated.append(_label(~supermask, 8)[1] <= 1)
