@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 
@@ -239,3 +240,78 @@ class TestEnumerateSlice:
         assert "extreme_points 6" in capsys.readouterr().out
         rows = (out / "extreme_points.csv").read_text().splitlines()
         assert len(rows) == 6
+
+
+def _catalog_docs():
+    """One tiny problem per regularizer kind."""
+    g = np.random.default_rng(5)
+    A = g.standard_normal((3, 8))
+    x0 = np.abs(g.standard_normal(8))
+    x0[3:] = 0.0
+    L = g.standard_normal((5, 6))
+    Phi = g.standard_normal((3, 6))
+    maps = g.standard_normal((5, 3, 3))
+    M0 = np.outer(g.standard_normal(3), g.standard_normal(3))
+    sym = [0.5 * (a + a.T) for a in g.standard_normal((3, 3, 3))]
+    X = g.standard_normal((3, 3))
+    trig = trigonometric_system(3)
+    return {
+        "nonneg_cone": {"phi": A.tolist(),
+                        "y": g.standard_normal(3).tolist()},
+        "lp_epigraph": {"phi": A.tolist(), "y": (A @ x0).tolist(),
+                        "cost": g.uniform(0.1, 1, 8).tolist()},
+        "l1_analysis": {"phi": Phi.tolist(), "L": L.tolist(),
+                        "y": (Phi @ g.standard_normal(6)).tolist()},
+        "nuclear": {"measurement_maps": maps.tolist(), "shape": [3, 3],
+                    "y": [float(np.tensordot(a, M0)) for a in maps]},
+        "psd_cone": {"measurement_maps": [a.tolist() for a in sym],
+                     "shape": [3, 3],
+                     "y": [float(np.tensordot(a, X @ X.T)) for a in sym]},
+        "measure_tv": {"grid_n": 64, "y": moments_of(DiscreteMeasure(
+            atoms=[(0.25, 1.0), (0.5, -0.5)]), trig).tolist()},
+        "measure_nonneg": {
+            "grid_n": 64,
+            "psi": {"type": "polynomial", "coefficients": [0.5, 0.2]},
+            "y": moments_of(DiscreteMeasure(
+                atoms=[(0.25, 1.0), (0.625, 0.5)]), trig).tolist()},
+        "tv2d": {"phi": {"disks": [[6, 6, 4], [14, 12, 3]]},
+                 "y": [0.8, -0.5], "size": [20, 18]},
+    }
+
+
+CATALOG = _catalog_docs()
+
+
+class TestCatalogRoundTrip:
+    @pytest.mark.parametrize("kind", sorted(CATALOG))
+    def test_solve_audit_decompose(self, tmp_path, capsys, kind):
+        prob = write_json(tmp_path / "p.json", {"kind": kind, **CATALOG[kind]})
+        solved = tmp_path / "s"
+        assert run_cli("solve", prob, "--out", str(solved)) == 0
+        sol = solved / ("image.pgm" if kind == "tv2d" else "solution.csv")
+        assert run_cli("audit", str(sol), "--problem", prob,
+                       "--out", str(tmp_path / "a")) == 0
+        capsys.readouterr()
+        assert run_cli("decompose", str(sol), "--problem", prob,
+                       "--out", str(tmp_path / "d")) == 0
+        out = capsys.readouterr().out.split()
+        assert out[0] == "reconstruction_error"
+        err = float(out[1])
+        c_solve = json.loads((solved / "certificate.json").read_text())
+        c_audit = json.loads((tmp_path / "a" / "certificate.json").read_text())
+        assert c_solve["pass"] and c_audit["pass"]
+        if kind == "tv2d":
+            # The replay reads a 16-bit PGM, so its staircase residual is
+            # the declared quantization tolerance, not roundoff.
+            assert err <= c_audit["reconstruction_tol"]
+        else:
+            for key in ("pass", "atom_count", "bound"):
+                assert c_solve[key] == c_audit[key]
+            assert err <= 1e-6
+        assert (tmp_path / "d" / "atoms.csv").exists()
+
+    def test_cli_and_audit_list_the_same_kinds(self):
+        # ``repkit.audit`` the attribute is the re-exported function.
+        audit_mod = importlib.import_module("repkit.audit")
+        cli = importlib.import_module("repkit.cli")
+        assert set(cli.KIND_KEYS) == set(audit_mod.KINDS) == set(CATALOG)
