@@ -304,12 +304,14 @@ def psd_solve(prob: MatrixProblem, cost=None,
     yn = np.linalg.norm(prob.y)
 
     def to_feasible(M, iters):
+        # The projection checked for feasibility is the next step's input.
+        P = _project_psd(M)
         for _ in range(iters):
-            M = project(_project_psd(M))
-            if np.linalg.norm(prob.apply(_project_psd(M)) - prob.y) \
+            P = _project_psd(project(P))
+            if np.linalg.norm(prob.apply(P) - prob.y) \
                     <= cfg.eps_feas * (1.0 + yn):
-                return _project_psd(M), True
-        return _project_psd(M), False
+                return P, True
+        return P, False
 
     M, ok = to_feasible(np.zeros((n, n)), cfg.max_iters)
     if not ok:

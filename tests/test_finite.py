@@ -5,7 +5,8 @@ import pytest
 
 from repkit.errors import Infeasible, NotSurjective
 from repkit.finite import (LpProblem, MatrixProblem, SplittingConfig,
-                           barvinok_bound, l1_analysis_solve, nnls_solve,
+                           _affine_projector, _project_psd, barvinok_bound,
+                           l1_analysis_solve, nnls_solve,
                            nuclear_min_solve, psd_solve,
                            rank1_atomic_decomposition, rank_reduce_psd,
                            simplex_solve)
@@ -247,6 +248,69 @@ class TestPsd:
             assert after <= before + 1e-9 * (1 + abs(before))
             assert np.linalg.norm(prob.apply(M_red) - prob.y) \
                 <= 1e-7 * (1 + np.linalg.norm(prob.y))
+
+
+def _reference_psd_solve(prob, cost=None, cfg=SplittingConfig()):
+    """``psd_solve`` as first written, with three eigendecompositions per
+    alternating-projection step. Returns the matrix and the number of
+    steps taken."""
+    project, _, _ = _affine_projector(prob)
+    yn = np.linalg.norm(prob.y)
+    steps = 0
+
+    def to_feasible(M, iters):
+        nonlocal steps
+        for _ in range(iters):
+            steps += 1
+            M = project(_project_psd(M))
+            if np.linalg.norm(prob.apply(_project_psd(M)) - prob.y) \
+                    <= cfg.eps_feas * (1.0 + yn):
+                return _project_psd(M), True
+        return _project_psd(M), False
+
+    n = prob.shape[0]
+    M, ok = to_feasible(np.zeros((n, n)), cfg.max_iters)
+    assert ok
+    if cost is not None:
+        step0 = (1.0 + np.abs(prob.y).max()) / max(np.linalg.norm(cost), 1e-12)
+        for k in range(1, 201):
+            M_try, ok = to_feasible(M - (step0 / np.sqrt(k)) * cost,
+                                    cfg.max_iters // 100 + 100)
+            if ok and np.tensordot(cost, M_try) <= np.tensordot(cost, M):
+                M = M_try
+    return rank_reduce_psd(M, prob, cost=cost), steps
+
+
+class TestPsdEighCount:
+    @pytest.mark.parametrize("with_cost", [False, True])
+    def test_one_eigh_per_projection_step(self, monkeypatch, with_cost):
+        g = np.random.default_rng(7)
+        n = 5
+        X = g.standard_normal((n, n))
+        maps = [0.5 * (a + a.T)
+                for a in (g.standard_normal((n, n)) for _ in range(4))]
+        prob = MatrixProblem(maps, [np.tensordot(a, X @ X.T) for a in maps],
+                             (n, n))
+        cost = None
+        if with_cost:
+            cost = g.standard_normal((n, n))
+            cost = 0.5 * (cost + cost.T)
+        calls = [0]
+        eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        M_ref, steps = _reference_psd_solve(prob, cost=cost)
+        ref_eighs, calls[0] = calls[0], 0
+        M = psd_solve(prob, cost=cost)
+        assert np.array_equal(M, M_ref)
+        # The reference spends 2 per step plus 1 per to_feasible call; the
+        # solver 1 per step plus 1 per call; rank reduction the same in both.
+        assert steps > 10
+        assert calls[0] == ref_eighs - steps
 
 
 class TestRank1Decomposition:
