@@ -57,6 +57,10 @@ class EmptyDisk(RepkitError):
     """A measurement disk covers no pixel center."""
 
 
+class InvalidDecomposition(RepkitError):
+    """Negative weights, weights not summing to 1, or a bad reconstruction."""
+
+
 class KindMismatch(RepkitError):
     """Solution payload does not match the declared regularizer kind."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (CombinatorialLimitExceeded, InfeasiblePoint,
-                     NotDoublyStochastic)
+                     InvalidDecomposition, NotDoublyStochastic)
 from .linalg import null_space_basis, rank
 from .simplex import solve_standard_form
 
@@ -108,18 +108,20 @@ class AtomicDecomposition:
         return len(self.point_atoms) + len(self.ray_atoms)
 
     def validate(self, target=None, tol: float = 1e-8) -> None:
-        """Raise AssertionError when the type invariants fail."""
+        """Raise :class:`InvalidDecomposition` when the invariants fail."""
         weights = np.array([w for _, w in self.point_atoms])
         coeffs = np.array([c for _, c in self.ray_atoms])
-        assert np.all(weights >= -1e-9), "negative convex weight"
-        assert np.all(coeffs >= -1e-9), "negative ray coefficient"
-        if len(self.point_atoms):
-            assert abs(weights.sum() - 1.0) <= 1e-9, "weights do not sum to 1"
+        if np.any(weights < -1e-9):
+            raise InvalidDecomposition("negative convex weight")
+        if np.any(coeffs < -1e-9):
+            raise InvalidDecomposition("negative ray coefficient")
+        if len(self.point_atoms) and abs(weights.sum() - 1.0) > 1e-9:
+            raise InvalidDecomposition("weights do not sum to 1")
         if target is not None:
             target = np.asarray(target, dtype=float)
             err = np.linalg.norm(self.reconstruct() - target)
-            assert err <= tol * (1.0 + np.linalg.norm(target)), \
-                f"reconstruction error {err:.3e}"
+            if not err <= tol * (1.0 + np.linalg.norm(target)):
+                raise InvalidDecomposition(f"reconstruction error {err:.3e}")
 
 
 @dataclass

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repkit.errors import (CombinatorialLimitExceeded, InfeasiblePoint,
-                           NotDoublyStochastic)
+                           InvalidDecomposition, NotDoublyStochastic)
 from repkit.geometry import (AtomicDecomposition, HPolyhedron, VPolytope,
                              birkhoff_decompose, caratheodory_reduce,
                              enumerate_slice_extreme_points, is_extreme_point,
@@ -22,6 +22,23 @@ def test_vpolytope_validation():
         VPolytope(vertices=[[0.0, 0.0]], rays=[[0.0, 0.0]])
     with pytest.raises(ValueError):
         VPolytope(vertices=[[0.0, 0.0], [1.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("dec,target,message", [
+    (AtomicDecomposition(point_atoms=[([1.0], 1.5), ([0.0], -0.5)]),
+     None, "negative convex weight"),
+    (AtomicDecomposition(ray_atoms=[([1.0], -1.0)]), None,
+     "negative ray coefficient"),
+    (AtomicDecomposition(point_atoms=[([1.0], 0.5), ([0.0], 0.4)]),
+     None, "weights do not sum to 1"),
+    (AtomicDecomposition(point_atoms=[([1.0], 0.5), ([0.0], 0.5)]),
+     [0.7], "reconstruction error"),
+], ids=["negative-weight", "negative-ray", "weight-sum", "reconstruction"])
+def test_validate_raises(dec, target, message):
+    with pytest.raises(InvalidDecomposition, match=message):
+        dec.validate(target)
+    if target is not None:
+        dec.validate()  # only the reconstruction is wrong
 
 
 def hull_membership_oracle(p, vertices, tol=1e-8):
