@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -28,23 +29,18 @@ from .finite import rank1_atomic_decomposition
 from .geometry import AtomicDecomposition
 from .linalg import null_space_basis, pseudo_inverse, svd
 from .measure import DiscreteMeasure
-from .tv2d import DiskSet, discrete_tv, level_set_report
-
-KINDS = ("nonneg_cone", "lp_epigraph", "l1_analysis", "nuclear", "psd_cone",
-         "measure_tv", "measure_nonneg", "tv2d")
-
-# Kinds whose level set is a cone: the regularizer is an indicator, the
-# optimum always sits at inf R = 0, and the decomposition uses ray atoms.
-CONE_KINDS = ("nonneg_cone", "psd_cone", "measure_nonneg")
+from .tv2d import DiskSet, discrete_tv, disk_average_apply, level_set_report
 
 
 @dataclass
 class RegularizerSpec:
-    """Closed catalog of supported regularizers plus their parameters.
+    """A regularizer of the closed catalog :data:`KINDS` plus its parameters.
 
     ``params`` carries the kind-specific data: ``L`` (analysis operator)
-    for ``l1_analysis``, ``disks``/``size`` for ``tv2d``, ``shape`` for the
-    matrix kinds.
+    for ``l1_analysis``; ``disks`` and ``size`` for ``tv2d``, optionally
+    with ``quant_tol`` (the level quantization tolerance, default 0.02)
+    and ``level_report`` (a :class:`~repkit.tv2d.LevelSetReport` of the
+    solution, used instead of computing one).
     """
 
     kind: str
@@ -136,41 +132,36 @@ def _as_matrix_phi(Phi):
     return np.atleast_2d(np.asarray(Phi, dtype=float))
 
 
-def lineality_of(spec: RegularizerSpec, Phi) -> LinealityReport:
-    """Invariant directions of the level set and their measured dimension.
+def _analysis_operator(spec: RegularizerSpec) -> np.ndarray:
+    return np.atleast_2d(np.asarray(spec.params["L"], dtype=float))
 
-    Cones and norm balls are line-free; the l1-analysis ball is invariant
-    along ``ker L``; the TV seminorm is invariant along constant images.
-    The measure kinds have no finite-dimensional lineality and report the
-    trivial space.
-    """
-    kind = spec.kind
-    if kind in ("nonneg_cone", "lp_epigraph", "nuclear", "psd_cone"):
-        Phi = _as_matrix_phi(Phi)
-        basis = np.zeros((Phi.shape[1], 0))
-    elif kind in ("measure_tv", "measure_nonneg"):
-        m = Phi if isinstance(Phi, int) else len(np.asarray(Phi))
-        return LinealityReport(lineality_basis=np.zeros((0, 0)), d=0,
-                               kernel_overlap=0)
-    elif kind == "l1_analysis":
-        Phi = _as_matrix_phi(Phi)
-        L = np.atleast_2d(np.asarray(spec.params["L"], dtype=float))
-        basis = null_space_basis(L)
-    elif kind == "tv2d":
-        disks = spec.params["disks"]
-        if not isinstance(disks, DiskSet):
-            disks = DiskSet(disks)
-        w, h = spec.params["size"]
-        ones = np.ones(h * w) / np.sqrt(h * w)
-        basis = ones.reshape(-1, 1)
-        from .tv2d import disk_average_apply
-        img = disk_average_apply(ones.reshape(h, w), disks)
-        d = 1 if np.linalg.norm(img) > 1e-12 else 0
-        return LinealityReport(lineality_basis=basis, d=d,
-                               kernel_overlap=1 - d)
-    else:
-        raise UnsupportedKind(kind)
 
+def _atom_threshold(values) -> float:
+    return 1e-9 * (1.0 + np.abs(values).max(initial=0.0))
+
+
+def _row_count(spec, Phi) -> int:
+    return _as_matrix_phi(Phi).shape[0]
+
+
+def _moment_count(spec, Phi) -> int:
+    return Phi if isinstance(Phi, int) else len(np.asarray(Phi))
+
+
+def _line_free(spec, Phi) -> LinealityReport:
+    n = _as_matrix_phi(Phi).shape[1]
+    return LinealityReport(lineality_basis=np.zeros((n, 0)), d=0,
+                           kernel_overlap=0)
+
+
+def _measure_lineality(spec, Phi) -> LinealityReport:
+    return LinealityReport(lineality_basis=np.zeros((0, 0)), d=0,
+                           kernel_overlap=0)
+
+
+def _kernel_lineality(spec, Phi) -> LinealityReport:
+    Phi = _as_matrix_phi(Phi)
+    basis = null_space_basis(_analysis_operator(spec))
     k = basis.shape[1]
     if k == 0:
         return LinealityReport(lineality_basis=basis, d=0, kernel_overlap=0)
@@ -181,8 +172,223 @@ def lineality_of(spec: RegularizerSpec, Phi) -> LinealityReport:
     return LinealityReport(lineality_basis=basis, d=d, kernel_overlap=k - d)
 
 
-def _atom_threshold(values) -> float:
-    return 1e-9 * (1.0 + np.abs(values).max(initial=0.0))
+def _constant_lineality(spec, Phi) -> LinealityReport:
+    disks = spec.params["disks"]
+    if not isinstance(disks, DiskSet):
+        disks = DiskSet(disks)
+    w, h = spec.params["size"]
+    ones = np.ones(h * w) / np.sqrt(h * w)
+    img = disk_average_apply(ones.reshape(h, w), disks)
+    d = 1 if np.linalg.norm(img) > 1e-12 else 0
+    return LinealityReport(lineality_basis=ones.reshape(-1, 1), d=d,
+                           kernel_overlap=1 - d)
+
+
+def _coordinate_rays(u, spec) -> AtomicDecomposition:
+    u = np.asarray(u, dtype=float).ravel()
+    thr = _atom_threshold(u)
+    if np.any(u < -thr):
+        raise KindMismatch("nonnegative solution expected")
+    rays = []
+    for i in np.flatnonzero(u > thr):
+        e = np.zeros(u.shape[0])
+        e[i] = 1.0
+        rays.append((e, float(u[i])))
+    return AtomicDecomposition(ray_atoms=rays)
+
+
+def _analysis_atoms(u, spec) -> AtomicDecomposition:
+    u = np.asarray(u, dtype=float).ravel()
+    L = _analysis_operator(spec)
+    Lpinv = pseudo_inverse(L)
+    z = L @ u
+    total = float(np.abs(z).sum())
+    u_K = u - Lpinv @ z
+    if total <= 1e-14:
+        return AtomicDecomposition(lineality_component=u)
+    atoms = []
+    thr = _atom_threshold(z)
+    small = np.zeros_like(u)
+    for i in range(z.shape[0]):
+        if abs(z[i]) > thr:
+            atoms.append((np.sign(z[i]) * total * Lpinv[:, i],
+                          float(abs(z[i]) / total)))
+        else:
+            small += z[i] * Lpinv[:, i]
+    return AtomicDecomposition(point_atoms=atoms,
+                               lineality_component=u_K + small)
+
+
+def _rank_one_atoms(u, spec) -> AtomicDecomposition:
+    return rank1_atomic_decomposition(np.atleast_2d(np.asarray(u, float)))
+
+
+def _spectral_rays(u, spec) -> AtomicDecomposition:
+    M = np.atleast_2d(np.asarray(u, dtype=float))
+    if M.shape[0] != M.shape[1]:
+        raise KindMismatch("square matrix expected")
+    vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
+    thr = 1e-9 * max(vals.max(initial=0.0), 1e-300)
+    if vals.min(initial=0.0) < -1e3 * thr:
+        raise KindMismatch("matrix is not positive semidefinite")
+    rays = []
+    for i in np.flatnonzero(vals > thr):
+        atom = np.outer(vecs[:, i], vecs[:, i])
+        rays.append((atom.reshape(-1), float(vals[i])))
+    return AtomicDecomposition(ray_atoms=rays)
+
+
+def _measure(u) -> DiscreteMeasure:
+    if not isinstance(u, DiscreteMeasure):
+        raise KindMismatch("DiscreteMeasure expected")
+    return u
+
+
+def _signed_diracs(u, spec) -> AtomicDecomposition:
+    total = _measure(u).total_variation
+    if total <= 1e-14:
+        return AtomicDecomposition()
+    atoms = [(np.array([x, np.sign(a) * total]), float(abs(a) / total))
+             for x, a in u.atoms]
+    return AtomicDecomposition(point_atoms=atoms)
+
+
+def _dirac_rays(u, spec) -> AtomicDecomposition:
+    if any(a < -1e-12 for _, a in _measure(u).atoms):
+        raise KindMismatch("nonnegative measure expected")
+    rays = [(np.array([x, 1.0]), float(a)) for x, a in u.atoms]
+    return AtomicDecomposition(ray_atoms=rays)
+
+
+def _staircase(u, spec) -> AtomicDecomposition:
+    img = np.asarray(u, dtype=float)
+    report = _tv2d_level_report(img, spec)
+    values = [v for v, _ in report.levels]
+    base = values[0] * np.ones_like(img)
+    jumps = []
+    for k in range(1, len(values)):
+        indicator = (report.labels >= k).astype(float)
+        jumps.append((values[k] - values[k - 1], indicator))
+    if not jumps:
+        return AtomicDecomposition(lineality_component=base.reshape(-1))
+    # Convex weights over perimeter-normalized indicators scaled by the
+    # total achieved variation of the staircase.
+    tvs = [c * discrete_tv(ind) for c, ind in jumps]
+    total = sum(tvs)
+    atoms = []
+    for (c, ind), t in zip(jumps, tvs):
+        scale = total / discrete_tv(ind)
+        atoms.append((scale * ind.reshape(-1), t / total))
+    return AtomicDecomposition(point_atoms=atoms,
+                               lineality_component=base.reshape(-1))
+
+
+def _tv2d_level_report(u, spec: RegularizerSpec):
+    """The level-set report carried in ``spec``, or a fresh one."""
+    img = np.asarray(u, dtype=float)
+    if img.ndim != 2:
+        raise KindMismatch("2-d image expected")
+    report = spec.params.get("level_report")
+    if report is None:
+        report = level_set_report(img, spec.params.get("quant_tol", 0.02))
+    return report
+
+
+def _tv2d_quantize(u, spec: RegularizerSpec):
+    """``spec`` carrying the image's level-set report, and the relative
+    distance between the image and its quantized staircase."""
+    report = _tv2d_level_report(u, spec)
+    img = np.asarray(u, dtype=float)
+    values = np.array([v for v, _ in report.levels])
+    residual = float(np.linalg.norm(values[report.labels] - img)
+                     / max(np.linalg.norm(img), 1e-300))
+    return RegularizerSpec(kind=spec.kind, params={
+        **spec.params, "level_report": report}), residual
+
+
+def _vector_error(decomp: AtomicDecomposition, u) -> float:
+    target = np.asarray(u, dtype=float).ravel()
+    tnorm = float(np.linalg.norm(target))
+    if decomp.atom_count == 0 and decomp.lineality_component is None:
+        return 0.0 if tnorm == 0.0 else 1.0
+    rebuilt = decomp.reconstruct().ravel()
+    return float(np.linalg.norm(rebuilt - target) / max(tnorm, 1e-300))
+
+
+def _measure_error(decomp: AtomicDecomposition, u) -> float:
+    target = {x: a for x, a in u.atoms}
+    rebuilt = {}
+    pairs = [(a[0], w * a[1]) for a, w in decomp.point_atoms] + \
+            [(r[0], c * r[1]) for r, c in decomp.ray_atoms]
+    for x, a in pairs:
+        rebuilt[x] = rebuilt.get(x, 0.0) + a
+    scale = max(u.total_variation, 1e-300)
+    keys = set(target) | set(rebuilt)
+    return max((abs(target.get(x, 0.0) - rebuilt.get(x, 0.0))
+                for x in keys), default=0.0) / scale
+
+
+def _analysis_value(u, spec) -> float:
+    return float(np.abs(_analysis_operator(spec)
+                        @ np.asarray(u, float).ravel()).sum())
+
+
+def _nuclear_value(u, spec) -> float:
+    return float(svd(np.atleast_2d(np.asarray(u, float)))
+                 .singular_values.sum())
+
+
+@dataclass(frozen=True)
+class RegularizerKind:
+    """What the audit needs to know about one regularizer kind.
+
+    ``value(u, spec)`` is R at the solution, to detect ``inf R``; cones
+    (indicators, ``inf R = 0``) and the LP epigraph lift (``inf R = -inf``,
+    one more measurement row) need none. ``quantize(u, spec)`` returns the
+    spec carrying a quantization that ``decompose`` rebuilds exactly, and
+    the residual it leaves, declared as the reconstruction tolerance.
+    """
+
+    decompose: Callable
+    m: Callable = _row_count
+    lineality: Callable = _line_free
+    error: Callable = _vector_error
+    value: Callable | None = None
+    cone: bool = False
+    epigraph: bool = False
+    quantize: Callable | None = None
+
+
+_MEASURES = dict(m=_moment_count, lineality=_measure_lineality,
+                 error=_measure_error)
+
+KINDS = {
+    "nonneg_cone": RegularizerKind(_coordinate_rays, cone=True),
+    "lp_epigraph": RegularizerKind(_coordinate_rays, epigraph=True),
+    "l1_analysis": RegularizerKind(_analysis_atoms,
+                                   lineality=_kernel_lineality,
+                                   value=_analysis_value),
+    "nuclear": RegularizerKind(_rank_one_atoms, value=_nuclear_value),
+    "psd_cone": RegularizerKind(_spectral_rays, cone=True),
+    "measure_tv": RegularizerKind(_signed_diracs, **_MEASURES,
+                                  value=lambda u, spec: u.total_variation),
+    "measure_nonneg": RegularizerKind(_dirac_rays, cone=True, **_MEASURES),
+    "tv2d": RegularizerKind(
+        _staircase, m=lambda spec, Phi: len(spec.params["disks"]),
+        lineality=_constant_lineality, value=lambda u, spec: discrete_tv(u),
+        quantize=_tv2d_quantize),
+}
+
+
+def lineality_of(spec: RegularizerSpec, Phi) -> LinealityReport:
+    """Invariant directions of the level set and their measured dimension.
+
+    Cones and norm balls are line-free; the l1-analysis ball is invariant
+    along ``ker L``; the TV seminorm is invariant along constant images.
+    The measure kinds have no finite-dimensional lineality and report the
+    trivial space.
+    """
+    return KINDS[spec.kind].lineality(spec, Phi)
 
 
 def decompose_solution(u, spec: RegularizerSpec) -> AtomicDecomposition:
@@ -193,119 +399,7 @@ def decompose_solution(u, spec: RegularizerSpec) -> AtomicDecomposition:
     extreme points of the level set scaled to the achieved regularizer
     value, plus a lineality component where one exists.
     """
-    kind = spec.kind
-
-    if kind in ("nonneg_cone", "lp_epigraph"):
-        u = np.asarray(u, dtype=float).ravel()
-        thr = _atom_threshold(u)
-        if np.any(u < -thr):
-            raise KindMismatch("nonnegative solution expected")
-        rays = []
-        for i in np.flatnonzero(u > thr):
-            e = np.zeros(u.shape[0])
-            e[i] = 1.0
-            rays.append((e, float(u[i])))
-        return AtomicDecomposition(ray_atoms=rays)
-
-    if kind == "l1_analysis":
-        u = np.asarray(u, dtype=float).ravel()
-        L = np.atleast_2d(np.asarray(spec.params["L"], dtype=float))
-        Lpinv = pseudo_inverse(L)
-        z = L @ u
-        total = float(np.abs(z).sum())
-        u_K = u - Lpinv @ z
-        if total <= 1e-14:
-            return AtomicDecomposition(lineality_component=u)
-        atoms = []
-        thr = _atom_threshold(z)
-        small = np.zeros_like(u)
-        for i in range(z.shape[0]):
-            if abs(z[i]) > thr:
-                atoms.append((np.sign(z[i]) * total * Lpinv[:, i],
-                              float(abs(z[i]) / total)))
-            else:
-                small += z[i] * Lpinv[:, i]
-        return AtomicDecomposition(point_atoms=atoms,
-                                   lineality_component=u_K + small)
-
-    if kind == "nuclear":
-        M = np.atleast_2d(np.asarray(u, dtype=float))
-        return rank1_atomic_decomposition(M)
-
-    if kind == "psd_cone":
-        M = np.atleast_2d(np.asarray(u, dtype=float))
-        if M.shape[0] != M.shape[1]:
-            raise KindMismatch("square matrix expected")
-        vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
-        thr = 1e-9 * max(vals.max(initial=0.0), 1e-300)
-        if vals.min(initial=0.0) < -1e3 * thr:
-            raise KindMismatch("matrix is not positive semidefinite")
-        rays = []
-        for i in np.flatnonzero(vals > thr):
-            atom = np.outer(vecs[:, i], vecs[:, i])
-            rays.append((atom.reshape(-1), float(vals[i])))
-        return AtomicDecomposition(ray_atoms=rays)
-
-    if kind in ("measure_tv", "measure_nonneg"):
-        if not isinstance(u, DiscreteMeasure):
-            raise KindMismatch("DiscreteMeasure expected")
-        if kind == "measure_nonneg":
-            if any(a < -1e-12 for _, a in u.atoms):
-                raise KindMismatch("nonnegative measure expected")
-            rays = [(np.array([x, 1.0]), float(a)) for x, a in u.atoms]
-            return AtomicDecomposition(ray_atoms=rays)
-        total = u.total_variation
-        if total <= 1e-14:
-            return AtomicDecomposition()
-        atoms = [(np.array([x, np.sign(a) * total]), float(abs(a) / total))
-                 for x, a in u.atoms]
-        return AtomicDecomposition(point_atoms=atoms)
-
-    if kind == "tv2d":
-        img = np.asarray(u, dtype=float)
-        report = _tv2d_level_report(img, spec)
-        values = [v for v, _ in report.levels]
-        base = values[0] * np.ones_like(img)
-        jumps = []
-        for k in range(1, len(values)):
-            indicator = (report.labels >= k).astype(float)
-            jumps.append((values[k] - values[k - 1], indicator))
-        if not jumps:
-            return AtomicDecomposition(
-                lineality_component=base.reshape(-1))
-        # Convex weights over perimeter-normalized indicators scaled by the
-        # total achieved variation of the staircase.
-        tvs = [c * discrete_tv(ind) for c, ind in jumps]
-        total = sum(tvs)
-        atoms = []
-        for (c, ind), t in zip(jumps, tvs):
-            scale = total / discrete_tv(ind)
-            atoms.append((scale * ind.reshape(-1), t / total))
-        return AtomicDecomposition(point_atoms=atoms,
-                                   lineality_component=base.reshape(-1))
-
-    raise UnsupportedKind(kind)
-
-
-def _reconstruction_error(decomp: AtomicDecomposition, u, kind: str) -> float:
-    """Relative distance between the decomposition and the original payload."""
-    if kind in ("measure_tv", "measure_nonneg"):
-        target = {x: a for x, a in u.atoms}
-        rebuilt = {}
-        pairs = [(a[0], w * a[1]) for a, w in decomp.point_atoms] + \
-                [(r[0], c * r[1]) for r, c in decomp.ray_atoms]
-        for x, a in pairs:
-            rebuilt[x] = rebuilt.get(x, 0.0) + a
-        scale = max(u.total_variation, 1e-300)
-        keys = set(target) | set(rebuilt)
-        return max((abs(target.get(x, 0.0) - rebuilt.get(x, 0.0))
-                    for x in keys), default=0.0) / scale
-    target = np.asarray(u, dtype=float).ravel()
-    tnorm = float(np.linalg.norm(target))
-    if decomp.atom_count == 0 and decomp.lineality_component is None:
-        return 0.0 if tnorm == 0.0 else 1.0
-    rebuilt = decomp.reconstruct().ravel()
-    return float(np.linalg.norm(rebuilt - target) / max(tnorm, 1e-300))
+    return KINDS[spec.kind].decompose(u, spec)
 
 
 def audit(u, spec: RegularizerSpec, Phi, at_infimum: bool | None = None,
@@ -321,100 +415,47 @@ def audit(u, spec: RegularizerSpec, Phi, at_infimum: bool | None = None,
     return extreme points of the solution set; callers auditing interior
     iterates should raise it and say so.
     """
-    kind = spec.kind
+    kind = KINDS[spec.kind]
     notes = []
-
-    if kind in ("measure_tv", "measure_nonneg"):
-        m = Phi if isinstance(Phi, int) else len(np.asarray(Phi))
-    elif kind == "tv2d":
-        disks = spec.params["disks"]
-        m = len(disks.disks if isinstance(disks, DiskSet) else disks)
-    elif kind == "nuclear" or kind == "psd_cone":
-        m = len(Phi) if isinstance(Phi, (list, tuple)) else \
-            _as_matrix_phi(Phi).shape[0]
-    else:
-        m = _as_matrix_phi(Phi).shape[0]
-
-    lin = lineality_of(spec, Phi)
-    d = lin.d
+    m = kind.m(spec, Phi)
+    d = lineality_of(spec, Phi).d
 
     if at_infimum is None:
-        if kind in CONE_KINDS:
+        if kind.cone:
             at_infimum = True
-        elif kind == "lp_epigraph":
-            at_infimum = False  # inf of the epigraph regularizer is -inf
+        elif kind.epigraph:
+            at_infimum = False
         else:
-            at_infimum = _achieved_value(u, spec) <= 1e-12
-    m_eff = m + 1 if kind == "lp_epigraph" else m
-    if kind == "lp_epigraph":
+            at_infimum = kind.value(u, spec) <= 1e-12
+    m_eff = m
+    if kind.epigraph:
+        m_eff += 1
         notes.append("objective row lifted into the measurement count")
 
     bump = 1 if at_infimum else 0
     point_bound = m_eff + j_assumed - d + bump
     ray_bound = m_eff + j_assumed - d - 1 + bump
 
-    if kind == "tv2d":
-        # One level-set report serves the decomposition and the
-        # quantization residual below.
-        spec = RegularizerSpec(kind=kind, params={
-            **spec.params, "level_report": _tv2d_level_report(u, spec)})
+    quant_residual = None
+    if kind.quantize is not None:
+        spec, quant_residual = kind.quantize(u, spec)
     decomp = decompose_solution(u, spec)
     uses_rays = len(decomp.ray_atoms) > 0
     atom_count = decomp.atom_count
     bound = ray_bound if uses_rays else point_bound
 
-    rec_err = _reconstruction_error(decomp, u, kind)
+    rec_err = kind.error(decomp, u)
     if reconstruction_tol is None:
-        if kind == "tv2d":
-            # The decomposition rebuilds the quantized staircase exactly;
-            # its distance to the iterate is the quantization residual,
-            # which the certificate declares rather than hides.
-            quant_resid = _tv2d_quantization_residual(
-                u, spec.params["level_report"])
-            reconstruction_tol = quant_resid + 1e-9
-            notes.append(f"quantization residual {quant_resid:.6g}")
-        else:
+        if quant_residual is None:
             reconstruction_tol = 1e-6
+        else:
+            reconstruction_tol = quant_residual + 1e-9
+            notes.append(f"quantization residual {quant_residual:.6g}")
     passed = bool(atom_count <= bound and rec_err <= reconstruction_tol)
     return RepresenterCertificate(
-        kind=kind, m=m, d=d, j_assumed=j_assumed, at_infimum=bool(at_infimum),
-        atom_count=atom_count, point_bound=point_bound, ray_bound=ray_bound,
-        bound=bound, uses_rays=uses_rays, reconstruction_error=rec_err,
+        kind=spec.kind, m=m, d=d, j_assumed=j_assumed,
+        at_infimum=bool(at_infimum), atom_count=atom_count,
+        point_bound=point_bound, ray_bound=ray_bound, bound=bound,
+        uses_rays=uses_rays, reconstruction_error=rec_err,
         reconstruction_tol=reconstruction_tol, passed=passed,
         decomposition=decomp, notes="; ".join(notes))
-
-
-def _tv2d_level_report(u, spec: RegularizerSpec):
-    """The level-set report carried in ``spec``, or a fresh one."""
-    img = np.asarray(u, dtype=float)
-    if img.ndim != 2:
-        raise KindMismatch("2-d image expected")
-    report = spec.params.get("level_report")
-    if report is None:
-        report = level_set_report(img, spec.params.get("quant_tol", 0.02))
-    return report
-
-
-def _tv2d_quantization_residual(u, report) -> float:
-    """Relative distance between the image and its quantized staircase."""
-    img = np.asarray(u, dtype=float)
-    values = np.array([v for v, _ in report.levels])
-    staircase = values[report.labels]
-    return float(np.linalg.norm(staircase - img)
-                 / max(np.linalg.norm(img), 1e-300))
-
-
-def _achieved_value(u, spec: RegularizerSpec) -> float:
-    """Value of the regularizer at the solution, for infimum detection."""
-    kind = spec.kind
-    if kind == "l1_analysis":
-        L = np.atleast_2d(np.asarray(spec.params["L"], dtype=float))
-        return float(np.abs(L @ np.asarray(u, float).ravel()).sum())
-    if kind == "nuclear":
-        return float(svd(np.atleast_2d(np.asarray(u, float)))
-                     .singular_values.sum())
-    if kind == "measure_tv":
-        return u.total_variation
-    if kind == "tv2d":
-        return discrete_tv(u)
-    return 0.0

@@ -19,11 +19,13 @@ import logging
 import os
 import sys
 import time
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .audit import RegularizerSpec, audit
+from .audit import KINDS, RegularizerSpec, audit, decompose_solution
 from .errors import NonConvergence, RepkitError, Unbounded
 from .finite import (LpProblem, MatrixProblem, SplittingConfig,
                      l1_analysis_solve, nnls_solve, nuclear_min_solve,
@@ -40,16 +42,6 @@ log = logging.getLogger("repkit")
 FMT = "%.17g"  # byte-reproducible numeric formatting
 
 COMMON_KEYS = {"kind", "phi", "y", "solver", "seed"}
-KIND_KEYS = {
-    "nonneg_cone": set(),
-    "lp_epigraph": {"cost"},
-    "l1_analysis": {"L"},
-    "nuclear": {"measurement_maps", "shape"},
-    "psd_cone": {"measurement_maps", "shape", "cost"},
-    "measure_tv": {"grid_n", "basis"},
-    "measure_nonneg": {"grid_n", "basis", "psi"},
-    "tv2d": {"size"},
-}
 
 DEFAULT_FIG2_DISKS = [(60.0, 60.0, 25.0), (140.0, 70.0, 20.0),
                       (100.0, 140.0, 30.0)]
@@ -130,9 +122,9 @@ def load_problem(path) -> dict:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("problem file must be an object with a 'kind' key")
     kind = doc["kind"]
-    if kind not in KIND_KEYS:
+    if kind not in CLI_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    allowed = COMMON_KEYS | KIND_KEYS[kind]
+    allowed = COMMON_KEYS | CLI_KINDS[kind].keys
     unknown = set(doc) - allowed
     if unknown:
         raise ValueError(f"unknown keys for kind {kind!r}: {sorted(unknown)}")
@@ -172,103 +164,182 @@ def _solver_config(cls, solver_cfg):
     return cls(**solver_cfg)
 
 
-def _write_trace(path, trace) -> None:
-    write_csv(path, zip(trace.iterations, trace.tv_values,
-                        trace.constraint_residuals),
-              header=["iteration", "tv", "constraint_residual"])
-
-
-def _write_tv2d(out_dir, u, trace, outputs) -> None:
-    img_path = os.path.join(out_dir, "image.pgm")
+def _write_tv2d(out_dir, u, trace, outputs, image="image.pgm") -> None:
+    img_path = os.path.join(out_dir, image)
     write_pgm(img_path, u)
     outputs.append(img_path)
     trace_path = os.path.join(out_dir, "trace.csv")
-    _write_trace(trace_path, trace)
+    write_csv(trace_path, zip(trace.iterations, trace.tv_values,
+                              trace.constraint_residuals),
+              header=["iteration", "tv", "constraint_residual"])
     outputs.append(trace_path)
 
 
-def _dispatch_solve(doc, args):
-    """Run the solver for a problem document.
+def _y(doc) -> np.ndarray:
+    return np.asarray(doc.get("y", []), dtype=float)
 
-    Returns ``(payload, spec, phi_for_audit, extra_outputs_writer)``.
+
+def _vector_problem(doc):
+    return (RegularizerSpec(kind=doc["kind"]),
+            np.asarray(doc["phi"], dtype=float))
+
+
+def _analysis_problem(doc):
+    L = np.asarray(doc["L"], dtype=float)
+    return (RegularizerSpec(kind="l1_analysis", params={"L": L}),
+            np.asarray(doc["phi"], dtype=float))
+
+
+def _matrix_problem(doc):
+    return RegularizerSpec(kind=doc["kind"]), [
+        np.asarray(a, dtype=float) for a in doc["measurement_maps"]]
+
+
+def _measure_problem(doc):
+    return RegularizerSpec(kind=doc["kind"]), len(doc["y"])
+
+
+def _image_problem(doc):
+    disks = DiskSet(doc["phi"]["disks"])
+    return RegularizerSpec(kind="tv2d", params={
+        "disks": disks, "size": tuple(doc["size"])}), disks
+
+
+def _solve_nnls(doc, args):
+    spec, Phi = _vector_problem(doc)
+    return nnls_solve(Phi, _y(doc)), spec, Phi, None
+
+
+def _solve_lp(doc, args):
+    spec, Phi = _vector_problem(doc)
+    sol = simplex_solve(LpProblem(c=np.asarray(doc["cost"], dtype=float),
+                                  A=Phi, b=_y(doc)))
+    if sol.status != "optimal":
+        raise RepkitError(f"LP status: {sol.status}")
+    return sol.x, spec, Phi, None
+
+
+def _solve_analysis(doc, args):
+    spec, Phi = _analysis_problem(doc)
+    u, _ = l1_analysis_solve(Phi, _y(doc), spec.params["L"])
+    return u, spec, Phi, None
+
+
+def _matrix_input(doc):
+    spec, maps = _matrix_problem(doc)
+    prob = MatrixProblem(measurement_maps=maps, y=_y(doc),
+                         shape=tuple(doc["shape"]))
+    return spec, prob, _solver_config(SplittingConfig, doc.get("solver"))
+
+
+def _solve_nuclear(doc, args):
+    spec, prob, cfg = _matrix_input(doc)
+    return nuclear_min_solve(prob, cfg), spec, prob.measurement_maps, None
+
+
+def _solve_psd(doc, args):
+    spec, prob, cfg = _matrix_input(doc)
+    cost = doc.get("cost")
+    cost = None if cost is None else np.asarray(cost, dtype=float)
+    M = psd_solve(prob, cost=cost, cfg=cfg)
+    return M, spec, prob.measurement_maps, None
+
+
+def _measure_input(doc, args):
+    """The moment system, ``y`` and grid size of a measure problem."""
+    if doc.get("basis", "trigonometric") != "trigonometric":
+        raise ValueError("only the trigonometric basis ships with the CLI")
+    y = _y(doc)
+    grid_n = int(getattr(args, "grid", None) or doc.get("grid_n", 512))
+    return trigonometric_system(len(y)), y, grid_n
+
+
+def _solve_beurling(doc, args):
+    system, y, grid_n = _measure_input(doc, args)
+    mu, _ = beurling_solve(system, y, grid_n=grid_n)
+    return mu, RegularizerSpec(kind=doc["kind"]), len(y), None
+
+
+def _solve_moment_lp(doc, args):
+    system, y, grid_n = _measure_input(doc, args)
+    mu, _ = moment_lp_solve(_psi_from_spec(doc.get("psi")), system, y,
+                            grid_n=grid_n)
+    return mu, RegularizerSpec(kind=doc["kind"]), len(y), None
+
+
+def _solve_image(doc, args):
+    spec, disks = _image_problem(doc)
+    cfg = _solver_config(PdConfig, doc.get("solver"))
+    u, trace = chambolle_pock_tv_solve(disks, _y(doc), spec.params["size"],
+                                       cfg)
+
+    def extra(out_dir, outputs):
+        _write_tv2d(out_dir, u, trace, outputs)
+
+    return u, spec, disks, extra
+
+
+class PayloadFile(NamedTuple):
+    """Reads and writes ``solution.csv``, looking the I/O functions up by
+    name at call time, where perfbench's tracer wraps them."""
+
+    read: Callable
+    write: Callable | None  # None: the solver's extra writer stores it
+
+
+VECTOR_FILE = PayloadFile(
+    lambda path: read_vector_csv(path),
+    lambda path, u: write_csv(path, [[v] for v in np.asarray(u).ravel()]))
+MATRIX_FILE = PayloadFile(lambda path: read_matrix_csv(path),
+                          lambda path, M: write_csv(path, np.atleast_2d(M)))
+MEASURE_FILE = PayloadFile(
+    lambda path: read_measure_csv(path),
+    lambda path, mu: write_csv(path, mu.atoms,
+                               header=["location", "amplitude"]))
+IMAGE_FILE = PayloadFile(lambda path: read_pgm(path), None)
+
+
+@dataclass(frozen=True)
+class CliKind:
+    """How the command line handles one regularizer kind.
+
+    ``keys``: problem-file keys beyond ``COMMON_KEYS``; ``problem(doc) ->
+    (spec, phi)``: what ``audit`` needs; ``solve(doc, args) -> (payload,
+    spec, phi, extra_writer)``, where ``extra_writer(out_dir, outputs)``
+    writes any outputs beyond ``solution.csv``.
     """
-    kind = doc["kind"]
-    y = np.asarray(doc.get("y", []), dtype=float)
-    solver_cfg = doc.get("solver", {})
 
-    if kind == "nonneg_cone":
-        Phi = np.asarray(doc["phi"], dtype=float)
-        u = nnls_solve(Phi, y)
-        return u, RegularizerSpec(kind=kind), Phi, None
-
-    if kind == "lp_epigraph":
-        Phi = np.asarray(doc["phi"], dtype=float)
-        sol = simplex_solve(LpProblem(c=np.asarray(doc["cost"], dtype=float),
-                                      A=Phi, b=y))
-        if sol.status != "optimal":
-            raise RepkitError(f"LP status: {sol.status}")
-        return sol.x, RegularizerSpec(kind=kind), Phi, None
-
-    if kind == "l1_analysis":
-        Phi = np.asarray(doc["phi"], dtype=float)
-        L = np.asarray(doc["L"], dtype=float)
-        u, _ = l1_analysis_solve(Phi, y, L)
-        return u, RegularizerSpec(kind=kind, params={"L": L}), Phi, None
-
-    if kind in ("nuclear", "psd_cone"):
-        prob = MatrixProblem(measurement_maps=doc["measurement_maps"], y=y,
-                             shape=tuple(doc["shape"]))
-        cfg = _solver_config(SplittingConfig, solver_cfg)
-        if kind == "nuclear":
-            M = nuclear_min_solve(prob, cfg)
-        else:
-            cost = doc.get("cost")
-            cost = None if cost is None else np.asarray(cost, dtype=float)
-            M = psd_solve(prob, cost=cost, cfg=cfg)
-        return M, RegularizerSpec(kind=kind), prob.measurement_maps, None
-
-    if kind in ("measure_tv", "measure_nonneg"):
-        grid_n = int(getattr(args, "grid", None) or doc.get("grid_n", 512))
-        basis = doc.get("basis", "trigonometric")
-        if basis != "trigonometric":
-            raise ValueError("only the trigonometric basis ships with the CLI")
-        sys_ = trigonometric_system(len(y))
-        if kind == "measure_tv":
-            mu, _ = beurling_solve(sys_, y, grid_n=grid_n)
-        else:
-            mu, _ = moment_lp_solve(_psi_from_spec(doc.get("psi")), sys_, y,
-                                    grid_n=grid_n)
-        return mu, RegularizerSpec(kind=kind), len(y), None
-
-    if kind == "tv2d":
-        disks = DiskSet(doc["phi"]["disks"])
-        size = tuple(doc["size"])
-        cfg = _solver_config(PdConfig, solver_cfg)
-        u, trace = chambolle_pock_tv_solve(disks, y, size, cfg)
-        spec = RegularizerSpec(kind=kind, params={"disks": disks,
-                                                  "size": size})
-
-        def extra(out_dir, outputs):
-            _write_tv2d(out_dir, u, trace, outputs)
-
-        return u, spec, disks, extra
-
-    raise ValueError(f"unhandled kind {kind!r}")
+    keys: set
+    problem: Callable
+    solve: Callable
+    payload: PayloadFile
+    atoms: bool = True
 
 
-def _write_solution(out_dir, payload, kind, outputs) -> None:
-    if kind in ("measure_tv", "measure_nonneg"):
+CLI_KINDS = {
+    "nonneg_cone": CliKind(set(), _vector_problem, _solve_nnls, VECTOR_FILE),
+    "lp_epigraph": CliKind({"cost"}, _vector_problem, _solve_lp,
+                           VECTOR_FILE),
+    "l1_analysis": CliKind({"L"}, _analysis_problem, _solve_analysis,
+                           VECTOR_FILE),
+    "nuclear": CliKind({"measurement_maps", "shape"}, _matrix_problem,
+                       _solve_nuclear, MATRIX_FILE),
+    "psd_cone": CliKind({"measurement_maps", "shape", "cost"},
+                        _matrix_problem, _solve_psd, MATRIX_FILE),
+    "measure_tv": CliKind({"grid_n", "basis"}, _measure_problem,
+                          _solve_beurling, MEASURE_FILE),
+    "measure_nonneg": CliKind({"grid_n", "basis", "psi"}, _measure_problem,
+                              _solve_moment_lp, MEASURE_FILE),
+    "tv2d": CliKind({"size"}, _image_problem, _solve_image, IMAGE_FILE,
+                    atoms=False),
+}
+
+
+def _write_payload(kind: CliKind, out_dir, payload, outputs) -> None:
+    if kind.payload.write is not None:
         path = os.path.join(out_dir, "solution.csv")
-        write_csv(path, payload.atoms, header=["location", "amplitude"])
-    elif kind in ("nuclear", "psd_cone"):
-        path = os.path.join(out_dir, "solution.csv")
-        write_csv(path, np.atleast_2d(payload))
-    elif kind == "tv2d":
-        return  # written as image.pgm by the extra writer
-    else:
-        path = os.path.join(out_dir, "solution.csv")
-        write_csv(path, [[v] for v in np.asarray(payload).ravel()])
-    outputs.append(path)
+        kind.payload.write(path, payload)
+        outputs.append(path)
 
 
 def cmd_solve(args) -> int:
@@ -277,16 +348,17 @@ def cmd_solve(args) -> int:
         doc = load_problem(args.problem)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _error_exit("failed to parse problem file", str(exc))
+    kind = CLI_KINDS[doc["kind"]]
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     outputs = []
     try:
-        payload, spec, phi, extra = _dispatch_solve(doc, args)
+        payload, spec, phi, extra = kind.solve(doc, args)
     except NonConvergence as exc:
         if isinstance(exc.payload, tuple):
             _write_tv2d(out_dir, *exc.payload, outputs)
         elif exc.payload is not None:
-            _write_solution(out_dir, exc.payload, doc["kind"], outputs)
+            _write_payload(kind, out_dir, exc.payload, outputs)
         _manifest(out_dir, args.problem, doc.get("solver", {}),
                   args.seed, t0, outputs)
         return _error_exit("solver did not converge", str(exc), code=3)
@@ -298,13 +370,12 @@ def cmd_solve(args) -> int:
     except (RepkitError, ValueError, KeyError) as exc:
         return _error_exit("solver failed", str(exc))
 
-    _write_solution(out_dir, payload, doc["kind"], outputs)
+    _write_payload(kind, out_dir, payload, outputs)
     if extra is not None:
         extra(out_dir, outputs)
     cert = audit(payload, spec, phi)
     cert_path = os.path.join(out_dir, "certificate.json")
-    _write_json(cert_path, cert.to_json_dict(
-        include_atoms=doc["kind"] != "tv2d"))
+    _write_json(cert_path, cert.to_json_dict(include_atoms=kind.atoms))
     outputs.append(cert_path)
     _manifest(out_dir, args.problem, doc.get("solver", {}),
               args.seed, t0, outputs)
@@ -337,82 +408,48 @@ def cmd_decompose(args) -> int:
             rec = sum(w * a for a, w in decomp.point_atoms).reshape(M.shape)
             err = float(np.abs(rec - M).max())
         else:
+            if args.problem is None:
+                raise ValueError("--problem is required unless --kind "
+                                 "birkhoff")
             doc = load_problem(args.problem)
-            kind = doc["kind"]
-            from .audit import decompose_solution
-            if kind in ("measure_tv", "measure_nonneg"):
-                payload = read_measure_csv(args.solution)
-            elif kind in ("nuclear", "psd_cone"):
-                payload = read_matrix_csv(args.solution)
-            elif kind == "tv2d":
-                payload = read_pgm(args.solution)
-            else:
-                payload = read_vector_csv(args.solution)
-            spec = _spec_from_doc(doc)
+            kind = CLI_KINDS[doc["kind"]]
+            payload = kind.payload.read(args.solution)
+            spec, _ = kind.problem(doc)
             decomp = decompose_solution(payload, spec)
             path = os.path.join(out_dir, "atoms.csv")
             write_csv(path, _atoms_rows(decomp))
-            from .audit import _reconstruction_error
-            err = _reconstruction_error(decomp, payload, kind)
-    except (RepkitError, ValueError, OSError, json.JSONDecodeError) as exc:
+            err = KINDS[doc["kind"]].error(decomp, payload)
+    except (RepkitError, ValueError, KeyError, OSError) as exc:
         return _error_exit("decompose failed", str(exc))
     print(f"reconstruction_error {_fmt(err)}")
     return 0
 
 
-def _spec_from_doc(doc) -> RegularizerSpec:
-    kind = doc["kind"]
-    params = {}
-    if kind == "l1_analysis":
-        params["L"] = np.asarray(doc["L"], dtype=float)
-    if kind == "tv2d":
-        params["disks"] = DiskSet(doc["phi"]["disks"])
-        params["size"] = tuple(doc["size"])
-    return RegularizerSpec(kind=kind, params=params)
-
-
-def _phi_from_doc(doc):
-    kind = doc["kind"]
-    if kind in ("measure_tv", "measure_nonneg"):
-        return len(doc["y"])
-    if kind in ("nuclear", "psd_cone"):
-        return [np.asarray(a, dtype=float) for a in doc["measurement_maps"]]
-    if kind == "tv2d":
-        return DiskSet(doc["phi"]["disks"])
-    return np.asarray(doc["phi"], dtype=float)
-
-
 def cmd_audit(args) -> int:
     try:
         doc = load_problem(args.problem)
-        kind = doc["kind"]
-        if kind in ("measure_tv", "measure_nonneg"):
-            payload = read_measure_csv(args.solution)
-        elif kind in ("nuclear", "psd_cone"):
-            payload = read_matrix_csv(args.solution)
-        elif kind == "tv2d":
-            payload = read_pgm(args.solution)
-        else:
-            payload = read_vector_csv(args.solution)
-        cert = audit(payload, _spec_from_doc(doc), _phi_from_doc(doc),
-                     j_assumed=args.j_assumed)
-    except (RepkitError, ValueError, OSError, json.JSONDecodeError) as exc:
+        kind = CLI_KINDS[doc["kind"]]
+        payload = kind.payload.read(args.solution)
+        spec, phi = kind.problem(doc)
+        cert = audit(payload, spec, phi, j_assumed=args.j_assumed)
+    except (RepkitError, ValueError, KeyError, OSError) as exc:
         return _error_exit("audit failed", str(exc))
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "certificate.json"),
-                cert.to_json_dict(include_atoms=kind != "tv2d"))
+                cert.to_json_dict(include_atoms=kind.atoms))
     print(cert.to_json(include_atoms=False))
     return 0 if cert.passed else 2
 
 
-def cmd_fig2(args) -> int:
-    t0 = time.monotonic()
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
+def _fig2_inputs(args):
+    """The fig2 disks (scaled to ``--size``) and measurements."""
     if args.disks:
         with open(args.disks, "r", encoding="utf-8") as fh:
             layout = json.load(fh)
+        if not isinstance(layout, dict) or "disks" not in layout:
+            raise ValueError("layout file must be an object with a 'disks' "
+                             "key")
         disks = DiskSet(layout["disks"])
         y = np.asarray(layout.get("y", DEFAULT_FIG2_Y[:len(disks)]),
                        dtype=float)
@@ -423,11 +460,26 @@ def cmd_fig2(args) -> int:
         y = np.asarray(DEFAULT_FIG2_Y, dtype=float)
     if args.y:
         y = np.asarray([float(v) for v in args.y.split(",")], dtype=float)
-    size = (args.size, args.size)
+    if len(y) != len(disks):
+        raise ValueError("one measurement per disk required")
+    if not args.tol > 0:
+        raise ValueError("--tol must be positive")
     scale = args.size / 200.0
     if scale != 1.0:
         disks = DiskSet([(cx * scale, cy * scale, r * scale)
                          for cx, cy, r in disks.disks])
+    return disks, y
+
+
+def cmd_fig2(args) -> int:
+    t0 = time.monotonic()
+    try:
+        disks, y = _fig2_inputs(args)
+    except (OSError, ValueError, TypeError) as exc:
+        return _error_exit("failed to read the fig2 inputs", str(exc))
+    out_dir = args.out or "."
+    os.makedirs(out_dir, exist_ok=True)
+    size = (args.size, args.size)
 
     outputs = []
     mask_img = np.zeros((size[1], size[0]))
@@ -447,12 +499,7 @@ def cmd_fig2(args) -> int:
         log.warning("non-convergence after %d iterations; writing partial "
                     "outputs", trace.iterations[-1] if trace.iterations else 0)
 
-    result_path = os.path.join(out_dir, "result.pgm")
-    write_pgm(result_path, u)
-    outputs.append(result_path)
-    trace_path = os.path.join(out_dir, "trace.csv")
-    _write_trace(trace_path, trace)
-    outputs.append(trace_path)
+    _write_tv2d(out_dir, u, trace, outputs, image="result.pgm")
 
     report = level_set_report(u, quant_tol=args.tol)
     report_path = os.path.join(out_dir, "level_report.json")

@@ -180,6 +180,15 @@ class TestDecompose:
         assert (out / "atoms.csv").exists()
 
 
+    def test_missing_problem_exits_1(self, tmp_path, capsys):
+        sol = tmp_path / "s.csv"
+        write_csv(sol, [[1.0]])
+        assert run_cli("decompose", str(sol), "--out", str(tmp_path)) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "decompose failed"
+        assert "--problem" in err["detail"]
+
+
 class TestAudit:
     def test_audit_existing_solution(self, tmp_path):
         g = np.random.default_rng(3)
@@ -229,6 +238,29 @@ class TestFig2:
         assert code == 0
         report = json.loads((out / "level_report.json").read_text())
         assert len(report["levels"]) == 1
+
+
+    @pytest.mark.parametrize("layout,extra", [
+        ("missing", []),
+        ({"y": [0.5]}, []),
+        ([[24.0, 24.0, 10.0]], []),
+        (None, ["--y", "1,a"]),
+        (None, ["--y", "0.5,0.2"]),  # the default layout has 3 disks
+        (None, ["--tol", "0"]),
+    ], ids=["missing-file", "no-disks-key", "not-an-object", "bad-y",
+            "y-count", "tol"])
+    def test_bad_inputs_exit_1(self, tmp_path, capsys, layout, extra):
+        out = tmp_path / "out"
+        argv = ["fig2", "--size", "48", "--out", str(out)] + extra
+        if layout is not None:
+            path = tmp_path / "layout.json"
+            if layout != "missing":
+                write_json(path, layout)
+            argv += ["--disks", str(path)]
+        assert run_cli(*argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "failed to read the fig2 inputs"
+        assert not out.exists()
 
 
 class TestEnumerateSlice:
@@ -314,4 +346,4 @@ class TestCatalogRoundTrip:
         # ``repkit.audit`` the attribute is the re-exported function.
         audit_mod = importlib.import_module("repkit.audit")
         cli = importlib.import_module("repkit.cli")
-        assert set(cli.KIND_KEYS) == set(audit_mod.KINDS) == set(CATALOG)
+        assert set(cli.CLI_KINDS) == set(audit_mod.KINDS) == set(CATALOG)
