@@ -28,8 +28,7 @@ def sweep_lp(g, trials):
         x0[g.permutation(n)[m:]] = 0.0
         sol = simplex_solve(LpProblem(c=g.uniform(0.1, 1, n), A=A,
                                       b=A @ x0))
-        cert = audit(sol.x, RegularizerSpec(kind="lp_epigraph"), A)
-        rows.append(cert)
+        rows.append(audit(sol.x, RegularizerSpec(kind="lp_epigraph"), A))
     return rows
 
 

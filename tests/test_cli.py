@@ -179,7 +179,6 @@ class TestDecompose:
                        "--out", str(out)) == 0
         assert (out / "atoms.csv").exists()
 
-
     def test_missing_problem_exits_1(self, tmp_path, capsys):
         sol = tmp_path / "s.csv"
         write_csv(sol, [[1.0]])
@@ -238,7 +237,6 @@ class TestFig2:
         assert code == 0
         report = json.loads((out / "level_report.json").read_text())
         assert len(report["levels"]) == 1
-
 
     @pytest.mark.parametrize("layout,extra", [
         ("missing", []),
