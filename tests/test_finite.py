@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repkit.errors import Infeasible, NotSurjective
+from repkit.errors import Infeasible, NonConvergence, NotSurjective
 from repkit.finite import (LpProblem, MatrixProblem, SplittingConfig,
                            _affine_projector, _project_psd, barvinok_bound,
                            l1_analysis_solve, nnls_solve,
@@ -11,7 +11,7 @@ from repkit.finite import (LpProblem, MatrixProblem, SplittingConfig,
                            rank1_atomic_decomposition, rank_reduce_psd,
                            simplex_solve)
 from repkit.geometry import HPolyhedron, is_extreme_point
-from repkit.linalg import lstsq
+from repkit.linalg import lstsq, svd
 
 rng = np.random.default_rng(31)
 
@@ -178,7 +178,69 @@ class TestNuclear:
         assert abs(n1 - n2) <= 1e-6 * max(n1, 1.0)
 
 
+def _reference_nuclear_solve(prob, cfg=SplittingConfig()):
+    """The Douglas-Rachford loop ``nuclear_min_solve`` shipped with: singular
+    value thresholding, affine projection and the rescaled gap test every
+    10 iterations. Returns ``(M, converged)``."""
+    project, S, G_pinv = _affine_projector(prob)
+    yn = np.linalg.norm(prob.y)
+    Z = np.zeros(prob.shape)
+    M = Z
+    for it in range(cfg.max_iters):
+        f = svd(Z)
+        M = (f.u * np.maximum(f.singular_values - cfg.gamma, 0.0)) @ f.v.T
+        Q = project(2.0 * M - Z)
+        Z = Z + (Q - M)
+        if it % 10 == 0 or it == cfg.max_iters - 1:
+            if np.linalg.norm(prob.apply(M) - prob.y) \
+                    <= cfg.eps_feas * (1.0 + yn):
+                lam = G_pinv @ prob.apply((Z - M) / cfg.gamma)
+                At_lam = (S.T @ lam).reshape(prob.shape)
+                op = svd(At_lam).singular_values.max(initial=0.0)
+                if op > 1.0:
+                    lam = lam / op
+                primal = svd(M).singular_values.sum()
+                gap = primal - float(prob.y @ lam)
+                if abs(gap) <= cfg.eps_gap * (1.0 + primal):
+                    return M, True
+    return M, False
+
+
+def _criterion4_draws(count):
+    """The first ``count`` rank-1 recovery problems of acceptance
+    criterion 4 (seed 1014)."""
+    g = np.random.default_rng(1014)
+    for _ in range(count):
+        uu = g.standard_normal(6)
+        vv = g.standard_normal(6)
+        M0 = np.outer(uu / np.linalg.norm(uu), vv / np.linalg.norm(vv))
+        maps = [g.standard_normal((6, 6)) for _ in range(8)]
+        yield MatrixProblem(maps, [np.tensordot(a, M0) for a in maps], (6, 6))
+
+
+class TestNuclearRegression:
+    def test_iterates_match_reference(self):
+        for prob in _criterion4_draws(12):
+            M_ref, converged = _reference_nuclear_solve(prob)
+            assert converged
+            assert np.array_equal(nuclear_min_solve(prob), M_ref)
+
+    def test_nonconvergence_payload_matches_reference(self):
+        prob = next(_criterion4_draws(1))
+        cfg = SplittingConfig(max_iters=2)
+        M_ref, converged = _reference_nuclear_solve(prob, cfg)
+        assert not converged
+        with pytest.raises(NonConvergence) as exc:
+            nuclear_min_solve(prob, cfg)
+        assert np.array_equal(exc.value.payload, M_ref)
+
+
 class TestPsd:
+    def test_consistent_system_without_psd_point_is_infeasible(self):
+        prob = MatrixProblem([np.eye(2)], [-1.0], (2, 2))
+        with pytest.raises(Infeasible):
+            psd_solve(prob, cfg=SplittingConfig(max_iters=200))
+
     def test_barvinok_bound_values(self):
         assert barvinok_bound(3) == 2.0
         assert barvinok_bound(1) == 1.0
