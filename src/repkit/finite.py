@@ -3,9 +3,9 @@
 Covers the catalog of classical regularizers: standard-form linear
 programs (basic solutions via the shared simplex kernel), nonnegative least
 squares (active set), l1-analysis minimization (projected LP
-reformulation), nuclear-norm minimization (Douglas-Rachford with singular
-value soft thresholding) and positive semidefinite feasibility with a
-facial rank-reduction post-step.
+reformulation), and, by one Douglas-Rachford loop, nuclear-norm
+minimization and positive semidefinite feasibility or cost minimization to
+a certified duality gap, with a facial rank-reduction post-step.
 """
 
 from __future__ import annotations
@@ -62,13 +62,17 @@ class MatrixProblem:
 
 @dataclass
 class SplittingConfig:
-    """Parameters for the splitting-based matrix solvers."""
+    """Douglas-Rachford parameters of the matrix solvers: proximal step
+    ``gamma``; ``eps_feas`` and ``eps_gap`` certify an iterate."""
 
     max_iters: int = 50_000
     gamma: float = 1.0
-    relaxation: float = 1.0
     eps_feas: float = 1e-7
     eps_gap: float = 1e-5
+
+    def __post_init__(self):
+        if not self.gamma > 0.0:
+            raise ValueError("gamma must be positive")
 
 
 @dataclass
@@ -213,71 +217,69 @@ def l1_analysis_solve(Phi, y, L):
     return u, report
 
 
-def _sv_soft_threshold(M, thresh):
-    f = svd(M)
-    s = np.maximum(f.singular_values - thresh, 0.0)
-    return (f.u * s) @ f.v.T
+def _douglas_rachford(prob: MatrixProblem, prox, certified,
+                      cfg: SplittingConfig):
+    """Douglas-Rachford splitting of ``f(M) + indicator{A(M) = y}``, with
+    ``prox`` the proximal map of ``cfg.gamma * f``.
 
-
-def _affine_projector(prob: MatrixProblem):
-    """Orthogonal projector onto ``{M : <A_i, M> = y_i}``, with the stacked
-    measurements ``S`` and ``pinv(S S^T)`` it is built from."""
+    Every 10 iterations a feasible ``M`` goes to ``certified(M, lam,
+    At_lam)`` with ``lam = pinv(S S^T) A((Z - M) / gamma)``. Returns the
+    first that passes with ``"certified"``, else the last ``M`` with
+    ``"uncertified"``, or ``"infeasible"`` if no tested one was feasible.
+    """
     S = prob.stacked()
     G_pinv = pseudo_inverse(S @ S.T, tol=1e-12)
 
-    def project(M):
+    def project(M):  # orthogonal projection onto {A(M) = y}
         r = prob.apply(M) - prob.y
-        corr = (S.T @ (G_pinv @ r)).reshape(prob.shape)
-        return M - corr
+        return M - (S.T @ (G_pinv @ r)).reshape(prob.shape)
 
-    return project, S, G_pinv
+    yn = np.linalg.norm(prob.y)
+    if np.linalg.norm(prob.apply(project(np.zeros(prob.shape))) - prob.y) \
+            > 1e-6 * (1.0 + yn):
+        raise Infeasible("measurement system is inconsistent")
+    status = "infeasible"
+    Z = M = np.zeros(prob.shape)
+    for it in range(cfg.max_iters):
+        M = prox(Z)
+        Z = Z + (project(2.0 * M - Z) - M)
+        if (it % 10 == 0 or it == cfg.max_iters - 1) and \
+                np.linalg.norm(prob.apply(M) - prob.y) \
+                <= cfg.eps_feas * (1.0 + yn):
+            status = "uncertified"
+            lam = G_pinv @ prob.apply((Z - M) / cfg.gamma)
+            if certified(M, lam, (S.T @ lam).reshape(prob.shape)):
+                return M, "certified"
+    return M, status
 
 
 def nuclear_min_solve(prob: MatrixProblem,
                       cfg: SplittingConfig | None = None) -> np.ndarray:
     """Minimize the nuclear norm subject to affine measurements.
 
-    Douglas-Rachford splitting alternating singular value soft thresholding
-    with projection onto the measurement-consistent affine set. Stops when
-    the iterate is feasible to ``cfg.eps_feas`` and the relative duality gap
-    (from the projected subgradient certificate) is below ``cfg.eps_gap``.
-    """
+    Douglas-Rachford splitting with singular value soft thresholding, to a
+    relative gap ``cfg.eps_gap`` against multipliers rescaled into the
+    spectral unit ball."""
     cfg = cfg or SplittingConfig()
-    if np.linalg.norm(prob.apply(lstsq(prob.stacked(), prob.y)
-                                 .reshape(prob.shape)) - prob.y) \
-            > 1e-6 * (1.0 + np.linalg.norm(prob.y)):
-        raise Infeasible("measurement system is inconsistent")
-    project, S, G_pinv = _affine_projector(prob)
-    yn = np.linalg.norm(prob.y)
 
-    Z = np.zeros(prob.shape)
-    M = Z
-    for it in range(cfg.max_iters):
-        M = _sv_soft_threshold(Z, cfg.gamma)
-        Q = project(2.0 * M - Z)
-        Z = Z + cfg.relaxation * (Q - M)
-        if it % 10 == 0 or it == cfg.max_iters - 1:
-            feas = np.linalg.norm(prob.apply(M) - prob.y)
-            if feas <= cfg.eps_feas * (1.0 + yn):
-                # Dual certificate: project a nuclear-norm subgradient at M
-                # onto the span of the measurements and rescale into the
-                # spectral unit ball.
-                V = (Z - M) / cfg.gamma if cfg.gamma else np.zeros(prob.shape)
-                lam = G_pinv @ prob.apply(V)
-                At_lam = (S.T @ lam).reshape(prob.shape)
-                op = svd(At_lam).singular_values.max(initial=0.0)
-                if op > 1.0:
-                    lam = lam / op
-                primal = svd(M).singular_values.sum()
-                gap = primal - float(prob.y @ lam)
-                if abs(gap) <= cfg.eps_gap * (1.0 + primal):
-                    return M
-    raise NonConvergence("nuclear norm solver hit max_iters", payload=M)
+    def prox(Z):
+        f = svd(Z)
+        return (f.u * np.maximum(f.singular_values - cfg.gamma, 0.0)) @ f.v.T
+
+    def certified(M, lam, At_lam):
+        lam = lam / max(svd(At_lam).singular_values.max(initial=0.0), 1.0)
+        primal = svd(M).singular_values.sum()
+        return abs(primal - float(prob.y @ lam)) \
+            <= cfg.eps_gap * (1.0 + primal)
+
+    M, status = _douglas_rachford(prob, prox, certified, cfg)
+    if status != "certified":
+        raise NonConvergence("nuclear norm solver hit max_iters", payload=M)
+    return M
 
 
 def _project_psd(M):
-    sym = 0.5 * (M + M.T)
-    vals, vecs = np.linalg.eigh(sym)
+    vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
     return (vecs * np.maximum(vals, 0.0)) @ vecs.T
 
 
@@ -288,43 +290,39 @@ def barvinok_bound(m: int) -> float:
 
 def psd_solve(prob: MatrixProblem, cost=None,
               cfg: SplittingConfig | None = None) -> np.ndarray:
-    """Feasible PSD matrix for ``<A_i, M> = y_i`` (optionally cost-minimizing).
+    """PSD matrix with ``<A_i, M> = y_i``, minimizing ``<cost, M>`` if given.
 
-    Without a cost: alternating projections between the semidefinite cone
-    (eigenvalue clamping) and the affine measurement set, followed by the
-    facial rank-reduction post-step. With a cost matrix: projected
-    subgradient on the feasible set; optimality is best effort and should be
-    read from the objective, not assumed.
+    Douglas-Rachford splitting with eigenvalue clamping of ``Z - gamma *
+    cost``, then the facial rank-reduction post-step. A cost is solved to a
+    certified gap: ``|<cost, M> - y.lam|`` and ``-lambda_min(cost - A^T
+    lam)`` both at most ``cfg.eps_gap * (1 + |<cost, M>|)``. Raises
+    :class:`Infeasible` if no iterate met the measurements and
+    :class:`NonConvergence` carrying the last one if none was certified.
     """
     cfg = cfg or SplittingConfig()
-    n = prob.shape[0]
     if prob.shape[0] != prob.shape[1]:
         raise ValueError("PSD problems require square shape")
-    project, _, _ = _affine_projector(prob)
-    yn = np.linalg.norm(prob.y)
-
-    def to_feasible(M, iters):
-        # The projection checked for feasibility is the next step's input.
-        P = _project_psd(M)
-        for _ in range(iters):
-            P = _project_psd(project(P))
-            if np.linalg.norm(prob.apply(P) - prob.y) \
-                    <= cfg.eps_feas * (1.0 + yn):
-                return P, True
-        return P, False
-
-    M, ok = to_feasible(np.zeros((n, n)), cfg.max_iters)
-    if not ok:
-        raise Infeasible("alternating projections stalled above eps_feas")
-
     if cost is not None:
         cost = np.asarray(cost, dtype=float)
-        step0 = (1.0 + np.abs(prob.y).max()) / max(np.linalg.norm(cost), 1e-12)
-        for k in range(1, 201):
-            M_try, ok = to_feasible(M - (step0 / np.sqrt(k)) * cost,
-                                    cfg.max_iters // 100 + 100)
-            if ok and np.tensordot(cost, M_try) <= np.tensordot(cost, M):
-                M = M_try
+        cost = 0.5 * (cost + cost.T)
+
+    def prox(Z):
+        return _project_psd(Z if cost is None else Z - cfg.gamma * cost)
+
+    def certified(M, lam, At_lam):
+        if cost is None:
+            return True
+        primal = float(np.tensordot(cost, M))
+        tol = cfg.eps_gap * (1.0 + abs(primal))
+        slack = cost - 0.5 * (At_lam + At_lam.T)
+        return (abs(primal - float(prob.y @ lam)) <= tol
+                and np.linalg.eigvalsh(slack).min() >= -tol)
+
+    M, status = _douglas_rachford(prob, prox, certified, cfg)
+    if status == "infeasible":
+        raise Infeasible("no PSD iterate met the measurements")
+    if status == "uncertified":
+        raise NonConvergence("PSD solver hit max_iters", payload=M)
     return rank_reduce_psd(M, prob, cost=cost)
 
 
@@ -354,11 +352,9 @@ def rank_reduce_psd(M, prob: MatrixProblem, cost=None) -> np.ndarray:
         W = vecs[:, keep] * np.sqrt(vals[keep])
         # Rows: svec of the compressed maps W^T A_i W.
         iu = np.triu_indices(r)
-        rows = []
-        for A in prob.measurement_maps:
-            B = W.T @ (0.5 * (A + A.T)) @ W
-            scale = np.where(iu[0] == iu[1], 1.0, 2.0)
-            rows.append(B[iu] * scale)
+        scale = np.where(iu[0] == iu[1], 1.0, 2.0)
+        rows = [(W.T @ (0.5 * (A + A.T)) @ W)[iu] * scale
+                for A in prob.measurement_maps]
         null = null_space_basis(np.vstack(rows), tol=1e-9)
         if null.shape[1] == 0:
             return M
