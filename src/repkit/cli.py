@@ -41,7 +41,7 @@ log = logging.getLogger("repkit")
 
 FMT = "%.17g"  # byte-reproducible numeric formatting
 
-COMMON_KEYS = {"kind", "phi", "y", "solver", "seed"}
+COMMON_KEYS = {"kind", "phi", "y", "seed"}
 
 DEFAULT_FIG2_DISKS = [(60.0, 60.0, 25.0), (140.0, 70.0, 20.0),
                       (100.0, 140.0, 30.0)]
@@ -322,16 +322,16 @@ CLI_KINDS = {
                            VECTOR_FILE),
     "l1_analysis": CliKind({"L"}, _analysis_problem, _solve_analysis,
                            VECTOR_FILE),
-    "nuclear": CliKind({"measurement_maps", "shape"}, _matrix_problem,
-                       _solve_nuclear, MATRIX_FILE),
-    "psd_cone": CliKind({"measurement_maps", "shape", "cost"},
+    "nuclear": CliKind({"measurement_maps", "shape", "solver"},
+                       _matrix_problem, _solve_nuclear, MATRIX_FILE),
+    "psd_cone": CliKind({"measurement_maps", "shape", "cost", "solver"},
                         _matrix_problem, _solve_psd, MATRIX_FILE),
     "measure_tv": CliKind({"grid_n", "basis"}, _measure_problem,
                           _solve_beurling, MEASURE_FILE),
     "measure_nonneg": CliKind({"grid_n", "basis", "psi"}, _measure_problem,
                               _solve_moment_lp, MEASURE_FILE),
-    "tv2d": CliKind({"size"}, _image_problem, _solve_image, IMAGE_FILE,
-                    atoms=False),
+    "tv2d": CliKind({"size", "solver"}, _image_problem, _solve_image,
+                    IMAGE_FILE, atoms=False),
 }
 
 

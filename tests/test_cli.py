@@ -137,6 +137,18 @@ class TestSolve:
         assert err["error"] == "solver failed"
         assert ("bogus" in err["detail"]) == isinstance(solver, dict)
 
+    @pytest.mark.parametrize("kind", ["nonneg_cone", "lp_epigraph",
+                                      "measure_tv"])
+    def test_solver_object_rejected_where_unread(self, tmp_path, capsys,
+                                                 kind):
+        # Only nuclear, psd_cone and tv2d run an iterative solver.
+        path = write_json(tmp_path / "p.json", {
+            "kind": kind, **CATALOG[kind], "solver": {"bogus": 1}})
+        assert run_cli("solve", path, "--out", str(tmp_path / "o")) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "failed to parse problem file"
+        assert "solver" in err["detail"]
+
     def test_byte_identical_reruns(self, tmp_path, lp_problem):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert run_cli("solve", lp_problem, "--out", str(out1)) == 0
