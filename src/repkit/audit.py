@@ -149,7 +149,8 @@ def _moment_count(spec, Phi) -> int:
 
 
 def _line_free(spec, Phi) -> LinealityReport:
-    n = _as_matrix_phi(Phi).shape[1]
+    # Matrix kinds pass a list of maps: the ambient space is a flattened map.
+    n = int(np.prod(_as_matrix_phi(Phi).shape[1:]))
     return LinealityReport(lineality_basis=np.zeros((n, 0)), d=0,
                            kernel_overlap=0)
 

@@ -57,6 +57,12 @@ class TestLineality:
                            disks)
         assert rep.d == 1
 
+    @pytest.mark.parametrize("kind", ["nuclear", "psd_cone"])
+    def test_matrix_kinds_live_in_the_flattened_space(self, kind):
+        rep = lineality_of(RegularizerSpec(kind), [np.eye(3)] * 2)
+        assert rep.lineality_basis.shape == (9, 0)
+        assert rep.d == 0
+
     def test_measure_kinds_trivial(self):
         rep = lineality_of(RegularizerSpec(kind="measure_tv"), 4)
         assert rep.d == 0
