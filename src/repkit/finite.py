@@ -279,7 +279,8 @@ def nuclear_min_solve(prob: MatrixProblem,
 
 
 def _project_psd(M):
-    vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
+    sym = 0.5 * (M + M.T)
+    vals, vecs = np.linalg.eigh(sym)
     return (vecs * np.maximum(vals, 0.0)) @ vecs.T
 
 
@@ -352,9 +353,11 @@ def rank_reduce_psd(M, prob: MatrixProblem, cost=None) -> np.ndarray:
         W = vecs[:, keep] * np.sqrt(vals[keep])
         # Rows: svec of the compressed maps W^T A_i W.
         iu = np.triu_indices(r)
-        scale = np.where(iu[0] == iu[1], 1.0, 2.0)
-        rows = [(W.T @ (0.5 * (A + A.T)) @ W)[iu] * scale
-                for A in prob.measurement_maps]
+        rows = []
+        for A in prob.measurement_maps:
+            B = W.T @ (0.5 * (A + A.T)) @ W
+            scale = np.where(iu[0] == iu[1], 1.0, 2.0)
+            rows.append(B[iu] * scale)
         null = null_space_basis(np.vstack(rows), tol=1e-9)
         if null.shape[1] == 0:
             return M

@@ -224,6 +224,13 @@ def _criterion4_draws(count):
         yield MatrixProblem(maps, [np.tensordot(a, M0) for a in maps], (6, 6))
 
 
+@pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan")])
+def test_splitting_config_rejects_nonpositive_gamma(gamma):
+    # The multipliers are read off (Z - M) / gamma.
+    with pytest.raises(ValueError):
+        SplittingConfig(gamma=gamma)
+
+
 class TestNuclearRegression:
     def test_iterates_match_reference(self):
         for prob in _criterion4_draws(12):
