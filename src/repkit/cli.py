@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -558,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid", type=int, default=None,
                    help="grid override for the measure kinds")
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func="cmd_solve")
 
     p = sub.add_parser("decompose", help="decompose a solution into atoms")
     p.add_argument("solution")
@@ -568,14 +569,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "otherwise taken from --problem")
     p.add_argument("--out", default=None)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(func=cmd_decompose)
+    p.set_defaults(func="cmd_decompose")
 
     p = sub.add_parser("audit", help="audit an existing solution file")
     p.add_argument("solution")
     p.add_argument("--problem", required=True)
     p.add_argument("--j-assumed", type=int, default=0, dest="j_assumed")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_audit)
+    p.set_defaults(func="cmd_audit")
 
     p = sub.add_parser("fig2", help="disk-average TV reconstruction "
                                     "experiment")
@@ -590,22 +591,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="recorded in the manifest; the solver draws "
                         "nothing from it")
-    p.set_defaults(func=cmd_fig2)
+    p.set_defaults(func="cmd_fig2")
 
     p = sub.add_parser("enumerate-slice",
                        help="extreme points of range(L) inside the l1 ball")
     p.add_argument("operator", help="CSV file holding L")
     p.add_argument("--out", default=None)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(func=cmd_enumerate_slice)
+    p.set_defaults(func="cmd_enumerate_slice")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first :func:`main` call and kept for the
+    process. It names each subcommand's function, which :func:`main`
+    looks up when the call runs, so a wrapper installed on
+    ``repkit.cli.cmd_*`` after the parser was built still sees the call."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
     _setup_logging()
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except RepkitError as exc:
         return _error_exit(type(exc).__name__, str(exc))
 

@@ -29,7 +29,15 @@ __all__ = [
 
 @dataclass
 class MatrixProblem:
-    """Affine measurements ``<A_i, M> = trace(A_i^T M) = y_i`` of a matrix."""
+    """Affine measurements ``<A_i, M> = trace(A_i^T M) = y_i`` of a matrix.
+
+    The maps are stacked once, as the rows of an ``(m, p*n)`` matrix ``S``
+    acting on ``vec(M)``. :meth:`apply` reduces each row against
+    ``vec(M)`` with BLAS ``ddot``, the kernel ``np.tensordot(A_i, M)``
+    uses, so its values match the per-map sums bit for bit. ``S @ vec(M)``
+    is not used: BLAS ``gemv`` sums in another order, and its last-ulp
+    differences would move the solvers' iterates and written solutions.
+    """
 
     measurement_maps: list
     y: np.ndarray
@@ -40,24 +48,28 @@ class MatrixProblem:
                                  for a in self.measurement_maps]
         self.y = np.asarray(self.y, dtype=float)
         self.shape = tuple(self.shape)
+        if not self.measurement_maps:
+            raise ValueError("at least one measurement map required")
         if len(self.measurement_maps) != self.y.shape[0]:
             raise ValueError("one measurement map per observation required")
         for a in self.measurement_maps:
             if a.shape != self.shape:
                 raise ValueError("measurement map shape mismatch")
+        self._stacked = np.vstack([a.reshape(1, -1)
+                                   for a in self.measurement_maps])
+        self._stacked.flags.writeable = False
 
     @property
     def m(self) -> int:
         return len(self.measurement_maps)
 
     def apply(self, M) -> np.ndarray:
-        M = np.asarray(M, dtype=float)
-        return np.array([float(np.tensordot(a, M)) for a in
-                         self.measurement_maps])
+        vec = np.asarray(M, dtype=float).reshape(-1, 1)
+        return np.matmul(self._stacked[:, None, :], vec)[:, 0, 0]
 
     def stacked(self) -> np.ndarray:
-        """Measurements as an (m, p*n) matrix acting on vec(M)."""
-        return np.vstack([a.reshape(1, -1) for a in self.measurement_maps])
+        """Measurements as a read-only (m, p*n) matrix acting on vec(M)."""
+        return self._stacked
 
 
 @dataclass

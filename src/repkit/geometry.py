@@ -405,6 +405,7 @@ def enumerate_slice_extreme_points(L, tol: float = 1e-9) -> list:
             if not is_extreme_point(np.concatenate([w, np.abs(z)]), lifted):
                 continue
             for cand in (z, -z):
-                if all(np.linalg.norm(cand - zk) > tol for zk in found):
+                if not found or np.linalg.norm(np.asarray(found) - cand,
+                                               axis=1).min() > tol:
                     found.append(cand.copy())
     return found

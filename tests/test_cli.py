@@ -149,12 +149,56 @@ class TestSolve:
         assert err["error"] == "failed to parse problem file"
         assert "solver" in err["detail"]
 
+    @pytest.mark.parametrize("kind", ["nuclear", "psd_cone"])
+    def test_no_measurement_maps_exits_1(self, tmp_path, capsys, kind):
+        path = write_json(tmp_path / "p.json", {
+            "kind": kind, "measurement_maps": [], "y": [], "shape": [2, 2]})
+        assert run_cli("solve", path, "--out", str(tmp_path / "o")) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "solver failed"
+        assert "at least one measurement map" in err["detail"]
+
     def test_byte_identical_reruns(self, tmp_path, lp_problem):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert run_cli("solve", lp_problem, "--out", str(out1)) == 0
         assert run_cli("solve", lp_problem, "--out", str(out2)) == 0
         for name in ("solution.csv", "certificate.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class TestParserReuse:
+    """``main`` keeps one parser per process; each call must still reach
+    the ``cmd_*`` function the module holds at that moment and see only
+    its own arguments."""
+
+    def test_commands_looked_up_at_call_time(self, tmp_path, monkeypatch,
+                                             lp_problem):
+        cli = importlib.import_module("repkit.cli")
+        out = tmp_path / "s"
+        assert run_cli("solve", lp_problem, "--out", str(out)) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_audit",
+                            lambda args: seen.append(args) or 0)
+        sol = str(out / "solution.csv")
+        assert run_cli("audit", sol, "--problem", lp_problem) == 0
+        assert [(a.solution, a.problem) for a in seen] == [(sol, lp_problem)]
+
+    def test_no_state_between_calls(self, tmp_path, monkeypatch):
+        cli = importlib.import_module("repkit.cli")
+        solve = cli.cmd_solve
+        grids = []
+
+        def recorder(args):
+            grids.append(args.grid)
+            return solve(args)
+
+        monkeypatch.setattr(cli, "cmd_solve", recorder)
+        path = write_json(tmp_path / "m.json",
+                          {"kind": "measure_tv", **CATALOG["measure_tv"]})
+        assert run_cli("solve", path, "--grid", "64",
+                       "--out", str(tmp_path / "a")) == 0
+        assert run_cli("solve", path, "--out", str(tmp_path / "b")) == 0
+        assert grids == [64, None]
 
 
 class TestDecompose:

@@ -126,6 +126,34 @@ class TestL1Analysis:
         assert rep.objective <= best + 1e-8
 
 
+class TestMatrixProblem:
+    def test_apply_matches_per_map_tensordot(self):
+        # Bit for bit: the solvers' iterates, and so the written solutions,
+        # depend on every last ulp of A(M).
+        g = np.random.default_rng(4242)
+        shapes = [(k, k) for k in range(2, 9)] + [(3, 5)]
+        for trial in range(400):
+            shape = shapes[trial % len(shapes)]
+            maps = [g.standard_normal(shape) * 10.0 ** g.uniform(-3, 3)
+                    for _ in range(int(g.integers(1, 11)))]
+            prob = MatrixProblem(maps, np.zeros(len(maps)), shape)
+            S = np.vstack([a.reshape(1, -1) for a in maps])
+            for _ in range(3):
+                M = g.standard_normal(shape) * 10.0 ** g.uniform(-3, 3)
+                assert np.array_equal(
+                    prob.apply(M), [np.tensordot(a, M) for a in maps])
+            assert np.array_equal(prob.stacked(), S)
+
+    def test_stacked_is_read_only(self):
+        prob = MatrixProblem([np.eye(2)], [1.0], (2, 2))
+        with pytest.raises(ValueError):
+            prob.stacked()[0, 0] = 2.0
+
+    def test_no_measurement_maps_rejected(self):
+        with pytest.raises(ValueError, match="at least one measurement map"):
+            MatrixProblem([], [], (2, 2))
+
+
 class TestNuclear:
     def test_aligned_atom(self):
         E11 = np.zeros((3, 3))

@@ -305,6 +305,50 @@ def _random_doubly_stochastic(g, n, mixtures=None):
     return M
 
 
+def _reference_enumerate_slice(L, tol=1e-9):
+    """``enumerate_slice_extreme_points`` as it shipped with one distance
+    per earlier point in its duplicate check."""
+    p, n = L.shape
+    k1 = p - n + 1
+    lift_A = np.zeros((2 * p + 1, n + p))
+    for i in range(p):
+        lift_A[2 * i, :n] = L[i]
+        lift_A[2 * i, n + i] = -1.0
+        lift_A[2 * i + 1, :n] = -L[i]
+        lift_A[2 * i + 1, n + i] = -1.0
+    lift_A[2 * p, n:] = 1.0
+    lift_b = np.zeros(2 * p + 1)
+    lift_b[2 * p] = 1.0
+    lifted = HPolyhedron(A_ineq=lift_A, b_ineq=lift_b)
+    found = []
+    for support in itertools.combinations(range(p), k1):
+        off = [i for i in range(p) if i not in support]
+        for signs in itertools.product((1.0, -1.0), repeat=k1):
+            if signs[0] < 0:
+                continue
+            system = np.vstack([L[off],
+                                np.asarray(signs) @ L[list(support)]])
+            rhs = np.zeros(n)
+            rhs[-1] = 1.0
+            try:
+                w = np.linalg.solve(system, rhs)
+            except np.linalg.LinAlgError:
+                continue
+            z = L @ w
+            if np.abs(z[off]).max(initial=0.0) > tol:
+                continue
+            if np.any(z[list(support)] * np.asarray(signs) < -tol):
+                continue
+            if abs(np.abs(z).sum() - 1.0) > 1e2 * tol:
+                continue
+            if not is_extreme_point(np.concatenate([w, np.abs(z)]), lifted):
+                continue
+            for cand in (z, -z):
+                if all(np.linalg.norm(cand - zk) > tol for zk in found):
+                    found.append(cand.copy())
+    return found
+
+
 class TestSliceEnumeration:
     def test_identity_gives_signed_basis(self):
         pts = enumerate_slice_extreme_points(np.eye(3))
@@ -346,6 +390,24 @@ class TestSliceEnumeration:
         pts = enumerate_slice_extreme_points(L)
         for z in pts:
             assert any(np.linalg.norm(z + q) < 1e-9 for q in pts)
+
+    @pytest.mark.parametrize("shape", [(7, 4), (8, 5)])
+    @pytest.mark.parametrize("layout", ["gaussian", "integer",
+                                        "repeated-rows"])
+    def test_matches_pairwise_duplicate_check(self, shape, layout):
+        # Integer entries and repeated rows reach the same point from many
+        # supports, so the duplicate check rejects most candidates there.
+        g = np.random.default_rng([2026, *shape])
+        for _ in range(3):
+            L = g.standard_normal(shape)
+            if layout == "integer":
+                L = np.round(2.0 * L)
+            elif layout == "repeated-rows":
+                L[-3:] = L[-4]
+            got = enumerate_slice_extreme_points(L)
+            want = _reference_enumerate_slice(L)
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_guards(self):
         with pytest.raises(CombinatorialLimitExceeded):
