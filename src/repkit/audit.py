@@ -403,31 +403,27 @@ def decompose_solution(u, spec: RegularizerSpec) -> AtomicDecomposition:
     return KINDS[spec.kind].decompose(u, spec)
 
 
-def audit(u, spec: RegularizerSpec, Phi, at_infimum: bool | None = None,
-          j_assumed: int = 0,
-          reconstruction_tol: float | None = None) -> RepresenterCertificate:
+def audit(u, spec: RegularizerSpec, Phi,
+          j_assumed: int = 0) -> RepresenterCertificate:
     """Assemble a certificate for a solution of the given regularizer kind.
 
     ``Phi`` is the measurement matrix for vector/matrix kinds, the number
     of moments (or the moment vector) for measure kinds, and the
-    :class:`DiskSet` for images. ``at_infimum`` defaults to autodetection:
-    always true on cones, true for norms only when the achieved value is
-    zero. ``j_assumed`` defaults to 0, the right value for solvers that
-    return extreme points of the solution set; callers auditing interior
-    iterates should raise it and say so.
+    :class:`DiskSet` for images. ``at_infimum`` is detected: always true
+    on cones, never on the LP epigraph, and true for norms only when the
+    achieved value is zero. The reconstruction tolerance is 1e-6, or the
+    quantization residual for kinds that quantize. ``j_assumed`` defaults
+    to 0, the right value for solvers that return extreme points of the
+    solution set; callers auditing interior iterates should raise it and
+    say so.
     """
     kind = KINDS[spec.kind]
     notes = []
     m = kind.m(spec, Phi)
     d = lineality_of(spec, Phi).d
 
-    if at_infimum is None:
-        if kind.cone:
-            at_infimum = True
-        elif kind.epigraph:
-            at_infimum = False
-        else:
-            at_infimum = kind.value(u, spec) <= 1e-12
+    at_infimum = kind.cone or (not kind.epigraph
+                               and kind.value(u, spec) <= 1e-12)
     m_eff = m
     if kind.epigraph:
         m_eff += 1
@@ -446,12 +442,11 @@ def audit(u, spec: RegularizerSpec, Phi, at_infimum: bool | None = None,
     bound = ray_bound if uses_rays else point_bound
 
     rec_err = kind.error(decomp, u)
-    if reconstruction_tol is None:
-        if quant_residual is None:
-            reconstruction_tol = 1e-6
-        else:
-            reconstruction_tol = quant_residual + 1e-9
-            notes.append(f"quantization residual {quant_residual:.6g}")
+    if quant_residual is None:
+        reconstruction_tol = 1e-6
+    else:
+        reconstruction_tol = quant_residual + 1e-9
+        notes.append(f"quantization residual {quant_residual:.6g}")
     passed = bool(atom_count <= bound and rec_err <= reconstruction_tol)
     return RepresenterCertificate(
         kind=spec.kind, m=m, d=d, j_assumed=j_assumed,

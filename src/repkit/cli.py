@@ -42,7 +42,7 @@ log = logging.getLogger("repkit")
 
 FMT = "%.17g"  # byte-reproducible numeric formatting
 
-COMMON_KEYS = {"kind", "phi", "y", "seed"}
+COMMON_KEYS = {"kind", "y"}
 
 DEFAULT_FIG2_DISKS = [(60.0, 60.0, 25.0), (140.0, 70.0, 20.0),
                       (100.0, 140.0, 30.0)]
@@ -143,11 +143,10 @@ def _psi_from_spec(spec):
                      "{'type': 'polynomial', 'coefficients': [...]}")
 
 
-def _manifest(out_dir, input_path, config, seed, t0, outputs) -> None:
+def _manifest(out_dir, input_path, config, t0, outputs) -> None:
     _write_json(os.path.join(out_dir, "manifest.json"), {
         "input": os.path.abspath(input_path) if input_path else None,
         "solver_config": config,
-        "seed": seed,
         "toolkit_version": __version__,
         "wall_time_seconds": time.monotonic() - t0,
         "outputs": sorted(outputs),
@@ -192,6 +191,8 @@ def _analysis_problem(doc):
 
 
 def _matrix_problem(doc):
+    if not doc["measurement_maps"]:
+        raise ValueError("at least one measurement map required")
     return RegularizerSpec(kind=doc["kind"]), [
         np.asarray(a, dtype=float) for a in doc["measurement_maps"]]
 
@@ -215,6 +216,8 @@ def _solve_lp(doc, args):
     spec, Phi = _vector_problem(doc)
     sol = simplex_solve(LpProblem(c=np.asarray(doc["cost"], dtype=float),
                                   A=Phi, b=_y(doc)))
+    if sol.status == "unbounded":
+        raise Unbounded("LP is unbounded", ray=sol.ray)
     if sol.status != "optimal":
         raise RepkitError(f"LP status: {sol.status}")
     return sol.x, spec, Phi, None
@@ -248,8 +251,6 @@ def _solve_psd(doc, args):
 
 def _measure_input(doc, args):
     """The moment system, ``y`` and grid size of a measure problem."""
-    if doc.get("basis", "trigonometric") != "trigonometric":
-        raise ValueError("only the trigonometric basis ships with the CLI")
     y = _y(doc)
     grid_n = int(getattr(args, "grid", None) or doc.get("grid_n", 512))
     return trigonometric_system(len(y)), y, grid_n
@@ -318,20 +319,21 @@ class CliKind:
 
 
 CLI_KINDS = {
-    "nonneg_cone": CliKind(set(), _vector_problem, _solve_nnls, VECTOR_FILE),
-    "lp_epigraph": CliKind({"cost"}, _vector_problem, _solve_lp,
+    "nonneg_cone": CliKind({"phi"}, _vector_problem, _solve_nnls,
                            VECTOR_FILE),
-    "l1_analysis": CliKind({"L"}, _analysis_problem, _solve_analysis,
+    "lp_epigraph": CliKind({"phi", "cost"}, _vector_problem, _solve_lp,
+                           VECTOR_FILE),
+    "l1_analysis": CliKind({"phi", "L"}, _analysis_problem, _solve_analysis,
                            VECTOR_FILE),
     "nuclear": CliKind({"measurement_maps", "shape", "solver"},
                        _matrix_problem, _solve_nuclear, MATRIX_FILE),
     "psd_cone": CliKind({"measurement_maps", "shape", "cost", "solver"},
                         _matrix_problem, _solve_psd, MATRIX_FILE),
-    "measure_tv": CliKind({"grid_n", "basis"}, _measure_problem,
-                          _solve_beurling, MEASURE_FILE),
-    "measure_nonneg": CliKind({"grid_n", "basis", "psi"}, _measure_problem,
+    "measure_tv": CliKind({"grid_n"}, _measure_problem, _solve_beurling,
+                          MEASURE_FILE),
+    "measure_nonneg": CliKind({"grid_n", "psi"}, _measure_problem,
                               _solve_moment_lp, MEASURE_FILE),
-    "tv2d": CliKind({"size", "solver"}, _image_problem, _solve_image,
+    "tv2d": CliKind({"phi", "size", "solver"}, _image_problem, _solve_image,
                     IMAGE_FILE, atoms=False),
 }
 
@@ -360,13 +362,13 @@ def cmd_solve(args) -> int:
             _write_tv2d(out_dir, *exc.payload, outputs)
         elif exc.payload is not None:
             _write_payload(kind, out_dir, exc.payload, outputs)
-        _manifest(out_dir, args.problem, doc.get("solver", {}),
-                  args.seed, t0, outputs)
+        _manifest(out_dir, args.problem, doc.get("solver", {}), t0, outputs)
         return _error_exit("solver did not converge", str(exc), code=3)
     except Unbounded as exc:
+        ray = getattr(exc.ray, "atoms", exc.ray)  # a measure or a vector
         _write_json(os.path.join(out_dir, "certificate.json"),
                     {"error": "unbounded",
-                     "ray": getattr(exc.ray, "atoms", None)})
+                     "ray": None if ray is None else np.asarray(ray).tolist()})
         return _error_exit("problem is unbounded")
     except (RepkitError, ValueError, KeyError) as exc:
         return _error_exit("solver failed", str(exc))
@@ -378,8 +380,7 @@ def cmd_solve(args) -> int:
     cert_path = os.path.join(out_dir, "certificate.json")
     _write_json(cert_path, cert.to_json_dict(include_atoms=kind.atoms))
     outputs.append(cert_path)
-    _manifest(out_dir, args.problem, doc.get("solver", {}),
-              args.seed, t0, outputs)
+    _manifest(out_dir, args.problem, doc.get("solver", {}), t0, outputs)
     log.info("audit %s: %d atoms vs bound %d",
              "pass" if cert.passed else "FAIL", cert.atom_count, cert.bound)
     return 0 if cert.passed else 2
@@ -490,7 +491,7 @@ def cmd_fig2(args) -> int:
     write_pgm(disks_path, mask_img)
     outputs.append(disks_path)
 
-    cfg = PdConfig(max_iters=args.iters, seed=args.seed)
+    cfg = PdConfig(max_iters=args.iters)
     exit_code = 0
     try:
         u, trace = chambolle_pock_tv_solve(disks, y, size, cfg)
@@ -524,7 +525,7 @@ def cmd_fig2(args) -> int:
     _write_json(cert_path, cert.to_json_dict(include_atoms=False))
     outputs.append(cert_path)
     _manifest(out_dir, args.disks, {"iters": args.iters, "tol": args.tol},
-              args.seed, t0, outputs)
+              t0, outputs)
     log.info("levels=%d all_simple=%s audit=%s", report.level_count,
              report.all_simple(), "pass" if cert.passed else "FAIL")
     if exit_code == 0 and not cert.passed:
@@ -546,8 +547,17 @@ def cmd_enumerate_slice(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises :class:`argparse.ArgumentError` where argparse would print the
+    usage and exit 2, the code that the exit-code contract gives to a
+    failed audit."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repkit",
         description="solve convex-regularized inverse problems and certify "
                     "the extreme-point structure of the solutions")
@@ -556,7 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve a problem file and audit it")
     p.add_argument("problem")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid", type=int, default=None,
                    help="grid override for the measure kinds")
     p.set_defaults(func="cmd_solve")
@@ -588,9 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=0.02,
                    help="level quantization tolerance")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0,
-                   help="recorded in the manifest; the solver draws "
-                        "nothing from it")
     p.set_defaults(func="cmd_fig2")
 
     p = sub.add_parser("enumerate-slice",
@@ -613,7 +619,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        return _error_exit("invalid arguments", str(exc))
+    except SystemExit as exc:  # --help, after printing the help
+        return exc.code
     try:
         return globals()[args.func](args)
     except RepkitError as exc:

@@ -109,19 +109,18 @@ def simplex_solve(prob: LpProblem) -> LpSolution:
     return solve_standard_form(prob.c, prob.A, prob.b)
 
 
-def nnls_solve(Phi, y, max_iters: int | None = None) -> np.ndarray:
+def nnls_solve(Phi, y) -> np.ndarray:
     """Nonnegative least squares by the Lawson-Hanson active-set method.
 
     Returns a vertex of the optimal face, so the support size never exceeds
     the number of independent rows of ``Phi``. Satisfies the KKT conditions
     ``u >= 0``, ``Phi^T (Phi u - y) >= -tol`` and complementarity at 1e-8
-    scale.
+    scale. Raises :class:`NonConvergence` once it has taken more than
+    ``10 n`` least-squares steps.
     """
     Phi = np.atleast_2d(np.asarray(Phi, dtype=float))
     y = np.asarray(y, dtype=float)
     m, n = Phi.shape
-    if max_iters is None:
-        max_iters = 10 * n
     tol = 1e-10 * max(1.0, float(np.abs(Phi.T @ y).max(initial=0.0)))
 
     u = np.zeros(n)
@@ -129,7 +128,7 @@ def nnls_solve(Phi, y, max_iters: int | None = None) -> np.ndarray:
     w = Phi.T @ y
     iters = 0
     while True:
-        if iters > max_iters:
+        if iters > 10 * n:
             raise NonConvergence("active-set iteration cap reached",
                                  payload=u)
         candidates = np.flatnonzero(~passive & (w > tol))

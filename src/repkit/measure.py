@@ -4,8 +4,8 @@ The continuous problems (minimal total variation subject to generalized
 moments, and the nonnegative moment linear program) are discretized on a
 uniform grid; the simplex kernel then returns basic solutions whose
 sparsity exhibits the Dirac structure directly. Atoms split across
-neighboring grid nodes can be coalesced afterwards with
-:func:`merge_atoms`.
+neighboring grid nodes are coalesced by :func:`merge_atoms` within two
+grid spacings, ``2 / grid_n``.
 """
 
 from __future__ import annotations
@@ -146,8 +146,7 @@ class MeasureSolveInfo:
     pre_merge: DiscreteMeasure
 
 
-def beurling_solve(sys: MomentSystem, y, grid_n: int = DEFAULT_GRID,
-                   merge_radius: float | None = None):
+def beurling_solve(sys: MomentSystem, y, grid_n: int = DEFAULT_GRID):
     """Minimal total variation measure matching the moments, on a grid.
 
     Solves ``min sum(a+ + a-) : design (a+ - a-) = y`` by the two-phase
@@ -157,8 +156,6 @@ def beurling_solve(sys: MomentSystem, y, grid_n: int = DEFAULT_GRID,
     y = np.asarray(y, dtype=float)
     if grid_n < sys.m:
         raise ValueError("grid must be at least as fine as the moment count")
-    if merge_radius is None:
-        merge_radius = 2.0 / grid_n
     nodes = _grid(grid_n)
     design = sys.design(nodes)
     A, b, basis = row_compress(design, y)
@@ -175,11 +172,10 @@ def beurling_solve(sys: MomentSystem, y, grid_n: int = DEFAULT_GRID,
     info = MeasureSolveInfo(objective=sol.objective, lp_residual=residual,
                             duals=basis @ sol.duals, grid_n=grid_n,
                             pre_merge=raw)
-    return merge_atoms(raw, merge_radius), info
+    return merge_atoms(raw, 2.0 / grid_n), info
 
 
-def moment_lp_solve(psi, sys: MomentSystem, y, grid_n: int = DEFAULT_GRID,
-                    merge_radius: float | None = None):
+def moment_lp_solve(psi, sys: MomentSystem, y, grid_n: int = DEFAULT_GRID):
     """Nonnegative measure minimizing ``integral psi dmu`` under moments.
 
     ``psi`` is a callable cost density on [0, 1). The grid LP returns a
@@ -190,8 +186,6 @@ def moment_lp_solve(psi, sys: MomentSystem, y, grid_n: int = DEFAULT_GRID,
     y = np.asarray(y, dtype=float)
     if grid_n < sys.m:
         raise ValueError("grid must be at least as fine as the moment count")
-    if merge_radius is None:
-        merge_radius = 2.0 / grid_n
     nodes = _grid(grid_n)
     design = sys.design(nodes)
     cost = np.asarray(psi(nodes), dtype=float)
@@ -212,4 +206,4 @@ def moment_lp_solve(psi, sys: MomentSystem, y, grid_n: int = DEFAULT_GRID,
         objective=sol.objective,
         lp_residual=float(np.linalg.norm(moments_of(raw, sys) - y)),
         duals=basis @ sol.duals, grid_n=grid_n, pre_merge=raw)
-    return merge_atoms(raw, merge_radius), info
+    return merge_atoms(raw, 2.0 / grid_n), info

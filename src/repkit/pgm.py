@@ -13,15 +13,14 @@ import numpy as np
 MAXVAL = 65535
 
 
-def write_pgm(path, image, scale: float | None = None) -> None:
+def write_pgm(path, image) -> None:
     """Write a real-valued image as ASCII PGM with a scale comment."""
     image = np.asarray(image, dtype=float)
     if image.ndim != 2:
         raise ValueError("expected a 2-d image")
     offset = float(min(image.min(initial=0.0), 0.0))
-    if scale is None:
-        span = float(image.max(initial=0.0) - offset)
-        scale = span / MAXVAL if span > 0 else 1.0
+    span = float(image.max(initial=0.0) - offset)
+    scale = span / MAXVAL if span > 0 else 1.0
     stored = np.round((image - offset) / scale).astype(int)
     stored = np.clip(stored, 0, MAXVAL)
     h, w = image.shape

@@ -80,28 +80,22 @@ class DiskSet:
 class PdConfig:
     """Primal-dual solver parameters.
 
-    Step sizes default to ``0.99 / sqrt(8)``, which keeps
-    ``tau * sigma * |grad|^2 <= 1``. ``theta`` is the extrapolation weight.
-    The iteration stops once the constraint residual is at most
-    ``tol_constraint`` and the relative change of the last step at most
+    The steps are fixed at ``tau = sigma = 0.99 / sqrt(8)``, which keeps
+    ``tau * sigma * |grad|^2 <= 1``, with extrapolation weight
+    ``theta = 1``, the setting the restart rule is analysed for. The
+    iteration stops once the constraint residual is at most
+    ``1e-4 * |y|_inf`` and the relative change of the last step at most
     ``tol_change``, both tested every ``log_every`` iterations, where the
     restart rule is checked too. Restarts damp the oscillation that kept
     the unrestarted iterates moving, so the same distance to the optimum
     shows as a smaller step: ``tol_change`` is 2e-6 where the unrestarted
     loop stopped at 1e-5 (at 1e-5, 4 of 40 random 40x40 layouts stopped
-    0.13-0.33% above the unrestarted loop's TV). ``seed`` is accepted so
-    that existing problem files keep working; the solver draws nothing
-    from it.
+    0.13-0.33% above the unrestarted loop's TV).
     """
 
     max_iters: int = 20_000
-    tau: float | None = None
-    sigma: float | None = None
-    theta: float = 1.0
-    tol_constraint: float | None = None  # default 1e-4 * |y|_inf
     tol_change: float = 2e-6
     log_every: int = 50
-    seed: int = 0
 
 
 @dataclass
@@ -264,15 +258,8 @@ def chambolle_pock_tv_solve(disks: DiskSet, y, size, cfg: PdConfig | None = None
     if len(y) != len(disks):
         raise ValueError("one measurement per disk required")
     means = _DiskMeans(disks, (h, w))
-    y_scale = np.abs(y).max(initial=0.0)
-    tol_constraint = cfg.tol_constraint
-    if tol_constraint is None:
-        tol_constraint = 1e-4 * max(y_scale, 1e-12)
-    default_step = 0.99 / np.sqrt(GRAD_NORM_SQ)
-    tau = cfg.tau if cfg.tau is not None else default_step
-    sigma = cfg.sigma if cfg.sigma is not None else default_step
-    if tau * sigma * GRAD_NORM_SQ > 1.0 + 1e-9:
-        raise ValueError("step sizes violate tau * sigma * |grad|^2 <= 1")
+    tol_constraint = 1e-4 * max(np.abs(y).max(initial=0.0), 1e-12)
+    tau = sigma = 0.99 / np.sqrt(GRAD_NORM_SQ)
     lift = means.lift()
     covered = means.covered
 
@@ -289,10 +276,9 @@ def chambolle_pock_tv_solve(disks: DiskSet, y, size, cfg: PdConfig | None = None
         u_next *= tau
         u_next += u
         u_next[covered] -= (means.apply(u_next) - y) @ lift
-        # p <- p + sigma grad(u_next + theta (u_next - u)), projected onto
+        # p <- p + sigma grad(u_next + (u_next - u)), projected onto
         # pointwise unit balls
         np.subtract(u_next, u, out=u_bar)
-        np.multiply(u_bar, cfg.theta, out=u_bar)
         np.add(u_bar, u_next, out=u_bar)
         _grad_into(u_bar, w, gx, gy)
         np.multiply(gx, sigma, out=gx)

@@ -1,6 +1,9 @@
+import dataclasses
 import importlib
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +35,52 @@ def lp_problem(tmp_path):
         "y": (A @ x0).tolist(),
         "cost": g.uniform(0.1, 1, 9).tolist(),
     })
+
+
+def _catalog_docs():
+    """One tiny problem per regularizer kind."""
+    g = np.random.default_rng(5)
+    A = g.standard_normal((3, 8))
+    x0 = np.abs(g.standard_normal(8))
+    x0[3:] = 0.0
+    L = g.standard_normal((5, 6))
+    Phi = g.standard_normal((3, 6))
+    maps = g.standard_normal((5, 3, 3))
+    M0 = np.outer(g.standard_normal(3), g.standard_normal(3))
+    sym = [0.5 * (a + a.T) for a in g.standard_normal((3, 3, 3))]
+    X = g.standard_normal((3, 3))
+    trig = trigonometric_system(3)
+    return {
+        "nonneg_cone": {"phi": A.tolist(),
+                        "y": g.standard_normal(3).tolist()},
+        "lp_epigraph": {"phi": A.tolist(), "y": (A @ x0).tolist(),
+                        "cost": g.uniform(0.1, 1, 8).tolist()},
+        "l1_analysis": {"phi": Phi.tolist(), "L": L.tolist(),
+                        "y": (Phi @ g.standard_normal(6)).tolist()},
+        "nuclear": {"measurement_maps": maps.tolist(), "shape": [3, 3],
+                    "y": [float(np.tensordot(a, M0)) for a in maps]},
+        "psd_cone": {"measurement_maps": [a.tolist() for a in sym],
+                     "shape": [3, 3],
+                     "y": [float(np.tensordot(a, X @ X.T)) for a in sym]},
+        "measure_tv": {"grid_n": 64, "y": moments_of(DiscreteMeasure(
+            atoms=[(0.25, 1.0), (0.5, -0.5)]), trig).tolist()},
+        "measure_nonneg": {
+            "grid_n": 64,
+            "psi": {"type": "polynomial", "coefficients": [0.5, 0.2]},
+            "y": moments_of(DiscreteMeasure(
+                atoms=[(0.25, 1.0), (0.625, 0.5)]), trig).tolist()},
+        "tv2d": {"phi": {"disks": [[6, 6, 4], [14, 12, 3]]},
+                 "y": [0.8, -0.5], "size": [20, 18]},
+    }
+
+
+CATALOG = _catalog_docs()
+
+SPLITTING_DOC = {"kind": "nuclear",
+                 "measurement_maps": [[[1.0, 0.0], [0.0, 0.0]]],
+                 "y": [1.0], "shape": [2, 2]}
+PRIMAL_DUAL_DOC = {"kind": "tv2d", "phi": {"disks": [[4, 4, 3]]},
+                   "y": [0.5], "size": [8, 8]}
 
 
 class TestSolve:
@@ -122,41 +171,86 @@ class TestSolve:
         assert rows[0] == "iteration,tv,constraint_residual"
         assert rows[-1].startswith("3,")
 
-    @pytest.mark.parametrize("doc", [
-        {"kind": "nuclear", "measurement_maps": [[[1.0, 0.0], [0.0, 0.0]]],
-         "y": [1.0], "shape": [2, 2]},
-        {"kind": "tv2d", "phi": {"disks": [[4, 4, 3]]}, "y": [0.5],
-         "size": [8, 8]},
-    ], ids=["splitting", "primal-dual"])
-    @pytest.mark.parametrize("solver", [{"bogus": 1}, [1, 2]],
-                             ids=["unknown-key", "not-an-object"])
+    @pytest.mark.parametrize("doc,solver", [
+        (SPLITTING_DOC, {"bogus": 1}),
+        (PRIMAL_DUAL_DOC, {"bogus": 1}),
+        (SPLITTING_DOC, [1, 2]),
+        (PRIMAL_DUAL_DOC, [1, 2]),
+        # fields the primal-dual solver fixes
+        (PRIMAL_DUAL_DOC, {"tau": 0.5}),
+        (PRIMAL_DUAL_DOC, {"sigma": 0.5}),
+        (PRIMAL_DUAL_DOC, {"theta": 1.0}),
+        (PRIMAL_DUAL_DOC, {"tol_constraint": 1e-4}),
+        (PRIMAL_DUAL_DOC, {"seed": 0}),
+    ], ids=["unknown-key-splitting", "unknown-key-primal-dual",
+            "not-an-object-splitting", "not-an-object-primal-dual",
+            "tau-primal-dual", "sigma-primal-dual", "theta-primal-dual",
+            "tol_constraint-primal-dual", "seed-primal-dual"])
     def test_bad_solver_config_exits_1(self, tmp_path, capsys, doc, solver):
         path = write_json(tmp_path / "p.json", {**doc, "solver": solver})
         assert run_cli("solve", path, "--out", str(tmp_path / "o")) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "solver failed"
-        assert ("bogus" in err["detail"]) == isinstance(solver, dict)
+        if isinstance(solver, dict):
+            assert all(repr(key) in err["detail"] for key in solver)
+        else:
+            assert "object" in err["detail"]
 
-    @pytest.mark.parametrize("kind", ["nonneg_cone", "lp_epigraph",
-                                      "measure_tv"])
+    @pytest.mark.parametrize("kind", sorted(CATALOG))
     def test_solver_object_rejected_where_unread(self, tmp_path, capsys,
                                                  kind):
-        # Only nuclear, psd_cone and tv2d run an iterative solver.
-        path = write_json(tmp_path / "p.json", {
-            "kind": kind, **CATALOG[kind], "solver": {"bogus": 1}})
-        assert run_cli("solve", path, "--out", str(tmp_path / "o")) == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "failed to parse problem file"
-        assert "solver" in err["detail"]
+        # Each kind rejects every key it does not read: 'solver' everywhere
+        # but nuclear, psd_cone and tv2d, 'phi' on the matrix and measure
+        # kinds, and 'seed' and 'basis' on all kinds.
+        unread = {"phi": [[1.0]], "seed": 0, "basis": "trigonometric",
+                  "solver": {"max_iters": 10}}
+        if kind in ("nuclear", "psd_cone", "tv2d"):
+            del unread["solver"]
+        for key in CATALOG[kind]:
+            unread.pop(key, None)
+        assert {"seed", "basis"} <= set(unread)
+        for key, value in unread.items():
+            path = write_json(tmp_path / "p.json", {
+                "kind": kind, **CATALOG[kind], key: value})
+            assert run_cli("solve", path, "--out", str(tmp_path / "o")) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "failed to parse problem file"
+            assert repr(key) in err["detail"]
 
     @pytest.mark.parametrize("kind", ["nuclear", "psd_cone"])
     def test_no_measurement_maps_exits_1(self, tmp_path, capsys, kind):
         path = write_json(tmp_path / "p.json", {
             "kind": kind, "measurement_maps": [], "y": [], "shape": [2, 2]})
-        assert run_cli("solve", path, "--out", str(tmp_path / "o")) == 1
+        sol = tmp_path / "zero.csv"
+        write_csv(sol, np.zeros((2, 2)))
+        for argv, error in [
+                (["solve", path], "solver failed"),
+                (["audit", str(sol), "--problem", path], "audit failed"),
+                (["decompose", str(sol), "--problem", path],
+                 "decompose failed")]:
+            assert run_cli(*argv, "--out", str(tmp_path / "o")) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == error
+            assert "at least one measurement map" in err["detail"]
+
+    def test_unbounded_lp_writes_its_ray(self, tmp_path, capsys):
+        # x0 - x1 = 1 with cost -x1: x1 grows without bound
+        A = np.array([[1.0, -1.0, 0.0]])
+        c = np.array([0.0, -1.0, 1.0])
+        path = write_json(tmp_path / "p.json", {
+            "kind": "lp_epigraph", "phi": A.tolist(), "y": [1.0],
+            "cost": c.tolist()})
+        out = tmp_path / "o"
+        assert run_cli("solve", path, "--out", str(out)) == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "solver failed"
-        assert "at least one measurement map" in err["detail"]
+        assert err["error"] == "problem is unbounded"
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["error"] == "unbounded"
+        r = np.asarray(cert["ray"])
+        assert r.shape == (3,)
+        assert np.allclose(A @ r, 0.0)
+        assert r.min() >= 0.0
+        assert c @ r < 0.0
 
     def test_byte_identical_reruns(self, tmp_path, lp_problem):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -164,6 +258,32 @@ class TestSolve:
         assert run_cli("solve", lp_problem, "--out", str(out2)) == 0
         for name in ("solution.csv", "certificate.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class TestUsageErrors:
+    """Argument errors follow the exit-code contract: exit 1 with JSON on
+    stderr, returned by ``main`` rather than raised."""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["solve"], ["--bogus"], ["solve", "p.json", "--bogus"],
+        ["solve", "p.json", "--seed", "0"], ["fig2", "--seed", "0"],
+        ["fig2", "--size", "abc"], ["audit", "s.csv"],
+    ], ids=["no-command", "no-problem", "unknown-option",
+            "unknown-solve-option", "solve-seed", "fig2-seed", "bad-int",
+            "no-audit-problem"])
+    def test_exits_1_with_json(self, capsys, argv):
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "invalid arguments"
+        assert err["detail"]
+        assert captured.out == ""
+        if "--seed" in argv:
+            assert "--seed" in err["detail"]
+
+    def test_help_exits_0(self, capsys):
+        assert run_cli("solve", "--help") == 0
+        assert "usage" in capsys.readouterr().out
 
 
 class TestParserReuse:
@@ -328,46 +448,6 @@ class TestEnumerateSlice:
         assert len(rows) == 6
 
 
-def _catalog_docs():
-    """One tiny problem per regularizer kind."""
-    g = np.random.default_rng(5)
-    A = g.standard_normal((3, 8))
-    x0 = np.abs(g.standard_normal(8))
-    x0[3:] = 0.0
-    L = g.standard_normal((5, 6))
-    Phi = g.standard_normal((3, 6))
-    maps = g.standard_normal((5, 3, 3))
-    M0 = np.outer(g.standard_normal(3), g.standard_normal(3))
-    sym = [0.5 * (a + a.T) for a in g.standard_normal((3, 3, 3))]
-    X = g.standard_normal((3, 3))
-    trig = trigonometric_system(3)
-    return {
-        "nonneg_cone": {"phi": A.tolist(),
-                        "y": g.standard_normal(3).tolist()},
-        "lp_epigraph": {"phi": A.tolist(), "y": (A @ x0).tolist(),
-                        "cost": g.uniform(0.1, 1, 8).tolist()},
-        "l1_analysis": {"phi": Phi.tolist(), "L": L.tolist(),
-                        "y": (Phi @ g.standard_normal(6)).tolist()},
-        "nuclear": {"measurement_maps": maps.tolist(), "shape": [3, 3],
-                    "y": [float(np.tensordot(a, M0)) for a in maps]},
-        "psd_cone": {"measurement_maps": [a.tolist() for a in sym],
-                     "shape": [3, 3],
-                     "y": [float(np.tensordot(a, X @ X.T)) for a in sym]},
-        "measure_tv": {"grid_n": 64, "y": moments_of(DiscreteMeasure(
-            atoms=[(0.25, 1.0), (0.5, -0.5)]), trig).tolist()},
-        "measure_nonneg": {
-            "grid_n": 64,
-            "psi": {"type": "polynomial", "coefficients": [0.5, 0.2]},
-            "y": moments_of(DiscreteMeasure(
-                atoms=[(0.25, 1.0), (0.625, 0.5)]), trig).tolist()},
-        "tv2d": {"phi": {"disks": [[6, 6, 4], [14, 12, 3]]},
-                 "y": [0.8, -0.5], "size": [20, 18]},
-    }
-
-
-CATALOG = _catalog_docs()
-
-
 class TestCatalogRoundTrip:
     @pytest.mark.parametrize("kind", sorted(CATALOG))
     def test_solve_audit_decompose(self, tmp_path, capsys, kind):
@@ -401,3 +481,44 @@ class TestCatalogRoundTrip:
         audit_mod = importlib.import_module("repkit.audit")
         cli = importlib.import_module("repkit.cli")
         assert set(cli.CLI_KINDS) == set(audit_mod.KINDS) == set(CATALOG)
+
+
+def _readme_table(*header):
+    """The rows of the README table with these header cells, each row a
+    list of cells and each cell the list of its backticked names."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    start = next(k for k, line in enumerate(lines)
+                 if [c.strip() for c in line.strip("|").split("|")]
+                 == list(header))
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([re.findall(r"`([^`]+)`", cell)
+                     for cell in line.strip("|").split("|")])
+    return rows
+
+
+class TestDocumentedKeys:
+    """The README's key tables match what the command line accepts."""
+
+    def test_problem_file_keys(self):
+        cli = importlib.import_module("repkit.cli")
+        documented = {kind: set(keys) for [kind], keys
+                      in _readme_table("kind", "problem-file keys")}
+        assert documented == {
+            kind: cli.COMMON_KEYS | entry.keys
+            for kind, entry in cli.CLI_KINDS.items()}
+
+    def test_solver_fields(self):
+        from repkit.finite import SplittingConfig
+        from repkit.tv2d import PdConfig
+        cli = importlib.import_module("repkit.cli")
+        rows = _readme_table("solver", "kinds", "`solver` fields")
+        assert {cls: set(fields) for [cls], _, fields in rows} == {
+            cls.__name__: {f.name for f in dataclasses.fields(cls)}
+            for cls in (SplittingConfig, PdConfig)}
+        assert {kind for _, kinds, _ in rows for kind in kinds} == {
+            kind for kind, entry in cli.CLI_KINDS.items()
+            if "solver" in entry.keys}
