@@ -25,11 +25,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import KindMismatch, UnsupportedKind
-from .finite import rank1_atomic_decomposition
+from .finite import kernel_image_basis, rank1_atomic_decomposition
 from .geometry import AtomicDecomposition
 from .linalg import null_space_basis, pseudo_inverse, svd
 from .measure import DiscreteMeasure
-from .tv2d import DiskSet, discrete_tv, disk_average_apply, level_set_report
+from .tv2d import (QUANT_TOL, DiskSet, discrete_tv, disk_average_apply,
+                   level_set_report)
 
 
 @dataclass
@@ -38,7 +39,8 @@ class RegularizerSpec:
 
     ``params`` carries the kind-specific data: ``L`` (analysis operator)
     for ``l1_analysis``; ``disks`` and ``size`` for ``tv2d``, optionally
-    with ``quant_tol`` (the level quantization tolerance, default 0.02)
+    with ``quant_tol`` (the level quantization tolerance, default
+    :data:`~repkit.tv2d.QUANT_TOL`)
     and ``level_report`` (a :class:`~repkit.tv2d.LevelSetReport` of the
     solution, used instead of computing one).
     """
@@ -161,16 +163,10 @@ def _measure_lineality(spec, Phi) -> LinealityReport:
 
 
 def _kernel_lineality(spec, Phi) -> LinealityReport:
-    Phi = _as_matrix_phi(Phi)
     basis = null_space_basis(_analysis_operator(spec))
-    k = basis.shape[1]
-    if k == 0:
-        return LinealityReport(lineality_basis=basis, d=0, kernel_overlap=0)
-    image = Phi @ basis
-    scale = svd(Phi).singular_values.max(initial=0.0)
-    d = int(np.count_nonzero(
-        svd(image).singular_values > 1e-9 * max(scale, 1e-300)))
-    return LinealityReport(lineality_basis=basis, d=d, kernel_overlap=k - d)
+    d = kernel_image_basis(Phi, basis).shape[1]
+    return LinealityReport(lineality_basis=basis, d=d,
+                           kernel_overlap=basis.shape[1] - d)
 
 
 def _constant_lineality(spec, Phi) -> LinealityReport:
@@ -291,7 +287,7 @@ def _tv2d_level_report(u, spec: RegularizerSpec):
         raise KindMismatch("2-d image expected")
     report = spec.params.get("level_report")
     if report is None:
-        report = level_set_report(img, spec.params.get("quant_tol", 0.02))
+        report = level_set_report(img, spec.params.get("quant_tol", QUANT_TOL))
     return report
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .audit import KINDS, RegularizerSpec, audit, decompose_solution
-from .errors import NonConvergence, RepkitError, Unbounded
+from .errors import NonConvergence, RepkitError, Unbounded, check_shape
 from .finite import (LpProblem, MatrixProblem, SplittingConfig,
                      l1_analysis_solve, nnls_solve, nuclear_min_solve,
                      psd_solve, simplex_solve)
@@ -35,7 +35,7 @@ from .geometry import birkhoff_decompose, enumerate_slice_extreme_points
 from .measure import (DiscreteMeasure, beurling_solve, moment_lp_solve,
                       trigonometric_system)
 from .pgm import read_pgm, write_pgm
-from .tv2d import (DiskSet, PdConfig, chambolle_pock_tv_solve,
+from .tv2d import (QUANT_TOL, DiskSet, PdConfig, chambolle_pock_tv_solve,
                    disk_average_apply, level_set_report)
 
 log = logging.getLogger("repkit")
@@ -175,110 +175,110 @@ def _write_tv2d(out_dir, u, trace, outputs, image="image.pgm") -> None:
     outputs.append(trace_path)
 
 
+class Problem(NamedTuple):
+    """A checked problem file: its regularizer, what :func:`audit` takes as
+    ``Phi``, and the solver call on the same inputs, which returns the
+    payload."""
+
+    spec: RegularizerSpec
+    phi: object
+    solve: Callable
+
+
 def _y(doc) -> np.ndarray:
     return np.asarray(doc.get("y", []), dtype=float)
 
 
-def _vector_problem(doc):
-    return (RegularizerSpec(kind=doc["kind"]),
-            np.asarray(doc["phi"], dtype=float))
+def _measurements(doc, count, per) -> np.ndarray:
+    """``y``, checked to hold one entry per measurement."""
+    y = _y(doc)
+    if y.shape != (count,):
+        raise ValueError(f"one measurement per {per} required")
+    return y
 
 
-def _analysis_problem(doc):
+def _phi(doc):
+    """A vector kind's ``phi`` as a matrix, and ``y``, one entry per row."""
+    phi = np.atleast_2d(np.asarray(doc["phi"], dtype=float))
+    return phi, _measurements(doc, phi.shape[0], "row of 'phi'")
+
+
+def _grid_n(doc, args) -> int:
+    return int(getattr(args, "grid", None) or doc.get("grid_n", 512))
+
+
+def _nnls_problem(doc, args) -> Problem:
+    phi, y = _phi(doc)
+    return Problem(RegularizerSpec(kind="nonneg_cone"), phi,
+                   lambda: nnls_solve(phi, y))
+
+
+def _lp_problem(doc, args) -> Problem:
+    lp = LpProblem(c=doc["cost"], A=doc["phi"], b=_y(doc))
+
+    def solve():
+        sol = simplex_solve(lp)
+        if sol.status == "unbounded":
+            raise Unbounded("LP is unbounded", ray=sol.ray)
+        if sol.status != "optimal":
+            raise RepkitError(f"LP status: {sol.status}")
+        return sol.x
+
+    return Problem(RegularizerSpec(kind="lp_epigraph"), lp.A, solve)
+
+
+def _analysis_problem(doc, args) -> Problem:
+    phi, y = _phi(doc)
     L = np.asarray(doc["L"], dtype=float)
-    return (RegularizerSpec(kind="l1_analysis", params={"L": L}),
-            np.asarray(doc["phi"], dtype=float))
+    return Problem(RegularizerSpec(kind="l1_analysis", params={"L": L}), phi,
+                   lambda: l1_analysis_solve(phi, y, L)[0])
 
 
-def _matrix_problem(doc):
-    if not doc["measurement_maps"]:
-        raise ValueError("at least one measurement map required")
-    return RegularizerSpec(kind=doc["kind"]), [
-        np.asarray(a, dtype=float) for a in doc["measurement_maps"]]
+def _nuclear_problem(doc, args) -> Problem:
+    prob = MatrixProblem(measurement_maps=doc["measurement_maps"],
+                         y=_y(doc), shape=doc["shape"])
+    cfg = _solver_config(SplittingConfig, doc.get("solver"))
+    return Problem(RegularizerSpec(kind="nuclear"), prob.measurement_maps,
+                   lambda: nuclear_min_solve(prob, cfg))
 
 
-def _measure_problem(doc):
-    return RegularizerSpec(kind=doc["kind"]), len(doc["y"])
-
-
-def _image_problem(doc):
-    disks = DiskSet(doc["phi"]["disks"])
-    return RegularizerSpec(kind="tv2d", params={
-        "disks": disks, "size": tuple(doc["size"])}), disks
-
-
-def _solve_nnls(doc, args):
-    spec, Phi = _vector_problem(doc)
-    return nnls_solve(Phi, _y(doc)), spec, Phi, None
-
-
-def _solve_lp(doc, args):
-    spec, Phi = _vector_problem(doc)
-    sol = simplex_solve(LpProblem(c=np.asarray(doc["cost"], dtype=float),
-                                  A=Phi, b=_y(doc)))
-    if sol.status == "unbounded":
-        raise Unbounded("LP is unbounded", ray=sol.ray)
-    if sol.status != "optimal":
-        raise RepkitError(f"LP status: {sol.status}")
-    return sol.x, spec, Phi, None
-
-
-def _solve_analysis(doc, args):
-    spec, Phi = _analysis_problem(doc)
-    u, _ = l1_analysis_solve(Phi, _y(doc), spec.params["L"])
-    return u, spec, Phi, None
-
-
-def _matrix_input(doc):
-    spec, maps = _matrix_problem(doc)
-    prob = MatrixProblem(measurement_maps=maps, y=_y(doc),
-                         shape=tuple(doc["shape"]))
-    return spec, prob, _solver_config(SplittingConfig, doc.get("solver"))
-
-
-def _solve_nuclear(doc, args):
-    spec, prob, cfg = _matrix_input(doc)
-    return nuclear_min_solve(prob, cfg), spec, prob.measurement_maps, None
-
-
-def _solve_psd(doc, args):
-    spec, prob, cfg = _matrix_input(doc)
+def _psd_problem(doc, args) -> Problem:
+    prob = MatrixProblem(measurement_maps=doc["measurement_maps"],
+                         y=_y(doc), shape=doc["shape"])
+    cfg = _solver_config(SplittingConfig, doc.get("solver"))
     cost = doc.get("cost")
     cost = None if cost is None else np.asarray(cost, dtype=float)
-    M = psd_solve(prob, cost=cost, cfg=cfg)
-    return M, spec, prob.measurement_maps, None
+    return Problem(RegularizerSpec(kind="psd_cone"), prob.measurement_maps,
+                   lambda: psd_solve(prob, cost=cost, cfg=cfg))
 
 
-def _measure_input(doc, args):
-    """The moment system, ``y`` and grid size of a measure problem."""
-    y = _y(doc)
-    grid_n = int(getattr(args, "grid", None) or doc.get("grid_n", 512))
-    return trigonometric_system(len(y)), y, grid_n
+def _beurling_problem(doc, args) -> Problem:
+    y, grid_n = _y(doc), _grid_n(doc, args)
+    return Problem(RegularizerSpec(kind="measure_tv"), len(y),
+                   lambda: beurling_solve(trigonometric_system(len(y)), y,
+                                          grid_n=grid_n)[0])
 
 
-def _solve_beurling(doc, args):
-    system, y, grid_n = _measure_input(doc, args)
-    mu, _ = beurling_solve(system, y, grid_n=grid_n)
-    return mu, RegularizerSpec(kind=doc["kind"]), len(y), None
+def _moment_lp_problem(doc, args) -> Problem:
+    y, grid_n = _y(doc), _grid_n(doc, args)
+    psi = _psi_from_spec(doc.get("psi"))
+    return Problem(RegularizerSpec(kind="measure_nonneg"), len(y),
+                   lambda: moment_lp_solve(psi, trigonometric_system(len(y)),
+                                           y, grid_n=grid_n)[0])
 
 
-def _solve_moment_lp(doc, args):
-    system, y, grid_n = _measure_input(doc, args)
-    mu, _ = moment_lp_solve(_psi_from_spec(doc.get("psi")), system, y,
-                            grid_n=grid_n)
-    return mu, RegularizerSpec(kind=doc["kind"]), len(y), None
-
-
-def _solve_image(doc, args):
-    spec, disks = _image_problem(doc)
+def _image_problem(doc, args) -> Problem:
+    """The solver returns an ``(image, trace)`` pair."""
+    phi = doc.get("phi")
+    if not isinstance(phi, dict) or "disks" not in phi:
+        raise ValueError("'phi' must be an object with a 'disks' key")
+    disks = DiskSet(phi["disks"])
+    y = _measurements(doc, len(disks), "disk")
+    size = check_shape(doc["size"], "size")
     cfg = _solver_config(PdConfig, doc.get("solver"))
-    u, trace = chambolle_pock_tv_solve(disks, _y(doc), spec.params["size"],
-                                       cfg)
-
-    def extra(out_dir, outputs):
-        _write_tv2d(out_dir, u, trace, outputs)
-
-    return u, spec, disks, extra
+    spec = RegularizerSpec(kind="tv2d", params={"disks": disks, "size": size})
+    return Problem(spec, disks,
+                   lambda: chambolle_pock_tv_solve(disks, y, size, cfg))
 
 
 class PayloadFile(NamedTuple):
@@ -286,7 +286,7 @@ class PayloadFile(NamedTuple):
     name at call time, where perfbench's tracer wraps them."""
 
     read: Callable
-    write: Callable | None  # None: the solver's extra writer stores it
+    write: Callable | None  # None: the payload is a tv2d (image, trace)
 
 
 VECTOR_FILE = PayloadFile(
@@ -305,44 +305,42 @@ IMAGE_FILE = PayloadFile(lambda path: read_pgm(path), None)
 class CliKind:
     """How the command line handles one regularizer kind.
 
-    ``keys``: problem-file keys beyond ``COMMON_KEYS``; ``problem(doc) ->
-    (spec, phi)``: what ``audit`` needs; ``solve(doc, args) -> (payload,
-    spec, phi, extra_writer)``, where ``extra_writer(out_dir, outputs)``
-    writes any outputs beyond ``solution.csv``.
+    ``keys``: problem-file keys beyond ``COMMON_KEYS``; ``problem(doc,
+    args) -> Problem``: the one reader of the kind's problem files, shared
+    by ``solve``, ``audit`` and ``decompose``.
     """
 
     keys: set
     problem: Callable
-    solve: Callable
     payload: PayloadFile
     atoms: bool = True
 
 
 CLI_KINDS = {
-    "nonneg_cone": CliKind({"phi"}, _vector_problem, _solve_nnls,
-                           VECTOR_FILE),
-    "lp_epigraph": CliKind({"phi", "cost"}, _vector_problem, _solve_lp,
-                           VECTOR_FILE),
-    "l1_analysis": CliKind({"phi", "L"}, _analysis_problem, _solve_analysis,
-                           VECTOR_FILE),
+    "nonneg_cone": CliKind({"phi"}, _nnls_problem, VECTOR_FILE),
+    "lp_epigraph": CliKind({"phi", "cost"}, _lp_problem, VECTOR_FILE),
+    "l1_analysis": CliKind({"phi", "L"}, _analysis_problem, VECTOR_FILE),
     "nuclear": CliKind({"measurement_maps", "shape", "solver"},
-                       _matrix_problem, _solve_nuclear, MATRIX_FILE),
+                       _nuclear_problem, MATRIX_FILE),
     "psd_cone": CliKind({"measurement_maps", "shape", "cost", "solver"},
-                        _matrix_problem, _solve_psd, MATRIX_FILE),
-    "measure_tv": CliKind({"grid_n"}, _measure_problem, _solve_beurling,
-                          MEASURE_FILE),
-    "measure_nonneg": CliKind({"grid_n", "psi"}, _measure_problem,
-                              _solve_moment_lp, MEASURE_FILE),
-    "tv2d": CliKind({"phi", "size", "solver"}, _image_problem, _solve_image,
-                    IMAGE_FILE, atoms=False),
+                        _psd_problem, MATRIX_FILE),
+    "measure_tv": CliKind({"grid_n"}, _beurling_problem, MEASURE_FILE),
+    "measure_nonneg": CliKind({"grid_n", "psi"}, _moment_lp_problem,
+                              MEASURE_FILE),
+    "tv2d": CliKind({"phi", "size", "solver"}, _image_problem, IMAGE_FILE,
+                    atoms=False),
 }
 
 
-def _write_payload(kind: CliKind, out_dir, payload, outputs) -> None:
-    if kind.payload.write is not None:
-        path = os.path.join(out_dir, "solution.csv")
-        kind.payload.write(path, payload)
-        outputs.append(path)
+def _write_payload(kind: CliKind, out_dir, payload, outputs):
+    """Writes a solver's payload; returns what :func:`audit` takes of it."""
+    if kind.payload.write is None:
+        _write_tv2d(out_dir, *payload, outputs)
+        return payload[0]
+    path = os.path.join(out_dir, "solution.csv")
+    kind.payload.write(path, payload)
+    outputs.append(path)
+    return payload
 
 
 def cmd_solve(args) -> int:
@@ -356,11 +354,10 @@ def cmd_solve(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     outputs = []
     try:
-        payload, spec, phi, extra = kind.solve(doc, args)
+        problem = kind.problem(doc, args)
+        payload = problem.solve()
     except NonConvergence as exc:
-        if isinstance(exc.payload, tuple):
-            _write_tv2d(out_dir, *exc.payload, outputs)
-        elif exc.payload is not None:
+        if exc.payload is not None:
             _write_payload(kind, out_dir, exc.payload, outputs)
         _manifest(out_dir, args.problem, doc.get("solver", {}), t0, outputs)
         return _error_exit("solver did not converge", str(exc), code=3)
@@ -373,10 +370,8 @@ def cmd_solve(args) -> int:
     except (RepkitError, ValueError, KeyError) as exc:
         return _error_exit("solver failed", str(exc))
 
-    _write_payload(kind, out_dir, payload, outputs)
-    if extra is not None:
-        extra(out_dir, outputs)
-    cert = audit(payload, spec, phi)
+    payload = _write_payload(kind, out_dir, payload, outputs)
+    cert = audit(payload, problem.spec, problem.phi)
     cert_path = os.path.join(out_dir, "certificate.json")
     _write_json(cert_path, cert.to_json_dict(include_atoms=kind.atoms))
     outputs.append(cert_path)
@@ -415,8 +410,8 @@ def cmd_decompose(args) -> int:
                                  "birkhoff")
             doc = load_problem(args.problem)
             kind = CLI_KINDS[doc["kind"]]
+            spec = kind.problem(doc, args).spec
             payload = kind.payload.read(args.solution)
-            spec, _ = kind.problem(doc)
             decomp = decompose_solution(payload, spec)
             path = os.path.join(out_dir, "atoms.csv")
             write_csv(path, _atoms_rows(decomp))
@@ -431,9 +426,10 @@ def cmd_audit(args) -> int:
     try:
         doc = load_problem(args.problem)
         kind = CLI_KINDS[doc["kind"]]
+        problem = kind.problem(doc, args)
         payload = kind.payload.read(args.solution)
-        spec, phi = kind.problem(doc)
-        cert = audit(payload, spec, phi, j_assumed=args.j_assumed)
+        cert = audit(payload, problem.spec, problem.phi,
+                     j_assumed=args.j_assumed)
     except (RepkitError, ValueError, KeyError, OSError) as exc:
         return _error_exit("audit failed", str(exc))
     out_dir = args.out or "."
@@ -594,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON file {'disks': [[cx,cy,r],...], 'y': [...]}")
     p.add_argument("--y", default=None, help="comma-separated measurements")
     p.add_argument("--iters", type=int, default=200_000)
-    p.add_argument("--tol", type=float, default=0.02,
+    p.add_argument("--tol", type=float, default=QUANT_TOL,
                    help="level quantization tolerance")
     p.add_argument("--out", default=None)
     p.set_defaults(func="cmd_fig2")

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all repkit modules."""
+"""Exception hierarchy shared by all repkit modules, and the checks of
+plain input values that more than one module reads."""
+
+import dataclasses
+import numbers
 
 
 class RepkitError(Exception):
@@ -67,3 +71,34 @@ class KindMismatch(RepkitError):
 
 class UnsupportedKind(RepkitError):
     """Unknown regularizer kind tag."""
+
+
+def check_shape(shape, name: str = "shape") -> tuple:
+    """``shape`` as a tuple, checked to be two positive integers."""
+    try:
+        shape = tuple(shape)
+    except TypeError:
+        shape = None
+    if (shape is None or len(shape) != 2
+            or not all(_is_integer(k) and k > 0 for k in shape)):
+        raise ValueError(f"{name} must be two positive integers")
+    return shape
+
+
+def check_numeric_fields(cfg) -> None:
+    """Raise ``ValueError`` unless every field of the dataclass ``cfg``
+    holds a number of its default's type: an integer where the default is
+    an ``int``, any real number where it is a ``float``. Booleans are
+    neither."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(f.default, int):
+            if not _is_integer(value):
+                raise ValueError(f"{f.name} must be an integer, "
+                                 f"not {value!r}")
+        elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{f.name} must be a number, not {value!r}")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Infeasible, NonConvergence, NotSurjective
+from .errors import (Infeasible, NonConvergence, NotSurjective,
+                     check_numeric_fields, check_shape)
 from .geometry import AtomicDecomposition
 from .linalg import lstsq, null_space_basis, pseudo_inverse, rank, svd
 from .simplex import LpProblem, LpSolution, row_compress, solve_standard_form
@@ -22,7 +23,7 @@ from .simplex import LpProblem, LpSolution, row_compress, solve_standard_form
 __all__ = [
     "LpProblem", "LpSolution", "MatrixProblem", "SplittingConfig",
     "AnalysisReport", "simplex_solve", "nnls_solve", "l1_analysis_solve",
-    "nuclear_min_solve", "psd_solve", "rank_reduce_psd",
+    "kernel_image_basis", "nuclear_min_solve", "psd_solve", "rank_reduce_psd",
     "rank1_atomic_decomposition", "barvinok_bound",
 ]
 
@@ -47,7 +48,7 @@ class MatrixProblem:
         self.measurement_maps = [np.asarray(a, dtype=float)
                                  for a in self.measurement_maps]
         self.y = np.asarray(self.y, dtype=float)
-        self.shape = tuple(self.shape)
+        self.shape = check_shape(self.shape)
         if not self.measurement_maps:
             raise ValueError("at least one measurement map required")
         if len(self.measurement_maps) != self.y.shape[0]:
@@ -83,6 +84,7 @@ class SplittingConfig:
     eps_gap: float = 1e-5
 
     def __post_init__(self):
+        check_numeric_fields(self)
         if not self.gamma > 0.0:
             raise ValueError("gamma must be positive")
 
@@ -180,18 +182,11 @@ def l1_analysis_solve(Phi, y, L):
 
     Lpinv = pseudo_inverse(L)
     N = null_space_basis(L)  # (n, dim ker L)
-    # Significant directions of Phi(ker L), judged against the scale of Phi
-    # itself (N is orthonormal, so a numerically zero Phi N must not count).
-    phi_scale = svd(Phi).singular_values.max(initial=0.0)
-    if N.shape[1]:
-        img = svd(Phi @ N)
-        d = int(np.count_nonzero(
-            img.singular_values > 1e-9 * max(phi_scale, 1e-300)))
-    else:
-        d = 0
+    image = kernel_image_basis(Phi, N)
+    d = image.shape[1]
     # Orthonormal basis of the complement of Phi(ker L) inside R^m.
     if d:
-        comp = null_space_basis(img.u[:, :d].T)  # (m, m - d)
+        comp = null_space_basis(image.T)  # (m, m - d)
     else:
         comp = np.eye(m)
 
@@ -226,6 +221,25 @@ def l1_analysis_solve(Phi, y, L):
         image_constraint_dim=int(d),
     )
     return u, report
+
+
+def kernel_image_basis(Phi, N) -> np.ndarray:
+    """Orthonormal basis, as columns, of ``Phi(span N)`` for ``N`` with
+    orthonormal columns; its column count is ``d = dim Phi(ker L)`` when
+    ``N`` spans ``ker L``.
+
+    A direction counts when its singular value in ``Phi N`` exceeds 1e-9
+    times the largest of ``Phi`` itself: ``N`` is orthonormal, so a
+    numerically zero ``Phi N`` must not count.
+    """
+    Phi = np.atleast_2d(np.asarray(Phi, dtype=float))
+    if not N.shape[1]:
+        return np.zeros((Phi.shape[0], 0))
+    scale = svd(Phi).singular_values.max(initial=0.0)
+    image = svd(Phi @ N)
+    d = int(np.count_nonzero(
+        image.singular_values > 1e-9 * max(scale, 1e-300)))
+    return image.u[:, :d]
 
 
 def _douglas_rachford(prob: MatrixProblem, prox, certified,
@@ -348,7 +362,10 @@ def rank_reduce_psd(M, prob: MatrixProblem, cost=None) -> np.ndarray:
     ``rank (rank+1) / 2 <= m``. With a ``cost`` matrix, the step direction
     is chosen so the objective never increases; when only the
     objective-increasing side of a direction reaches the cone boundary, the
-    reduction stops early instead.
+    reduction stops early instead. A direction along which the objective
+    is flat, up to roundoff, is stepped along as without a cost, so a
+    point on an optimal face of positive dimension still reaches the
+    bound.
     """
     M = 0.5 * (np.asarray(M, dtype=float) + np.asarray(M, dtype=float).T)
     if cost is not None:
@@ -376,20 +393,22 @@ def rank_reduce_psd(M, prob: MatrixProblem, cost=None) -> np.ndarray:
         D[iu] = null[:, 0]
         D = D + D.T - np.diag(np.diag(D))
         eigs = np.linalg.eigvalsh(D)
+        slope = 0.0
         if cost is not None:
             # objective along M(t) = W (I - t D) W^T is affine with slope
-            # -<cost, W D W^T>; keep the sign that does not increase it.
-            slope = float(np.tensordot(cost, W @ D @ W.T))
-            if slope < 0.0:
-                D = -D
-                eigs = -eigs[::-1]
-                slope = -slope
-            if eigs.max() <= 1e-14:
-                return M  # boundary only reachable by increasing the cost
-        else:
-            if eigs.max() <= 0.0:
-                D = -D
-                eigs = -eigs[::-1]
+            # -<cost, W D W^T>; within roundoff of zero it is flat.
+            step = W @ D @ W.T
+            slope = float(np.tensordot(cost, step))
+            if abs(slope) <= 1e-12 * np.linalg.norm(cost) \
+                    * np.linalg.norm(step):
+                slope = 0.0
+        # Keep the side that does not increase the cost, and where the cost
+        # is flat, the side that reaches the boundary of the cone.
+        if slope < 0.0 or (slope == 0.0 and eigs.max() <= 0.0):
+            D = -D
+            eigs = -eigs[::-1]
+        if eigs.max() <= 1e-14:
+            return M  # boundary only reachable by increasing the cost
         M = W @ (np.eye(r) - D / eigs.max()) @ W.T
         M = 0.5 * (M + M.T)
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyDisk, NonConvergence
+from .errors import EmptyDisk, NonConvergence, check_numeric_fields
 # Unused here; kept importable because profiling hooks patch this name.
 from .linalg import op_norm_estimate  # noqa: F401
 from .linalg import pseudo_inverse
@@ -45,6 +45,9 @@ GRAD_NORM_SQ = 8.0
 RESTART_SUFFICIENT = 0.2
 RESTART_NECESSARY = 0.8
 RESTART_ARTIFICIAL = 0.36
+# Default level quantization tolerance of level_set_report, relative to the
+# larger of an image's dynamic range and sup norm.
+QUANT_TOL = 0.02
 
 
 @dataclass
@@ -96,6 +99,11 @@ class PdConfig:
     max_iters: int = 20_000
     tol_change: float = 2e-6
     log_every: int = 50
+
+    def __post_init__(self):
+        check_numeric_fields(self)
+        if self.log_every < 1:
+            raise ValueError("log_every must be at least 1")
 
 
 @dataclass
@@ -395,7 +403,7 @@ def _label(mask, connectivity: int):
     return np.where(flat, number[parent], 0).reshape(h, w), int(roots.size)
 
 
-def level_set_report(u, quant_tol: float = 0.02, min_mass: float = 0.015,
+def level_set_report(u, quant_tol: float = QUANT_TOL, min_mass: float = 0.015,
                      flat_tol: float = 1e-4) -> LevelSetReport:
     """Quantize an image into value clusters and flag simple-set structure.
 

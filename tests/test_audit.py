@@ -48,6 +48,9 @@ class TestLineality:
                                            params={"L": L}), Phi)
         assert rep.d + rep.kernel_overlap == N.shape[1]
         assert rep.d <= 2
+        # the solver's support bound uses the same d
+        y = Phi @ np.random.default_rng(0).standard_normal(10)
+        assert l1_analysis_solve(Phi, y, L)[1].image_constraint_dim == rep.d
 
     def test_tv2d_constants_seen_by_disks(self):
         disks = DiskSet([(8.0, 8.0, 4.0), (20.0, 20.0, 5.0)])

@@ -10,7 +10,7 @@ import pytest
 
 from repkit.cli import main, write_csv
 from repkit.measure import DiscreteMeasure, moments_of, trigonometric_system
-from repkit.pgm import read_pgm
+from repkit.pgm import read_pgm, write_pgm
 
 
 def run_cli(*argv):
@@ -81,6 +81,36 @@ SPLITTING_DOC = {"kind": "nuclear",
                  "y": [1.0], "shape": [2, 2]}
 PRIMAL_DUAL_DOC = {"kind": "tv2d", "phi": {"disks": [[4, 4, 3]]},
                    "y": [0.5], "size": [8, 8]}
+PSD_DOC = {**SPLITTING_DOC, "kind": "psd_cone"}
+
+# Problem files that every command rejects when it reads them, and a word
+# of the error detail. The first four hold fewer entries of ``y`` (or of
+# the LP cost) than there are measurements.
+UNREADABLE = {
+    "y-short-of-phi": ({"kind": "nonneg_cone", "y": [1.0],
+                        "phi": [[1, 0, 2], [0, 1, 1], [1, 1, 1]]},
+                       "row of 'phi'"),
+    "cost-short-of-phi": ({"kind": "lp_epigraph", "y": [1.0, 1.0],
+                           "phi": [[1, 0, 2, 1], [0, 1, 1, 1]],
+                           "cost": [1.0]},
+                          "inconsistent LP dimensions"),
+    "y-short-of-disks": ({**PRIMAL_DUAL_DOC,
+                          "phi": {"disks": [[4, 4, 3], [6, 6, 1]]}},
+                         "one measurement per disk"),
+    "y-short-of-maps": ({**SPLITTING_DOC, "measurement_maps": [
+        [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]},
+        "one measurement map per observation"),
+    "shape-not-a-pair": ({**SPLITTING_DOC, "shape": 2}, "shape"),
+    "size-not-a-pair": ({**PRIMAL_DUAL_DOC, "size": 8}, "size"),
+    "phi-not-an-object": ({**PRIMAL_DUAL_DOC, "phi": []}, "'phi'"),
+    "primal-dual-max_iters": ({**PRIMAL_DUAL_DOC,
+                               "solver": {"max_iters": "abc"}}, "max_iters"),
+    "splitting-max_iters": ({**SPLITTING_DOC, "solver": {"max_iters": "x"}},
+                            "max_iters"),
+    "psd-gamma": ({**PSD_DOC, "solver": {"gamma": "x"}}, "gamma"),
+    "log_every-0": ({**PRIMAL_DUAL_DOC, "solver": {"log_every": 0}},
+                    "log_every"),
+}
 
 
 class TestSolve:
@@ -258,6 +288,37 @@ class TestSolve:
         assert run_cli("solve", lp_problem, "--out", str(out2)) == 0
         for name in ("solution.csv", "certificate.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class TestProblemReading:
+    """``solve``, ``audit`` and ``decompose`` read a problem file through
+    the same function, so they reject the same files with the same
+    detail, as JSON on stderr with exit 1."""
+
+    @pytest.mark.parametrize("name", sorted(UNREADABLE))
+    def test_every_command_rejects_it(self, tmp_path, capsys, name):
+        doc, word = UNREADABLE[name]
+        path = write_json(tmp_path / "p.json", doc)
+        # A solution the parent's readers accepted: audit then passed.
+        sol = tmp_path / "s"
+        if doc["kind"] == "tv2d":
+            write_pgm(sol, np.zeros((8, 8)))
+        elif doc["kind"] in ("nuclear", "psd_cone"):
+            write_csv(sol, np.diag([1.0, 0.0]))
+        else:
+            write_csv(sol, [[1.0]] + [[0.0]] * (len(doc["phi"][0]) - 1))
+        details = []
+        for argv, error in [
+                (["solve", path], "solver failed"),
+                (["audit", str(sol), "--problem", path], "audit failed"),
+                (["decompose", str(sol), "--problem", path],
+                 "decompose failed")]:
+            assert run_cli(*argv, "--out", str(tmp_path / "o")) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == error
+            details.append(err["detail"])
+        assert word in details[0]
+        assert details == [details[0]] * 3
 
 
 class TestUsageErrors:
@@ -466,6 +527,7 @@ class TestCatalogRoundTrip:
         c_solve = json.loads((solved / "certificate.json").read_text())
         c_audit = json.loads((tmp_path / "a" / "certificate.json").read_text())
         assert c_solve["pass"] and c_audit["pass"]
+        assert c_solve["m"] == c_audit["m"] == len(CATALOG[kind]["y"])
         if kind == "tv2d":
             # The replay reads a 16-bit PGM, so its staircase residual is
             # the declared quantization tolerance, not roundoff.

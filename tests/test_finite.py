@@ -153,6 +153,12 @@ class TestMatrixProblem:
         with pytest.raises(ValueError, match="at least one measurement map"):
             MatrixProblem([], [], (2, 2))
 
+    @pytest.mark.parametrize("shape", [2, (2,), (2, 0), (2, 2.0),
+                                       (True, 2), "ab", None])
+    def test_shape_must_be_two_positive_integers(self, shape):
+        with pytest.raises(ValueError, match="two positive integers"):
+            MatrixProblem([np.eye(2)], [1.0], shape)
+
 
 class TestNuclear:
     def test_aligned_atom(self):
@@ -259,6 +265,14 @@ def test_splitting_config_rejects_nonpositive_gamma(gamma):
         SplittingConfig(gamma=gamma)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("max_iters", "x"), ("max_iters", 10.0), ("max_iters", True),
+    ("gamma", "x"), ("gamma", False), ("eps_feas", None), ("eps_gap", [1])])
+def test_splitting_config_rejects_non_numbers(field, value):
+    with pytest.raises(ValueError, match=field):
+        SplittingConfig(**{field: value})
+
+
 class TestNuclearRegression:
     def test_iterates_match_reference(self):
         for prob in _criterion4_draws(12):
@@ -351,6 +365,77 @@ class TestPsd:
             assert after <= before + 1e-9 * (1 + abs(before))
             assert np.linalg.norm(prob.apply(M_red) - prob.y) \
                 <= 1e-7 * (1 + np.linalg.norm(prob.y))
+
+
+def _cost_free_face(seed):
+    """A rank-2 PSD point ``M``, two measurements of it and the PSD cost
+    ``q q^T`` with ``M q = 0``.
+
+    The measurements leave a PSD direction orthogonal to ``q`` free, so the
+    optimal face ``{<cost, M> = 0}`` has positive dimension and holds
+    rank-1 points. Everything is rotated by a random orthogonal matrix, so
+    the cost vanishes on that face only up to roundoff.
+    """
+    g = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(g.standard_normal((3, 3)))
+    v = g.standard_normal(2)
+    free = np.outer(v, v)
+
+    def lift(a):
+        return Q @ np.pad(a, ((0, 1), (0, 1))) @ Q.T
+
+    maps = []
+    for a in g.standard_normal((2, 2, 2)):
+        a = a + a.T
+        maps.append(lift(a - np.tensordot(a, free)
+                         / np.tensordot(free, free) * free))
+    X = g.standard_normal((2, 2))
+    M = lift(X @ X.T)
+    prob = MatrixProblem(maps, [np.tensordot(a, M) for a in maps], (3, 3))
+    return prob, M, np.outer(Q[:, 2], Q[:, 2])
+
+
+def _bounded_system_with_cost(seed):
+    """A full-rank feasible point of a 4x4 system that fixes the trace, so
+    every facial step reaches the boundary on both sides, and a PSD cost
+    vanishing on a random 2-dimensional subspace."""
+    g = np.random.default_rng(seed)
+    X = g.standard_normal((4, 4))
+    M = X @ X.T
+    maps = [np.eye(4)] + [a + a.T for a in g.standard_normal((2, 4, 4))]
+    prob = MatrixProblem(maps, [np.tensordot(a, M) for a in maps], (4, 4))
+    Q, _ = np.linalg.qr(g.standard_normal((4, 2)))
+    return prob, M, Q @ Q.T
+
+
+class TestRankReduceWithCost:
+    """``rank_reduce_psd`` with a cost: each step keeps the measurements,
+    never raises the cost and, once the cost cannot stop it, ends at the
+    rank bound ``rank (rank + 1) / 2 <= m``."""
+
+    @pytest.mark.parametrize("system", [_cost_free_face,
+                                        _bounded_system_with_cost])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cost_kept_and_rank_bound_met(self, system, seed):
+        prob, M, cost = system(seed)
+        R = rank_reduce_psd(M, prob, cost=cost)
+        ev = np.linalg.eigvalsh(R)
+        rank = int(np.count_nonzero(ev > 1e-9 * ev.max()))
+        assert ev.min() >= -1e-9 * ev.max()
+        assert np.tensordot(cost, R) <= np.tensordot(cost, M) + 1e-9
+        assert np.abs(prob.apply(R) - prob.y).max() \
+            <= 1e-9 * (1.0 + np.abs(prob.y).max())
+        assert rank * (rank + 1) // 2 <= prob.m
+
+    def test_stops_where_only_a_rising_cost_reaches_the_boundary(self):
+        # The feasible set is the ray {t I : t >= 0}; the cost -trace falls
+        # along it, so the step to the boundary (t = 0) would raise it.
+        maps = [np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])]
+        prob = MatrixProblem(maps, [0.0, 0.0], (2, 2))
+        assert np.array_equal(rank_reduce_psd(np.eye(2), prob,
+                                              cost=-np.eye(2)), np.eye(2))
+        assert np.allclose(rank_reduce_psd(np.eye(2), prob, cost=np.eye(2)),
+                           0.0, atol=1e-12)
 
 
 def _seed7_system():

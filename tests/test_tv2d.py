@@ -185,6 +185,19 @@ def test_tv_constant_shift_property(seed, c):
 
 
 class TestChambollePock:
+    @pytest.mark.parametrize("field,value", [
+        ("max_iters", "abc"), ("max_iters", 2.5), ("max_iters", True),
+        ("tol_change", "x"), ("tol_change", None), ("log_every", False)])
+    def test_config_rejects_non_numbers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PdConfig(**{field: value})
+
+    @pytest.mark.parametrize("log_every", [0, -50])
+    def test_config_rejects_log_every_below_1(self, log_every):
+        # The loop logs and tests every log_every iterations.
+        with pytest.raises(ValueError, match="log_every"):
+            PdConfig(log_every=log_every)
+
     def test_zero_measurements_give_zero_image(self):
         disks = DiskSet([(16.0, 16.0, 8.0)])
         u, _ = chambolle_pock_tv_solve(disks, [0.0], (32, 32),
