@@ -78,9 +78,8 @@ def check_shape(shape, name: str = "shape") -> tuple:
     try:
         shape = tuple(shape)
     except TypeError:
-        shape = None
-    if (shape is None or len(shape) != 2
-            or not all(_is_integer(k) and k > 0 for k in shape)):
+        shape = ()
+    if len(shape) != 2 or not all(_is_integer(k) and k > 0 for k in shape):
         raise ValueError(f"{name} must be two positive integers")
     return shape
 
