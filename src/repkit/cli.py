@@ -136,7 +136,7 @@ def _psi_from_spec(spec):
     if spec in (None, "zero"):
         return lambda x: np.zeros_like(np.asarray(x, dtype=float))
     if isinstance(spec, dict) and spec.get("type") == "polynomial":
-        coeffs = [float(c) for c in spec["coefficients"]]
+        coeffs = _numbers(spec["coefficients"], "coefficients", ndim=1)
         return lambda x: np.polynomial.polynomial.polyval(
             np.asarray(x, dtype=float), coeffs)
     raise ValueError("psi must be 'zero' or "
@@ -185,8 +185,22 @@ class Problem(NamedTuple):
     solve: Callable
 
 
+def _numbers(value, name, ndim=None) -> np.ndarray:
+    """A problem file's ``value`` as a float array, with ``ndim`` dimensions
+    if given; ``ValueError`` naming ``name`` if it is anything else, such
+    as an object, a null or a ragged list."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        array = None
+    if array is None or ndim not in (None, array.ndim):
+        what = "a list" if ndim == 1 else "an array"
+        raise ValueError(f"'{name}' must be {what} of numbers")
+    return array
+
+
 def _y(doc) -> np.ndarray:
-    return np.asarray(doc.get("y", []), dtype=float)
+    return _numbers(doc.get("y", []), "y", ndim=1)
 
 
 def _measurements(doc, count, per) -> np.ndarray:
@@ -199,12 +213,15 @@ def _measurements(doc, count, per) -> np.ndarray:
 
 def _phi(doc):
     """A vector kind's ``phi`` as a matrix, and ``y``, one entry per row."""
-    phi = np.atleast_2d(np.asarray(doc["phi"], dtype=float))
+    phi = np.atleast_2d(_numbers(doc["phi"], "phi"))
     return phi, _measurements(doc, phi.shape[0], "row of 'phi'")
 
 
 def _grid_n(doc, args) -> int:
-    return int(getattr(args, "grid", None) or doc.get("grid_n", 512))
+    try:
+        return int(getattr(args, "grid", None) or doc.get("grid_n", 512))
+    except TypeError:
+        raise ValueError("'grid_n' must be an integer") from None
 
 
 def _nnls_problem(doc, args) -> Problem:
@@ -214,7 +231,8 @@ def _nnls_problem(doc, args) -> Problem:
 
 
 def _lp_problem(doc, args) -> Problem:
-    lp = LpProblem(c=doc["cost"], A=doc["phi"], b=_y(doc))
+    lp = LpProblem(c=_numbers(doc["cost"], "cost"),
+                   A=_numbers(doc["phi"], "phi"), b=_y(doc))
 
     def solve():
         sol = simplex_solve(lp)
@@ -229,7 +247,7 @@ def _lp_problem(doc, args) -> Problem:
 
 def _analysis_problem(doc, args) -> Problem:
     phi, y = _phi(doc)
-    L = np.asarray(doc["L"], dtype=float)
+    L = _numbers(doc["L"], "L")
     return Problem(RegularizerSpec(kind="l1_analysis", params={"L": L}), phi,
                    lambda: l1_analysis_solve(phi, y, L)[0])
 
@@ -247,7 +265,10 @@ def _psd_problem(doc, args) -> Problem:
                          y=_y(doc), shape=doc["shape"])
     cfg = _solver_config(SplittingConfig, doc.get("solver"))
     cost = doc.get("cost")
-    cost = None if cost is None else np.asarray(cost, dtype=float)
+    if cost is not None:
+        cost = _numbers(cost, "cost")
+        if cost.shape != prob.shape:
+            raise ValueError("'cost' must have the shape given by 'shape'")
     return Problem(RegularizerSpec(kind="psd_cone"), prob.measurement_maps,
                    lambda: psd_solve(prob, cost=cost, cfg=cfg))
 

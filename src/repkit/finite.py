@@ -45,13 +45,17 @@ class MatrixProblem:
     shape: tuple
 
     def __post_init__(self):
-        self.measurement_maps = [np.asarray(a, dtype=float)
-                                 for a in self.measurement_maps]
+        try:
+            self.measurement_maps = [np.asarray(a, dtype=float)
+                                     for a in self.measurement_maps]
+        except TypeError:
+            raise ValueError("measurement maps must be a list of matrices "
+                             "of numbers") from None
         self.y = np.asarray(self.y, dtype=float)
         self.shape = check_shape(self.shape)
         if not self.measurement_maps:
             raise ValueError("at least one measurement map required")
-        if len(self.measurement_maps) != self.y.shape[0]:
+        if self.y.shape != (len(self.measurement_maps),):
             raise ValueError("one measurement map per observation required")
         for a in self.measurement_maps:
             if a.shape != self.shape:

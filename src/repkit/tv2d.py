@@ -4,11 +4,14 @@ Solves ``min TV(u) s.t. Phi u = y`` where each measurement is the mean of
 the image over a disk, using the primal-dual (Chambolle-Pock) iteration on
 ``K = grad`` with steps ``tau = sigma = 0.99 / sqrt(8)`` (``|grad|^2 <= 8``)
 and the equality constraint enforced by its exact prox, the projection
-``u <- u - Phi^T (Phi Phi^T)^+ (Phi u - y)``. The iteration restarts from
-the running average of its current epoch when the average's fixed-point
-residual has decayed enough (Applegate et al., "Faster first-order
-primal-dual methods for linear programming using restarts and sharpness",
-2023), which removes the slow oscillating tail of the gradient dual. A
+``u <- u - Phi^T (Phi Phi^T)^+ (Phi u - y)``. One such step ``T`` on
+``z = (u, p)`` drives the reflected restarted Halpern iteration of Lu & Yang
+("Restarted Halpern PDHG for linear programming", 2024): ``z`` moves to
+``2 T(z) - z`` pulled toward an anchor with weight ``1/(k+2)``, and both
+restart at ``T(z)`` when the fixed-point residual ``|T(z) - z|`` has decayed
+enough, by the rule of Applegate et al. ("Faster first-order primal-dual
+methods for linear programming using restarts and sharpness", 2023). The
+restarts remove the slow oscillating tail of the gradient dual. A
 level-set report quantizes the output and checks, per level, the
 connectivity and hole-freeness that characterize indicators of simple sets.
 
@@ -17,11 +20,11 @@ in pixel units as ``(cx, cy)`` with ``cx`` along columns.
 
 The disk-mean operator is built once per call from the disk masks
 (:class:`_DiskMeans`), with the ``m x m`` Gram matrix behind the
-projection. The iteration runs on flat row-major buffers allocated before
-the loop: forward differences and their adjoint are contiguous 1-d slices
-with the wrap-around across row ends zeroed, and every update writes in
-place. Connected components are labelled by vectorized union-find
-(:func:`_label`).
+projection. The iteration runs on ``(3, n)`` stacks of flat row-major
+``(u, px, py)`` allocated before the loop: forward differences and their
+adjoint are contiguous 1-d slices with the wrap-around across row ends
+zeroed, and every update writes in place. Connected components are
+labelled by vectorized union-find (:func:`_label`).
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .linalg import pseudo_inverse
 # |grad|^2 <= 8 for forward differences on a 2-d grid.
 GRAD_NORM_SQ = 8.0
 # Restart rule of Applegate et al. (2023), checked every ``log_every``
-# iterations on the fixed-point residual of the epoch's running average:
+# iterations on the fixed-point residual |T(z) - z| of the Halpern iterate:
 # restart once it falls to RESTART_SUFFICIENT of its value at the last
 # restart, or to RESTART_NECESSARY of it and stops decreasing, or once the
 # epoch spans RESTART_ARTIFICIAL of all iterations so far.
@@ -57,8 +60,11 @@ class DiskSet:
     disks: list
 
     def __post_init__(self):
-        self.disks = [(float(cx), float(cy), float(r))
-                      for cx, cy, r in self.disks]
+        try:
+            self.disks = [(float(cx), float(cy), float(r))
+                          for cx, cy, r in self.disks]
+        except TypeError:
+            raise ValueError("disks must be (cx, cy, r) triples") from None
         for _, _, r in self.disks:
             if r <= 0:
                 raise ValueError("disk radii must be positive")
@@ -86,14 +92,17 @@ class PdConfig:
     The steps are fixed at ``tau = sigma = 0.99 / sqrt(8)``, which keeps
     ``tau * sigma * |grad|^2 <= 1``, with extrapolation weight
     ``theta = 1``, the setting the restart rule is analysed for. The
-    iteration stops once the constraint residual is at most
-    ``1e-4 * |y|_inf`` and the relative change of the last step at most
+    iteration stops once the constraint residual of ``T(z)`` is at most
+    ``1e-4 * |y|_inf`` and its relative change from ``z`` at most
     ``tol_change``, both tested every ``log_every`` iterations, where the
     restart rule is checked too. Restarts damp the oscillation that kept
     the unrestarted iterates moving, so the same distance to the optimum
     shows as a smaller step: ``tol_change`` is 2e-6 where the unrestarted
     loop stopped at 1e-5 (at 1e-5, 4 of 40 random 40x40 layouts stopped
-    0.13-0.33% above the unrestarted loop's TV).
+    0.13-0.33% above the unrestarted loop's TV). The value was set for
+    restarts to the epoch average and kept for the Halpern iteration, whose
+    stops on those 40 layouts lie within 6.5e-4 of the averaging loop's TV
+    with the same level counts (``scripts/tv_sweep.py``).
     """
 
     max_iters: int = 20_000
@@ -248,16 +257,18 @@ def discrete_tv(u) -> float:
 def chambolle_pock_tv_solve(disks: DiskSet, y, size, cfg: PdConfig | None = None):
     """Approximate minimizer of TV under exact disk-average constraints.
 
-    Saddle formulation with ``K = grad``: the gradient dual is projected
-    onto pointwise Euclidean unit balls, and the primal step ends with the
-    exact projection onto ``Phi u = y``, so every iterate is feasible. Each
-    epoch keeps the running average of its iterates; on the ``log_every``
-    cadence the iteration restarts from that average when the restart rule
-    of :data:`RESTART_SUFFICIENT`, :data:`RESTART_NECESSARY` and
-    :data:`RESTART_ARTIFICIAL` fires. Returns ``(image, trace)`` once the
-    sup-norm constraint residual and relative iterate change fall below
-    tolerance; raises :class:`NonConvergence` carrying ``(image, trace)``
-    otherwise.
+    Saddle formulation with ``K = grad``: ``T`` is one projected PDHG step
+    on ``z = (u, p)``, whose gradient dual is projected onto pointwise
+    Euclidean unit balls and whose primal ends with the exact projection
+    onto ``Phi u = y``. The iteration is the reflected Halpern iteration
+    ``z <- anchor + (k+1)/(k+2) (2 T(z) - z - anchor)``; on the
+    ``log_every`` cadence it restarts (``z <- T(z)``, ``anchor <- z``,
+    ``k <- 0``) when the rule of :data:`RESTART_SUFFICIENT`,
+    :data:`RESTART_NECESSARY` and :data:`RESTART_ARTIFICIAL` fires on the
+    fixed-point residual ``|T(z) - z|``. Returns ``(image, trace)``, with
+    the image the primal of ``T(z)``, once its sup-norm constraint residual
+    and its relative change from ``z`` fall below tolerance; raises
+    :class:`NonConvergence` carrying ``(image, trace)`` otherwise.
     """
     cfg = cfg or PdConfig()
     y = np.asarray(y, dtype=float)
@@ -271,90 +282,79 @@ def chambolle_pock_tv_solve(disks: DiskSet, y, size, cfg: PdConfig | None = None
     lift = means.lift()
     covered = means.covered
 
-    # Buffers reused by every iteration. gy starts at zero, so its last row
-    # stays zero (_grad_into never writes it), and with it the last column
-    # of px and the last row of py.
-    gx, gy, u_bar, scratch = np.zeros(n), np.zeros(n), np.zeros(n), np.empty(n)
+    # z, T(z) and the anchor stack (u, px, py) as rows. All three start
+    # with zero duals and stay affine combinations of projected duals, so
+    # the last column of px and the last row of py stay zero, as
+    # _grad_into and _div_into require.
+    z, tz = np.zeros((3, n)), np.zeros((3, n))
+    z[0, covered] = y @ lift  # the least-norm feasible image
+    anchor = z.copy()
+    u_bar, scratch = np.empty(n), np.empty(n)
 
-    def step(u, px, py, u_next):
-        """One iteration from ``(u, p)``: writes the primal into ``u_next``
-        and updates ``px``, ``py`` in place."""
-        # u_next <- projection of u + tau div p onto Phi u = y
-        _div_into(px, py, w, u_next, scratch)
-        u_next *= tau
-        u_next += u
-        u_next[covered] -= (means.apply(u_next) - y) @ lift
-        # p <- p + sigma grad(u_next + (u_next - u)), projected onto
-        # pointwise unit balls
-        np.subtract(u_next, u, out=u_bar)
-        np.add(u_bar, u_next, out=u_bar)
-        _grad_into(u_bar, w, gx, gy)
-        np.multiply(gx, sigma, out=gx)
-        px += gx
-        np.multiply(gy, sigma, out=gy)
-        py += gy
-        # the pointwise norms of p go into u_bar, which is used up
-        np.multiply(px, px, out=u_bar)
-        np.multiply(py, py, out=scratch)
+    def step():
+        """``tz <- T(z)``."""
+        u, px, py = z
+        tu, tpx, tpy = tz
+        # tu <- projection of u + tau div p onto Phi u = y
+        _div_into(px, py, w, tu, scratch)
+        tu *= tau
+        tu += u
+        tu[covered] -= (means.apply(tu) - y) @ lift
+        # tp <- p + sigma grad(2 tu - u), projected onto pointwise unit balls
+        np.subtract(tu, u, out=u_bar)
+        np.add(u_bar, tu, out=u_bar)
+        np.multiply(u_bar, sigma, out=u_bar)
+        _grad_into(u_bar, w, tpx, tpy)
+        tz[1:] += z[1:]
+        np.multiply(tpx, tpx, out=u_bar)
+        np.multiply(tpy, tpy, out=scratch)
         np.add(u_bar, scratch, out=u_bar)
         np.sqrt(u_bar, out=u_bar)
         np.maximum(u_bar, 1.0, out=u_bar)
-        px /= u_bar
-        py /= u_bar
+        tz[1:] /= u_bar
 
-    def fixed_point_residual(u, px, py):
-        """Distance, in the step-weighted norm, from ``(u, p)`` to the
-        iterate one step later."""
-        u_next, px_next, py_next = np.empty(n), px.copy(), py.copy()
-        step(u, px_next, py_next, u_next)
-        return np.sqrt((np.sum((u_next - u) ** 2)) / tau
-                       + (np.sum((px_next - px) ** 2)
-                          + np.sum((py_next - py) ** 2)) / sigma)
-
-    u, u_old = np.zeros(n), np.zeros(n)
-    u[covered] = y @ lift  # the least-norm feasible image
-    px, py = np.zeros(n), np.zeros(n)
-    u_sum, px_sum, py_sum = np.zeros(n), np.zeros(n), np.zeros(n)
-    epoch_start = 0
-    restart_residual = fixed_point_residual(u, px, py)
+    k = epoch_start = 0
     last_residual = np.inf
     trace = ConvergenceTrace()
     for it in range(1, cfg.max_iters + 1):
-        u, u_old = u_old, u
-        step(u_old, px, py, u)
-        u_sum += u
-        px_sum += px
-        py_sum += py
-
+        step()
+        # |T(z) - z|: with tau = sigma, a multiple of the step-weighted
+        # norm, and the restart rule compares ratios only
+        if it == 1:
+            restart_residual = np.linalg.norm(tz - z)
         if it % cfg.log_every == 0 or it == cfg.max_iters:
+            fp_residual = np.linalg.norm(tz - z)
+            u = tz[0]
             image = u.reshape(h, w)
             residual = np.abs(means.apply(u) - y).max(initial=0.0)
             trace.log(it, discrete_tv(image), residual)
-            change = np.linalg.norm(u - u_old) / (1.0 + np.linalg.norm(u))
+            change = np.linalg.norm(u - z[0]) / (1.0 + np.linalg.norm(u))
             if residual <= tol_constraint and change <= cfg.tol_change:
-                return image, trace
-            # Restart to the epoch's average (Applegate et al.) when its
-            # fixed-point residual has decayed enough since the last
-            # restart, or has decayed some and stopped decreasing, or when
-            # the epoch has grown long relative to the whole run.
-            length = it - epoch_start
-            avg = (u_sum / length, px_sum / length, py_sum / length)
-            avg_residual = fixed_point_residual(*avg)
-            if (avg_residual <= RESTART_SUFFICIENT * restart_residual
-                    or (avg_residual <= RESTART_NECESSARY * restart_residual
-                        and avg_residual > last_residual)
-                    or length >= RESTART_ARTIFICIAL * it):
-                u[:], px[:], py[:] = avg
-                u_sum.fill(0.0)
-                px_sum.fill(0.0)
-                py_sum.fill(0.0)
-                epoch_start = it
-                restart_residual = avg_residual
+                return image.copy(), trace
+            # Restart (Applegate et al.'s rule, Lu & Yang's restart point)
+            # when the residual has decayed enough since the last restart,
+            # or has decayed some and stopped decreasing, or when the epoch
+            # has grown long relative to the whole run.
+            if (fp_residual <= RESTART_SUFFICIENT * restart_residual
+                    or (fp_residual <= RESTART_NECESSARY * restart_residual
+                        and fp_residual > last_residual)
+                    or it - epoch_start >= RESTART_ARTIFICIAL * it):
+                z, tz = tz, z
+                anchor[:] = z
+                k, epoch_start = 0, it
+                restart_residual = fp_residual
                 last_residual = np.inf
-            else:
-                last_residual = avg_residual
+                continue
+            last_residual = fp_residual
+        # z <- anchor + (k+1)/(k+2) (2 T(z) - z - anchor)
+        np.subtract(tz, z, out=z)
+        z += tz
+        z -= anchor
+        z *= (k + 1) / (k + 2)
+        z += anchor
+        k += 1
     raise NonConvergence("primal-dual iteration hit max_iters",
-                         payload=(u.reshape(h, w), trace))
+                         payload=(tz[0].reshape(h, w).copy(), trace))
 
 
 def _label(mask, connectivity: int):

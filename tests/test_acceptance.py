@@ -269,7 +269,7 @@ def test_criterion_8_fig2_full_200():
     ok = (residual <= 1e-4 * np.abs(FIG2_Y).max()
           and rep.level_count <= 4 and rep.all_simple()
           and cert.passed and elapsed < 900.0
-          and converged and trace.iterations[-1] <= 15_000)
+          and converged and trace.iterations[-1] <= 7_000)
     report("8-full", ok,
            f"200x200: residual {residual:.2e}, {rep.level_count} levels, "
            f"all simple = {rep.all_simple()}, audit pass = {cert.passed} "

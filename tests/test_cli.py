@@ -110,6 +110,17 @@ UNREADABLE = {
     "psd-gamma": ({**PSD_DOC, "solver": {"gamma": "x"}}, "gamma"),
     "log_every-0": ({**PRIMAL_DUAL_DOC, "solver": {"log_every": 0}},
                     "log_every"),
+    # values of the wrong JSON type, which raised TypeError
+    "psi-coefficients-a-number": (
+        {"kind": "measure_nonneg", "y": [1.0, 0.5, 0.2],
+         "psi": {"type": "polynomial", "coefficients": 5}}, "coefficients"),
+    "maps-a-number": ({**SPLITTING_DOC, "measurement_maps": 5},
+                      "measurement maps"),
+    "cost-an-object": ({"kind": "lp_epigraph", "y": [1.0],
+                        "phi": [[1, 1]], "cost": {"a": 1}}, "'cost'"),
+    "disks-a-number": ({**PRIMAL_DUAL_DOC, "phi": {"disks": 5}}, "disks"),
+    # a PSD cost of another shape than the matrix
+    "psd-cost-shape": ({**PSD_DOC, "cost": np.eye(3).tolist()}, "'cost'"),
 }
 
 
@@ -299,12 +310,15 @@ class TestProblemReading:
     def test_every_command_rejects_it(self, tmp_path, capsys, name):
         doc, word = UNREADABLE[name]
         path = write_json(tmp_path / "p.json", doc)
-        # A solution the parent's readers accepted: audit then passed.
+        # A readable solution of the kind, so that only the problem file
+        # can fail.
         sol = tmp_path / "s"
         if doc["kind"] == "tv2d":
             write_pgm(sol, np.zeros((8, 8)))
         elif doc["kind"] in ("nuclear", "psd_cone"):
             write_csv(sol, np.diag([1.0, 0.0]))
+        elif doc["kind"] == "measure_nonneg":
+            write_csv(sol, [[0.5, 1.0]], header=["location", "amplitude"])
         else:
             write_csv(sol, [[1.0]] + [[0.0]] * (len(doc["phi"][0]) - 1))
         details = []
@@ -319,6 +333,19 @@ class TestProblemReading:
             details.append(err["detail"])
         assert word in details[0]
         assert details == [details[0]] * 3
+
+    @pytest.mark.parametrize("kind", sorted(CATALOG))
+    def test_values_of_another_type_exit_1(self, tmp_path, capsys, kind):
+        # each key of the kind, and a solver object, holding a JSON value
+        # of another type: the reader rejects it with JSON, not a traceback
+        missing = str(tmp_path / "missing.csv")
+        for key in [*CATALOG[kind], "solver"]:
+            for value in (5, None, "x", [None], {"a": 1}):
+                path = write_json(tmp_path / "p.json",
+                                  {"kind": kind, **CATALOG[kind], key: value})
+                assert run_cli("audit", missing, "--problem", path) == 1
+                err = json.loads(capsys.readouterr().err)
+                assert err["error"] == "audit failed"
 
 
 class TestUsageErrors:

@@ -153,6 +153,15 @@ class TestMatrixProblem:
         with pytest.raises(ValueError, match="at least one measurement map"):
             MatrixProblem([], [], (2, 2))
 
+    @pytest.mark.parametrize("maps, y, detail", [
+        (5, [1.0], "list of matrices"),
+        ([{"a": 1}], [1.0], "list of matrices"),
+        ([np.eye(2)], 1.0, "one measurement map per observation"),
+        ([np.eye(2)], [[1.0]], "one measurement map per observation")])
+    def test_maps_and_y_of_another_type_rejected(self, maps, y, detail):
+        with pytest.raises(ValueError, match=detail):
+            MatrixProblem(maps, y, (2, 2))
+
     @pytest.mark.parametrize("shape", [2, (2,), (2, 0), (2, 2.0),
                                        (True, 2), "ab", None])
     def test_shape_must_be_two_positive_integers(self, shape):

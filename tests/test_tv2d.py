@@ -1,3 +1,8 @@
+import importlib.util
+import re
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 from repkit.cli import DEFAULT_FIG2_DISKS, DEFAULT_FIG2_Y
 from repkit.errors import EmptyDisk, NonConvergence
 from repkit.linalg import lstsq, op_norm_estimate
-from repkit.tv2d import (ConvergenceTrace, DiskSet, PdConfig, _label,
+from repkit.tv2d import (RESTART_ARTIFICIAL, RESTART_NECESSARY,
+                         RESTART_SUFFICIENT, ConvergenceTrace, DiskSet,
+                         PdConfig, _DiskMeans, _div_into, _grad_into, _label,
                          chambolle_pock_tv_solve, discrete_tv,
                          disk_average_adjoint, disk_average_apply,
                          level_set_report)
@@ -117,6 +124,100 @@ def _reference_cp_solve(disks, y, size, cfg):
                 return u, trace
     raise NonConvergence("primal-dual iteration hit max_iters",
                          payload=(u, trace))
+
+
+def _reference_average_restart(disks, y, size, cfg):
+    """Reference: the restarted PDHG loop of the previous design, which
+    restarts to the running average of its epoch and checks each restart
+    candidate with an extra step (Applegate et al., 2023)."""
+    y = np.asarray(y, dtype=float)
+    w, h = size
+    n = h * w
+    means = _DiskMeans(disks, (h, w))
+    tol_constraint = 1e-4 * max(np.abs(y).max(initial=0.0), 1e-12)
+    tau = sigma = 0.99 / np.sqrt(8.0)
+    lift = means.lift()
+    covered = means.covered
+
+    # gy's last row is never written, so it stays zero, and with it the
+    # last column of px and the last row of py.
+    gx, gy, u_bar, scratch = np.zeros(n), np.zeros(n), np.zeros(n), np.empty(n)
+
+    def step(u, px, py, u_next):
+        """One iteration from ``(u, p)``: writes the primal into ``u_next``
+        and updates ``px``, ``py`` in place."""
+        # u_next <- projection of u + tau div p onto Phi u = y
+        _div_into(px, py, w, u_next, scratch)
+        u_next *= tau
+        u_next += u
+        u_next[covered] -= (means.apply(u_next) - y) @ lift
+        # p <- p + sigma grad(u_next + (u_next - u)), projected onto
+        # pointwise unit balls
+        np.subtract(u_next, u, out=u_bar)
+        np.add(u_bar, u_next, out=u_bar)
+        _grad_into(u_bar, w, gx, gy)
+        np.multiply(gx, sigma, out=gx)
+        px += gx
+        np.multiply(gy, sigma, out=gy)
+        py += gy
+        # the pointwise norms of p go into u_bar, which is used up
+        np.multiply(px, px, out=u_bar)
+        np.multiply(py, py, out=scratch)
+        np.add(u_bar, scratch, out=u_bar)
+        np.sqrt(u_bar, out=u_bar)
+        np.maximum(u_bar, 1.0, out=u_bar)
+        px /= u_bar
+        py /= u_bar
+
+    def fixed_point_residual(u, px, py):
+        """Distance, in the step-weighted norm, from ``(u, p)`` to the
+        iterate one step later."""
+        u_next, px_next, py_next = np.empty(n), px.copy(), py.copy()
+        step(u, px_next, py_next, u_next)
+        return np.sqrt((np.sum((u_next - u) ** 2)) / tau
+                       + (np.sum((px_next - px) ** 2)
+                          + np.sum((py_next - py) ** 2)) / sigma)
+
+    u, u_old = np.zeros(n), np.zeros(n)
+    u[covered] = y @ lift  # the least-norm feasible image
+    px, py = np.zeros(n), np.zeros(n)
+    u_sum, px_sum, py_sum = np.zeros(n), np.zeros(n), np.zeros(n)
+    epoch_start = 0
+    restart_residual = fixed_point_residual(u, px, py)
+    last_residual = np.inf
+    trace = ConvergenceTrace()
+    for it in range(1, cfg.max_iters + 1):
+        u, u_old = u_old, u
+        step(u_old, px, py, u)
+        u_sum += u
+        px_sum += px
+        py_sum += py
+
+        if it % cfg.log_every == 0 or it == cfg.max_iters:
+            image = u.reshape(h, w)
+            residual = np.abs(means.apply(u) - y).max(initial=0.0)
+            trace.log(it, discrete_tv(image), residual)
+            change = np.linalg.norm(u - u_old) / (1.0 + np.linalg.norm(u))
+            if residual <= tol_constraint and change <= cfg.tol_change:
+                return image, trace
+            length = it - epoch_start
+            avg = (u_sum / length, px_sum / length, py_sum / length)
+            avg_residual = fixed_point_residual(*avg)
+            if (avg_residual <= RESTART_SUFFICIENT * restart_residual
+                    or (avg_residual <= RESTART_NECESSARY * restart_residual
+                        and avg_residual > last_residual)
+                    or length >= RESTART_ARTIFICIAL * it):
+                u[:], px[:], py[:] = avg
+                u_sum.fill(0.0)
+                px_sum.fill(0.0)
+                py_sum.fill(0.0)
+                epoch_start = it
+                restart_residual = avg_residual
+                last_residual = np.inf
+            else:
+                last_residual = avg_residual
+    raise NonConvergence("primal-dual iteration hit max_iters",
+                         payload=(u.reshape(h, w), trace))
 
 
 class TestDiskOperator:
@@ -250,10 +351,11 @@ class TestChambollePock:
         assert max(trace.constraint_residuals) <= 1e-12
 
     def test_fig2_64_iteration_bound(self):
-        # regression bound: the unrestarted loop took 28,900 iterations
+        # regression bound: the unrestarted loop took 28,900 iterations and
+        # restarts to the epoch average 3,200
         _, trace = chambolle_pock_tv_solve(_fig2_layout(64), DEFAULT_FIG2_Y,
-                                           (64, 64), PdConfig(max_iters=5000))
-        assert trace.iterations[-1] <= 5000
+                                           (64, 64), PdConfig(max_iters=2600))
+        assert trace.iterations[-1] <= 2600
 
     def test_full_operator_adjoint(self):
         # inner-product test on K = (grad, Phi) through the norm estimate
@@ -292,13 +394,18 @@ def _fig2_layout(size):
                     for cx, cy, r in DEFAULT_FIG2_DISKS])
 
 
-def _random_layout(seed, size=40):
-    """2-5 disks inside a size x size image, with measurements in [-1, 1]."""
-    g = np.random.default_rng(seed)
-    m = int(g.integers(2, 6))
-    disks = DiskSet([(g.uniform(8, size - 8), g.uniform(8, size - 8),
-                      g.uniform(3, 8)) for _ in range(m)])
-    return disks, g.uniform(-1.0, 1.0, size=m), (size, size)
+def _load_tv_sweep():
+    path = Path(__file__).parents[1] / "scripts" / "tv_sweep.py"
+    spec = importlib.util.spec_from_file_location("tv_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_TV_SWEEP = _load_tv_sweep()
+# The sweep's layout generator, so that the sweep and these tests solve the
+# same layouts.
+_random_layout = _TV_SWEEP.random_layout
 
 
 class TestAgainstReferenceLoop:
@@ -343,6 +450,47 @@ class TestAgainstReferenceLoop:
         assert trace.iterations == ref_trace.iterations == [20, 40, 60, 75]
         residual = np.abs(disk_average_apply(u, disks) - DEFAULT_FIG2_Y).max()
         assert residual <= 1e-12 * np.abs(DEFAULT_FIG2_Y).max()
+
+
+class TestAgainstAverageRestart:
+    """Restarts to the epoch average, the loop the Halpern iteration
+    replaced, serve as an oracle: at the same tolerances the Halpern loop
+    reaches no higher TV (to 1e-3), has the same level structure and keeps
+    every logged iterate feasible to rounding."""
+
+    @pytest.mark.parametrize("disks, y, size", [
+        (_fig2_layout(24), DEFAULT_FIG2_Y, (24, 24)),
+        (_fig2_layout(64), DEFAULT_FIG2_Y, (64, 64)),
+    ] + [_random_layout(seed) for seed in range(5)],
+        ids=["fig2-24", "fig2-64"] + [f"random-40-{seed}"
+                                      for seed in range(5)])
+    def test_matches_average_restart(self, disks, y, size):
+        cfg = PdConfig()
+        u, trace = chambolle_pock_tv_solve(disks, y, size, cfg)
+        ref_u, _ = _reference_average_restart(disks, y, size, cfg)
+        assert discrete_tv(u) <= discrete_tv(ref_u) * (1 + 1e-3)
+        rep, ref_rep = level_set_report(u), level_set_report(ref_u)
+        assert rep.level_count == ref_rep.level_count
+        assert rep.all_simple() == ref_rep.all_simple()
+        assert max(trace.constraint_residuals) \
+            <= 1e-12 * np.abs(y).max()
+
+
+def test_tv_sweep_script(monkeypatch, capsys):
+    # scripts/tv_sweep.py on two layouts: one line per seed, each feasible
+    # to rounding, and a total
+    monkeypatch.setattr(sys, "argv", ["tv_sweep.py", "--seeds", "2"])
+    _TV_SWEEP.main()
+    header, *rows, total = capsys.readouterr().out.splitlines()
+    assert header.split() == ["seed", "iters", "tv", "max", "residual",
+                              "levels", "simple", "seconds"]
+    assert [row.split()[0] for row in rows] == ["0", "1"]
+    for row in rows:
+        _, iters, tv, residual, levels, simple, _ = row.split()
+        assert int(iters) <= PdConfig().max_iters
+        assert float(tv) > 0 and float(residual) <= 1e-12
+        assert int(levels) >= 1 and simple in ("True", "False")
+    assert re.fullmatch(r"total \d+\.\d{3}s", total)
 
 
 def _serpentine(n):
