@@ -20,10 +20,11 @@ from repkit.tv2d import (DiskSet, chambolle_pock_tv_solve, discrete_tv,
                          level_set_report)
 
 
-def random_layout(seed, size=40):
-    """2-5 disks inside a size x size image, with measurements in [-1, 1];
-    returns ``(disks, y, (size, size))``."""
+def random_layout(seed):
+    """2-5 disks inside a 40x40 image, with measurements in [-1, 1];
+    returns ``(disks, y, (40, 40))``."""
     g = np.random.default_rng(seed)
+    size = 40
     m = int(g.integers(2, 6))
     disks = DiskSet([(g.uniform(8, size - 8), g.uniform(8, size - 8),
                       g.uniform(3, 8)) for _ in range(m)])
@@ -34,13 +35,12 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, default=40,
                     help="layouts to solve, seeds 0 to SEEDS-1")
-    ap.add_argument("--size", type=int, default=40)
     args = ap.parse_args()
     print(f"{'seed':>4} {'iters':>6} {'tv':>12} {'max residual':>12}"
           f" {'levels':>6} {'simple':>6} {'seconds':>8}")
     total = 0.0
     for seed in range(args.seeds):
-        disks, y, size = random_layout(seed, args.size)
+        disks, y, size = random_layout(seed)
         t0 = time.perf_counter()
         u, trace = chambolle_pock_tv_solve(disks, y, size)
         elapsed = time.perf_counter() - t0

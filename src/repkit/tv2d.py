@@ -339,7 +339,7 @@ def chambolle_pock_tv_solve(disks: DiskSet, y, size, cfg: PdConfig | None = None
                     or (fp_residual <= RESTART_NECESSARY * restart_residual
                         and fp_residual > last_residual)
                     or it - epoch_start >= RESTART_ARTIFICIAL * it):
-                z, tz = tz, z
+                z[:] = tz
                 anchor[:] = z
                 k, epoch_start = 0, it
                 restart_residual = fp_residual

@@ -357,6 +357,17 @@ class TestChambollePock:
                                            (64, 64), PdConfig(max_iters=2600))
         assert trace.iterations[-1] <= 2600
 
+    @pytest.mark.parametrize("max_iters", [75, 80, 140])
+    def test_nonconvergence_payload_is_last_logged_iterate(self, max_iters):
+        # at these caps the restart rule fires on the last iteration; the
+        # image carried out is still the one whose TV was logged last
+        with pytest.raises(NonConvergence) as got:
+            chambolle_pock_tv_solve(_fig2_layout(24), DEFAULT_FIG2_Y, (24, 24),
+                                    PdConfig(max_iters=max_iters, log_every=20))
+        u, trace = got.value.payload
+        assert trace.iterations[-1] == max_iters
+        assert discrete_tv(u) == trace.tv_values[-1]
+
     def test_full_operator_adjoint(self):
         # inner-product test on K = (grad, Phi) through the norm estimate
         from repkit.linalg import op_norm_estimate
