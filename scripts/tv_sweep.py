@@ -4,9 +4,10 @@
 Draws one random disk layout per seed (:func:`random_layout`, the generator
 the tests use too), solves it with ``chambolle_pock_tv_solve`` at the
 default ``PdConfig``, and prints one line per seed: iterations, TV, the
-largest logged constraint residual, the level count and simple-set flag of
-the level-set report, and the solve time in seconds. Run it at two commits
-to compare a change of the solver on the same layouts:
+final gap ``(TV - lower bound) / max(TV, |y|_inf)`` that the stop tests,
+the largest logged constraint residual, the level count and simple-set
+flag of the level-set report, and the solve time in seconds. Run it at two
+commits to compare a change of the solver on the same layouts:
 
     PYTHONPATH=src python scripts/tv_sweep.py --seeds 40
 """
@@ -36,7 +37,8 @@ def main():
     ap.add_argument("--seeds", type=int, default=40,
                     help="layouts to solve, seeds 0 to SEEDS-1")
     args = ap.parse_args()
-    print(f"{'seed':>4} {'iters':>6} {'tv':>12} {'max residual':>12}"
+    print(f"{'seed':>4} {'iters':>6} {'tv':>12} {'gap':>8}"
+          f" {'max residual':>12}"
           f" {'levels':>6} {'simple':>6} {'seconds':>8}")
     total = 0.0
     for seed in range(args.seeds):
@@ -46,7 +48,9 @@ def main():
         elapsed = time.perf_counter() - t0
         total += elapsed
         rep = level_set_report(u)
-        print(f"{seed:>4} {trace.iterations[-1]:>6} {discrete_tv(u):>12.6f}"
+        tv = discrete_tv(u)
+        gap = (tv - trace.lower_bounds[-1]) / max(tv, np.abs(y).max())
+        print(f"{seed:>4} {trace.iterations[-1]:>6} {tv:>12.6f} {gap:>8.2e}"
               f" {max(trace.constraint_residuals):>12.2e}"
               f" {rep.level_count:>6} {str(rep.all_simple()):>6}"
               f" {elapsed:>8.3f}")

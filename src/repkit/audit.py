@@ -131,7 +131,12 @@ class RepresenterCertificate:
 
 
 def _as_matrix_phi(Phi):
-    return np.atleast_2d(np.asarray(Phi, dtype=float))
+    """A matrix, or a list of measurement maps, as an array with one
+    measurement per leading index; ``ValueError`` if it holds none."""
+    Phi = np.asarray(Phi, dtype=float)
+    if Phi.size == 0:
+        raise ValueError("Phi is empty: at least one measurement required")
+    return np.atleast_2d(Phi)
 
 
 def _analysis_operator(spec: RegularizerSpec) -> np.ndarray:

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import __version__
 from .audit import KINDS, RegularizerSpec, audit, decompose_solution
-from .errors import NonConvergence, RepkitError, Unbounded, check_shape
+from .errors import (NonConvergence, RepkitError, Unbounded, check_shape,
+                     is_integer)
 from .finite import (LpProblem, MatrixProblem, SplittingConfig,
                      l1_analysis_solve, nnls_solve, nuclear_min_solve,
                      psd_solve, simplex_solve)
@@ -170,8 +171,9 @@ def _write_tv2d(out_dir, u, trace, outputs, image="image.pgm") -> None:
     outputs.append(img_path)
     trace_path = os.path.join(out_dir, "trace.csv")
     write_csv(trace_path, zip(trace.iterations, trace.tv_values,
-                              trace.constraint_residuals),
-              header=["iteration", "tv", "constraint_residual"])
+                              trace.constraint_residuals, trace.lower_bounds),
+              header=["iteration", "tv", "constraint_residual",
+                      "lower_bound"])
     outputs.append(trace_path)
 
 
@@ -218,10 +220,12 @@ def _phi(doc):
 
 
 def _grid_n(doc, args) -> int:
-    try:
-        return int(getattr(args, "grid", None) or doc.get("grid_n", 512))
-    except TypeError:
-        raise ValueError("'grid_n' must be an integer") from None
+    grid_n = getattr(args, "grid", None)
+    if grid_n is None:
+        grid_n = doc.get("grid_n", 512)
+    if not is_integer(grid_n):
+        raise ValueError("'grid_n' must be an integer")
+    return grid_n
 
 
 def _nnls_problem(doc, args) -> Problem:

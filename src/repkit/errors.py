@@ -79,7 +79,7 @@ def check_shape(shape, name: str = "shape") -> tuple:
         shape = tuple(shape)
     except TypeError:
         shape = ()
-    if len(shape) != 2 or not all(_is_integer(k) and k > 0 for k in shape):
+    if len(shape) != 2 or not all(is_integer(k) and k > 0 for k in shape):
         raise ValueError(f"{name} must be two positive integers")
     return shape
 
@@ -92,12 +92,12 @@ def check_numeric_fields(cfg) -> None:
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
         if isinstance(f.default, int):
-            if not _is_integer(value):
+            if not is_integer(value):
                 raise ValueError(f"{f.name} must be an integer, "
                                  f"not {value!r}")
         elif isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{f.name} must be a number, not {value!r}")
 
 
-def _is_integer(value) -> bool:
+def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)

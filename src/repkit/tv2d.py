@@ -11,7 +11,9 @@ and the equality constraint enforced by its exact prox, the projection
 restart at ``T(z)`` when the fixed-point residual ``|T(z) - z|`` has decayed
 enough, by the rule of Applegate et al. ("Faster first-order primal-dual
 methods for linear programming using restarts and sharpness", 2023). The
-restarts remove the slow oscillating tail of the gradient dual. A
+restarts remove the slow oscillating tail of the gradient dual. The loop
+stops on a proven duality gap: the dual of ``T(z)``, corrected into an exact
+dual point (:class:`_DualBound`), bounds the optimal TV from below. A
 level-set report quantizes the output and checks, per level, the
 connectivity and hole-freeness that characterize indicators of simple sets.
 
@@ -91,22 +93,18 @@ class PdConfig:
 
     The steps are fixed at ``tau = sigma = 0.99 / sqrt(8)``, which keeps
     ``tau * sigma * |grad|^2 <= 1``, with extrapolation weight
-    ``theta = 1``, the setting the restart rule is analysed for. The
-    iteration stops once the constraint residual of ``T(z)`` is at most
-    ``1e-4 * |y|_inf`` and its relative change from ``z`` at most
-    ``tol_change``, both tested every ``log_every`` iterations, where the
-    restart rule is checked too. Restarts damp the oscillation that kept
-    the unrestarted iterates moving, so the same distance to the optimum
-    shows as a smaller step: ``tol_change`` is 2e-6 where the unrestarted
-    loop stopped at 1e-5 (at 1e-5, 4 of 40 random 40x40 layouts stopped
-    0.13-0.33% above the unrestarted loop's TV). The value was set for
-    restarts to the epoch average and kept for the Halpern iteration, whose
-    stops on those 40 layouts lie within 6.5e-4 of the averaging loop's TV
-    with the same level counts (``scripts/tv_sweep.py``).
+    ``theta = 1``, the setting the restart rule is analysed for. Every
+    ``log_every`` iterations, where the restart rule is checked too, the
+    dual of ``T(z)`` yields a proven lower bound on the optimal TV
+    (:class:`_DualBound`). The iteration stops once the constraint residual
+    of ``T(z)`` is at most ``1e-4 * |y|_inf`` and its TV exceeds the best
+    bound seen by at most ``tol_gap * max(TV, |y|_inf)``: the returned
+    image is then proven within that gap of optimal. The ``|y|_inf`` floor
+    lets a layout whose optimum has TV 0 (a single disk) stop.
     """
 
     max_iters: int = 20_000
-    tol_change: float = 2e-6
+    tol_gap: float = 1e-3
     log_every: int = 50
 
     def __post_init__(self):
@@ -117,16 +115,19 @@ class PdConfig:
 
 @dataclass
 class ConvergenceTrace:
-    """Per-interval record of the primal-dual iteration."""
+    """Per-interval record of the primal-dual iteration: TV, constraint
+    residual and the best proven lower bound on the optimal TV so far."""
 
     iterations: list = field(default_factory=list)
     tv_values: list = field(default_factory=list)
     constraint_residuals: list = field(default_factory=list)
+    lower_bounds: list = field(default_factory=list)
 
-    def log(self, it, tv, res):
+    def log(self, it, tv, res, lower_bound):
         self.iterations.append(int(it))
         self.tv_values.append(float(tv))
         self.constraint_residuals.append(float(res))
+        self.lower_bounds.append(float(lower_bound))
 
 
 @dataclass
@@ -172,6 +173,7 @@ class _DiskMeans:
         self.counts = masks.sum(axis=1).astype(float)
         self.covered = np.flatnonzero(masks.any(axis=0))
         self.cover = masks[:, self.covered].astype(float)  # (m, covered)
+        self.rows = self.cover / self.counts[:, None]  # Phi on covered
 
     def apply(self, u) -> np.ndarray:
         return np.array([u[p].sum() for p in self.pixels]) / self.counts
@@ -186,8 +188,7 @@ class _DiskMeans:
         array: ``u[covered] -= (Phi u - y) @ lift`` projects ``u`` onto
         ``Phi u = y``. The Gram matrix holds the overlap areas of the disks
         over the products of their pixel counts."""
-        rows = self.cover / self.counts[:, None]
-        return pseudo_inverse(rows @ rows.T) @ rows
+        return pseudo_inverse(self.rows @ self.rows.T) @ self.rows
 
 
 def disk_average_apply(u, disks: DiskSet) -> np.ndarray:
@@ -254,6 +255,86 @@ def discrete_tv(u) -> float:
     return float(np.sqrt(gx ** 2 + gy ** 2).sum())
 
 
+def _neumann_basis(n):
+    """Eigenpairs of the 1-d Neumann Laplacian ``D^T D`` of forward
+    differences on ``n`` points: the orthonormal DCT-II cosines
+    ``cos(pi k (j + 1/2) / n)`` as rows, with eigenvalues
+    ``2 - 2 cos(pi k / n)``."""
+    k = np.arange(n)
+    basis = np.sqrt(2.0 / n) * np.cos(np.pi * np.outer(k, k + 0.5) / n)
+    basis[0] = np.sqrt(1.0 / n)
+    return basis, 2.0 - 2.0 * np.cos(np.pi * k / n)
+
+
+class _DualBound:
+    """Proven lower bound on ``min TV(u) s.t. Phi u = y`` from a gradient
+    dual, through the saddle point of Chambolle & Pock (2011).
+
+    Given ``p`` (zero on the last column of ``px`` and the last row of
+    ``py``) with ``g = grad^T p``, ``q`` fits ``Phi^T q`` to ``g`` in least
+    squares subject to ``sum q = 0``, so that ``r = g - Phi^T q`` sums to
+    zero, the range of ``grad^T``. ``w = (grad^T grad)^+ r`` comes from the
+    separable Neumann Laplacian in its DCT-II eigenbasis, and ``p' = p -
+    grad w`` satisfies ``grad^T p' = Phi^T q``. With ``s = max(1,
+    max |p'|)``, every feasible ``u`` has ``TV(u) >= <grad u, p'> / s =
+    <Phi u, q> / s = <q, y> / s``. A call returns that bound and leaves
+    ``q``, ``p'`` (as ``px``, ``py``) and ``s`` in attributes, in buffers
+    that the next call overwrites.
+    """
+
+    def __init__(self, means: _DiskMeans, shape):
+        h, w = shape
+        rows = means.rows
+        m = len(rows)
+        # KKT matrix of the fit; the Gram block is singular for duplicate
+        # disks, hence the pseudo-inverse
+        kkt = np.ones((m + 1, m + 1))
+        kkt[:m, :m] = rows @ rows.T
+        kkt[m, m] = 0.0
+        self.fit = pseudo_inverse(kkt)[:m, :m] @ rows  # q = fit @ g[covered]
+        # a cut-off near-singular direction could leave sum q off zero
+        self.fit -= self.fit.mean(axis=0)
+        self.rows, self.covered, self.width = rows, means.covered, w
+        self.basis_h, eig_h = _neumann_basis(h)
+        self.basis_w, eig_w = ((self.basis_h, eig_h) if w == h
+                               else _neumann_basis(w))
+        # contiguous transposes: products of contiguous operands touch the
+        # BLAS work buffers of one layout only (OpenBLAS: 160 KB less peak
+        # RSS at 64x64)
+        self.basis_h_t = np.ascontiguousarray(self.basis_h.T)
+        self.basis_w_t = (self.basis_h_t if w == h
+                          else np.ascontiguousarray(self.basis_w.T))
+        self.inv_eig = eig_h[:, None] + eig_w[None, :]
+        self.inv_eig[0, 0] = 1.0
+        np.reciprocal(self.inv_eig, out=self.inv_eig)
+        self.inv_eig[0, 0] = 0.0  # constants: the kernel of grad
+        self.g = np.empty(h * w)
+        self.a, self.b = np.empty((h, w)), np.empty((h, w))
+        self.px, self.py = self.a.reshape(-1), self.b.reshape(-1)
+        self.q, self.s = np.zeros(m), 1.0
+
+    def __call__(self, px, py, y) -> float:
+        g, a, b = self.g, self.a, self.b
+        _div_into(px, py, self.width, g, self.px)
+        np.negative(g, out=g)  # g = grad^T p
+        self.q = self.fit @ g[self.covered]
+        g[self.covered] -= self.q @ self.rows  # r = g - Phi^T q
+        # w = (grad^T grad)^+ r, in place of r
+        r = g.reshape(a.shape)
+        np.matmul(self.basis_h, r, out=a)
+        np.matmul(a, self.basis_w_t, out=b)
+        b *= self.inv_eig
+        np.matmul(self.basis_h_t, b, out=a)
+        np.matmul(a, self.basis_w, out=r)
+        # p' = p - grad w, into (px, py) = (a, b)
+        b[-1] = 0.0
+        _grad_into(g, self.width, self.px, self.py)
+        np.subtract(px, self.px, out=self.px)
+        np.subtract(py, self.py, out=self.py)
+        self.s = max(1.0, float(np.hypot(self.px, self.py, out=g).max()))
+        return float(self.q @ y) / self.s
+
+
 def chambolle_pock_tv_solve(disks: DiskSet, y, size, cfg: PdConfig | None = None):
     """Approximate minimizer of TV under exact disk-average constraints.
 
@@ -265,10 +346,12 @@ def chambolle_pock_tv_solve(disks: DiskSet, y, size, cfg: PdConfig | None = None
     ``log_every`` cadence it restarts (``z <- T(z)``, ``anchor <- z``,
     ``k <- 0``) when the rule of :data:`RESTART_SUFFICIENT`,
     :data:`RESTART_NECESSARY` and :data:`RESTART_ARTIFICIAL` fires on the
-    fixed-point residual ``|T(z) - z|``. Returns ``(image, trace)``, with
-    the image the primal of ``T(z)``, once its sup-norm constraint residual
-    and its relative change from ``z`` fall below tolerance; raises
-    :class:`NonConvergence` carrying ``(image, trace)`` otherwise.
+    fixed-point residual ``|T(z) - z|``, and the dual of ``T(z)`` gives a
+    proven lower bound on the optimal TV (:class:`_DualBound`). Returns
+    ``(image, trace)``, with the image the primal of ``T(z)``, once its
+    sup-norm constraint residual and its gap to the best bound fall below
+    tolerance (:class:`PdConfig`); raises :class:`NonConvergence` carrying
+    ``(image, trace)`` otherwise.
     """
     cfg = cfg or PdConfig()
     y = np.asarray(y, dtype=float)
@@ -277,9 +360,11 @@ def chambolle_pock_tv_solve(disks: DiskSet, y, size, cfg: PdConfig | None = None
     if len(y) != len(disks):
         raise ValueError("one measurement per disk required")
     means = _DiskMeans(disks, (h, w))
-    tol_constraint = 1e-4 * max(np.abs(y).max(initial=0.0), 1e-12)
+    y_inf = np.abs(y).max(initial=0.0)
+    tol_constraint = 1e-4 * max(y_inf, 1e-12)
     tau = sigma = 0.99 / np.sqrt(GRAD_NORM_SQ)
     lift = means.lift()
+    dual_bound = _DualBound(means, (h, w))
     covered = means.covered
 
     # z, T(z) and the anchor stack (u, px, py) as rows. All three start
@@ -315,6 +400,7 @@ def chambolle_pock_tv_solve(disks: DiskSet, y, size, cfg: PdConfig | None = None
 
     k = epoch_start = 0
     last_residual = np.inf
+    best_bound = 0.0  # TV is nonnegative
     trace = ConvergenceTrace()
     for it in range(1, cfg.max_iters + 1):
         step()
@@ -327,9 +413,11 @@ def chambolle_pock_tv_solve(disks: DiskSet, y, size, cfg: PdConfig | None = None
             u = tz[0]
             image = u.reshape(h, w)
             residual = np.abs(means.apply(u) - y).max(initial=0.0)
-            trace.log(it, discrete_tv(image), residual)
-            change = np.linalg.norm(u - z[0]) / (1.0 + np.linalg.norm(u))
-            if residual <= tol_constraint and change <= cfg.tol_change:
+            tv = discrete_tv(image)
+            best_bound = max(best_bound, dual_bound(tz[1], tz[2], y))
+            trace.log(it, tv, residual, best_bound)
+            if (residual <= tol_constraint
+                    and tv - best_bound <= cfg.tol_gap * max(tv, y_inf)):
                 return image.copy(), trace
             # Restart (Applegate et al.'s rule, Lu & Yang's restart point)
             # when the residual has decayed enough since the last restart,

@@ -181,6 +181,14 @@ class TestAuditEndToEnd:
         assert cert.m == 5
         assert cert.passed
 
+    @pytest.mark.parametrize("kind", ["nuclear", "psd_cone"])
+    def test_no_measurement_maps_rejected(self, kind):
+        # an empty list is no measurement, not one measurement of nothing
+        with pytest.raises(ValueError, match="at least one measurement"):
+            audit(np.zeros((2, 2)), RegularizerSpec(kind=kind), [])
+        with pytest.raises(ValueError, match="at least one measurement"):
+            lineality_of(RegularizerSpec(kind=kind), [])
+
     def test_measure_certificates(self):
         g = np.random.default_rng(4)
         sys_ = trigonometric_system(4)

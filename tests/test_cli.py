@@ -136,6 +136,25 @@ class TestSolve:
         assert manifest["toolkit_version"]
         assert "certificate.json" in " ".join(manifest["outputs"])
 
+    @pytest.mark.parametrize("grid_n", [64.9, 2.5, "64", True])
+    def test_non_integral_grid_n_exits_1(self, tmp_path, capsys, grid_n):
+        # not truncated to a grid of int(grid_n) points
+        path = write_json(tmp_path / "m.json", {
+            "kind": "measure_tv", **CATALOG["measure_tv"], "grid_n": grid_n})
+        assert run_cli("solve", path, "--out", str(tmp_path / "o")) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "solver failed"
+        assert err["detail"] == "'grid_n' must be an integer"
+
+    def test_grid_option_0_is_not_ignored(self, tmp_path, capsys):
+        # --grid 0 is a grid of 0 points, not an absent option
+        path = write_json(tmp_path / "m.json",
+                          {"kind": "measure_tv", **CATALOG["measure_tv"]})
+        assert run_cli("solve", path, "--grid", "0",
+                       "--out", str(tmp_path / "o")) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert "grid" in err["detail"]
+
     def test_malformed_json_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -209,7 +228,7 @@ class TestSolve:
         assert not (out / "certificate.json").exists()
         assert read_pgm(out / "image.pgm").shape == (18, 20)
         rows = (out / "trace.csv").read_text().splitlines()
-        assert rows[0] == "iteration,tv,constraint_residual"
+        assert rows[0] == "iteration,tv,constraint_residual,lower_bound"
         assert rows[-1].startswith("3,")
 
     @pytest.mark.parametrize("doc,solver", [

@@ -1,21 +1,24 @@
+import functools
 import importlib.util
 import re
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repkit import tv2d
 from repkit.cli import DEFAULT_FIG2_DISKS, DEFAULT_FIG2_Y
 from repkit.errors import EmptyDisk, NonConvergence
 from repkit.linalg import lstsq, op_norm_estimate
 from repkit.tv2d import (RESTART_ARTIFICIAL, RESTART_NECESSARY,
                          RESTART_SUFFICIENT, ConvergenceTrace, DiskSet,
-                         PdConfig, _DiskMeans, _div_into, _grad_into, _label,
-                         chambolle_pock_tv_solve, discrete_tv,
-                         disk_average_adjoint, disk_average_apply,
-                         level_set_report)
+                         PdConfig, _DiskMeans, _DualBound, _div, _div_into,
+                         _grad_into, _label, chambolle_pock_tv_solve,
+                         discrete_tv, disk_average_adjoint,
+                         disk_average_apply, level_set_report)
 
 rng = np.random.default_rng(55)
 
@@ -47,10 +50,12 @@ def _flood_components(mask, connectivity: int) -> int:
     return count
 
 
-def _reference_cp_solve(disks, y, size, cfg):
+def _reference_cp_solve(disks, y, size, cfg, tol_change=1e-5):
     """Reference: the unrestarted Chambolle-Pock loop on ``K = (grad, Phi)``
     with row-scaled mean constraints and a power-iteration norm estimate,
-    on 2-d arrays with boolean-mask disk means."""
+    on 2-d arrays with boolean-mask disk means. It stops on the relative
+    step ``tol_change``, at the value it shipped with, and reads only
+    ``max_iters`` and ``log_every`` from ``cfg``."""
 
     def grad(u):
         gx = np.zeros_like(u)
@@ -118,18 +123,19 @@ def _reference_cp_solve(disks, y, size, cfg):
         u_bar = u + (u - u_old)  # extrapolation weight theta = 1
         if it % cfg.log_every == 0 or it == cfg.max_iters:
             residual = np.abs(phi(u) - y).max(initial=0.0)
-            trace.log(it, discrete_tv(u), residual)
+            trace.log(it, discrete_tv(u), residual, np.nan)  # no bound
             change = np.linalg.norm(u - u_old) / (1.0 + np.linalg.norm(u))
-            if residual <= tol_constraint and change <= cfg.tol_change:
+            if residual <= tol_constraint and change <= tol_change:
                 return u, trace
     raise NonConvergence("primal-dual iteration hit max_iters",
                          payload=(u, trace))
 
 
-def _reference_average_restart(disks, y, size, cfg):
+def _reference_average_restart(disks, y, size, cfg, tol_change=2e-6):
     """Reference: the restarted PDHG loop of the previous design, which
     restarts to the running average of its epoch and checks each restart
-    candidate with an extra step (Applegate et al., 2023)."""
+    candidate with an extra step (Applegate et al., 2023). It stops on the
+    relative step ``tol_change``, at the value it shipped with."""
     y = np.asarray(y, dtype=float)
     w, h = size
     n = h * w
@@ -196,9 +202,9 @@ def _reference_average_restart(disks, y, size, cfg):
         if it % cfg.log_every == 0 or it == cfg.max_iters:
             image = u.reshape(h, w)
             residual = np.abs(means.apply(u) - y).max(initial=0.0)
-            trace.log(it, discrete_tv(image), residual)
+            trace.log(it, discrete_tv(image), residual, np.nan)  # no bound
             change = np.linalg.norm(u - u_old) / (1.0 + np.linalg.norm(u))
-            if residual <= tol_constraint and change <= cfg.tol_change:
+            if residual <= tol_constraint and change <= tol_change:
                 return image, trace
             length = it - epoch_start
             avg = (u_sum / length, px_sum / length, py_sum / length)
@@ -288,7 +294,7 @@ def test_tv_constant_shift_property(seed, c):
 class TestChambollePock:
     @pytest.mark.parametrize("field,value", [
         ("max_iters", "abc"), ("max_iters", 2.5), ("max_iters", True),
-        ("tol_change", "x"), ("tol_change", None), ("log_every", False)])
+        ("tol_gap", "x"), ("tol_gap", None), ("log_every", False)])
     def test_config_rejects_non_numbers(self, field, value):
         with pytest.raises(ValueError, match=field):
             PdConfig(**{field: value})
@@ -310,8 +316,7 @@ class TestChambollePock:
         # so the converged output has at most 2 quantized levels.
         disks = DiskSet([(16.0, 16.0, 8.0)])
         u, trace = chambolle_pock_tv_solve(disks, [0.7], (32, 32),
-                                           PdConfig(max_iters=30000,
-                                                    tol_change=1e-7))
+                                           PdConfig(max_iters=30000))
         rep = level_set_report(u)
         assert rep.level_count <= 2
         assert rep.all_simple()
@@ -351,11 +356,21 @@ class TestChambollePock:
         assert max(trace.constraint_residuals) <= 1e-12
 
     def test_fig2_64_iteration_bound(self):
-        # regression bound: the unrestarted loop took 28,900 iterations and
-        # restarts to the epoch average 3,200
+        # regression bound: the unrestarted loop took 28,900 iterations,
+        # restarts to the epoch average 3,200 and the Halpern loop stopping
+        # on the step size 2,300
         _, trace = chambolle_pock_tv_solve(_fig2_layout(64), DEFAULT_FIG2_Y,
-                                           (64, 64), PdConfig(max_iters=2600))
-        assert trace.iterations[-1] <= 2600
+                                           (64, 64), PdConfig(max_iters=1300))
+        assert trace.iterations[-1] <= 1300
+
+    @pytest.mark.parametrize("y", [0.7, -0.6])
+    def test_single_disk_reaches_constant_image(self, y):
+        # The optimum is the constant y (TV 0), and the only bound a single
+        # mean proves is 0: the gap stop needs the |y|_inf floor to stop.
+        disks = DiskSet([(24.0, 24.0, 10.0)])
+        u, trace = chambolle_pock_tv_solve(disks, [y], (48, 48))
+        assert discrete_tv(u) <= 1e-3 * abs(y)
+        assert trace.lower_bounds[-1] == 0.0
 
     @pytest.mark.parametrize("max_iters", [75, 80, 140])
     def test_nonconvergence_payload_is_last_logged_iterate(self, max_iters):
@@ -437,8 +452,8 @@ class TestAgainstReferenceLoop:
         u, trace = chambolle_pock_tv_solve(disks, y, size,
                                            PdConfig(max_iters=120_000))
         # the reference at the stopping tolerance it shipped with
-        ref_u, _ = _reference_cp_solve(
-            disks, y, size, PdConfig(max_iters=120_000, tol_change=1e-5))
+        ref_u, _ = _reference_cp_solve(disks, y, size,
+                                       PdConfig(max_iters=120_000))
         assert discrete_tv(u) <= discrete_tv(ref_u) * (1 + 1e-3)
         y_inf = np.abs(y).max()
         assert np.abs(disk_average_apply(u, disks) - y).max() \
@@ -487,19 +502,126 @@ class TestAgainstAverageRestart:
             <= 1e-12 * np.abs(y).max()
 
 
+def _solve_with_dual(disks, y, size):
+    """Solve at the default config; returns ``(image, trace, (px, py))``
+    with the gradient dual of the returned iterate, as the solver handed it
+    to its bound."""
+    last = []
+
+    class Recording(_DualBound):
+        def __call__(self, px, py, y):
+            last[:] = [(px.copy(), py.copy())]
+            return super().__call__(px, py, y)
+
+    with mock.patch.object(tv2d, "_DualBound", Recording):
+        u, trace = chambolle_pock_tv_solve(disks, y, size)
+    return u, trace, last[0]
+
+
+_DUPLICATE_DISKS = (DiskSet([(10.0, 10.0, 6.0), (14.0, 12.0, 6.0),
+                             (10.0, 10.0, 6.0)]), [0.8, -0.2, 0.8], (24, 24))
+_DUAL_LAYOUTS = [
+    (_fig2_layout(24), DEFAULT_FIG2_Y, (24, 24)),
+    _DUPLICATE_DISKS,
+    # overlapping disks on a non-square image
+    (DiskSet([(8.0, 8.0, 5.0), (14.0, 11.0, 6.0), (17.0, 16.0, 4.0)]),
+     [0.9, -0.3, 0.4], (24, 20)),
+] + [_random_layout(seed) for seed in range(5)]
+_DUAL_IDS = ["fig2-24", "duplicate-24", "overlap-24x20"] + [
+    f"random-40-{seed}" for seed in range(5)]
+
+
+@functools.lru_cache(maxsize=None)
+def _solved_dual(index):
+    return _solve_with_dual(*_DUAL_LAYOUTS[index])
+
+
+class TestDualBound:
+    """The bound is a proof: ``grad^T p' = Phi^T q`` and ``|p'| <= s`` hold
+    to rounding, so ``<q, y> / s`` lies below the TV of every feasible
+    image, and at the stop it lies within ``tol_gap`` of the returned TV."""
+
+    @staticmethod
+    def _check_dual(bound, disks, size):
+        w, h = size
+        # p' lives where grad does: zero on the last column and row
+        assert not bound.px.reshape(h, w)[:, -1].any()
+        assert not bound.py.reshape(h, w)[-1].any()
+        dual_div = _div(bound.px.reshape(h, w), bound.py.reshape(h, w))
+        phi_t_q = disk_average_adjoint(bound.q, disks, (h, w))
+        assert np.abs(-dual_div - phi_t_q).max() <= 1e-12
+        assert abs(bound.q.sum()) <= 1e-12
+        assert np.sqrt(bound.px ** 2 + bound.py ** 2).max() \
+            <= bound.s * (1 + 1e-15)
+
+    @pytest.mark.parametrize("index", range(len(_DUAL_LAYOUTS)),
+                             ids=_DUAL_IDS)
+    def test_identity_and_gap_at_the_stop(self, index):
+        disks, y, size = _DUAL_LAYOUTS[index]
+        w, h = size
+        u, trace, (px, py) = _solved_dual(index)
+        bound = _DualBound(_DiskMeans(disks, (h, w)), (h, w))
+        lower = bound(px, py, np.asarray(y, dtype=float))
+        self._check_dual(bound, disks, size)
+        tv, best = discrete_tv(u), trace.lower_bounds[-1]
+        assert trace.tv_values[-1] == tv
+        assert lower <= best <= tv
+        assert tv - best <= PdConfig().tol_gap * max(tv, np.abs(y).max())
+        # the best bound only rises
+        assert np.all(np.diff(trace.lower_bounds) >= 0)
+
+    @pytest.mark.parametrize("index", range(len(_DUAL_LAYOUTS)),
+                             ids=_DUAL_IDS)
+    def test_identity_for_duals_off_the_unit_balls(self, index):
+        # any p in the range of the gradient works; s scales it back
+        disks, y, size = _DUAL_LAYOUTS[index]
+        w, h = size
+        g = np.random.default_rng(index)
+        px, py = 3.0 * g.standard_normal((2, h, w))
+        px[:, -1] = 0.0
+        py[-1] = 0.0
+        bound = _DualBound(_DiskMeans(disks, (h, w)), (h, w))
+        bound(px.ravel(), py.ravel(), np.asarray(y, dtype=float))
+        assert bound.s > 1.0
+        self._check_dual(bound, disks, size)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, len(_DUAL_LAYOUTS) - 1), st.integers(0, 2 ** 31 - 1),
+       st.floats(1e-6, 10.0))
+def test_bound_below_tv_of_every_feasible_image(index, seed, scale):
+    # weak duality: the solver's bound never exceeds the TV of a feasible
+    # image; near the solution the bound is within 1e-3 of it, so small
+    # perturbations test it sharply
+    disks, y, size = _DUAL_LAYOUTS[index]
+    w, h = size
+    u, trace, _ = _solved_dual(index)
+    means = _DiskMeans(disks, (h, w))
+    lift = means.lift()
+    v = np.random.default_rng(seed).standard_normal(h * w)
+    v[means.covered] -= means.apply(v) @ lift  # Phi v = 0
+    least_norm = np.zeros(h * w)
+    least_norm[means.covered] = np.asarray(y, dtype=float) @ lift
+    for base in (u.ravel(), least_norm):
+        image = (base + scale * v).reshape(h, w)
+        assert np.abs(disk_average_apply(image, disks) - y).max() <= 1e-9
+        assert trace.lower_bounds[-1] <= discrete_tv(image) + 1e-12
+
+
 def test_tv_sweep_script(monkeypatch, capsys):
     # scripts/tv_sweep.py on two layouts: one line per seed, each feasible
-    # to rounding, and a total
+    # to rounding and stopped on a proven gap, and a total
     monkeypatch.setattr(sys, "argv", ["tv_sweep.py", "--seeds", "2"])
     _TV_SWEEP.main()
     header, *rows, total = capsys.readouterr().out.splitlines()
-    assert header.split() == ["seed", "iters", "tv", "max", "residual",
-                              "levels", "simple", "seconds"]
+    assert header.split() == ["seed", "iters", "tv", "gap", "max",
+                              "residual", "levels", "simple", "seconds"]
     assert [row.split()[0] for row in rows] == ["0", "1"]
     for row in rows:
-        _, iters, tv, residual, levels, simple, _ = row.split()
+        _, iters, tv, gap, residual, levels, simple, _ = row.split()
         assert int(iters) <= PdConfig().max_iters
         assert float(tv) > 0 and float(residual) <= 1e-12
+        assert 0 <= float(gap) <= PdConfig().tol_gap
         assert int(levels) >= 1 and simple in ("True", "False")
     assert re.fullmatch(r"total \d+\.\d{3}s", total)
 
