@@ -11,7 +11,7 @@ from .finite import (AnalysisReport, LpProblem, LpSolution, MatrixProblem,
                      rank1_atomic_decomposition, rank_reduce_psd,
                      simplex_solve)
 from .geometry import (AtomicDecomposition, FaceReport, HPolyhedron,
-                       VPolytope, birkhoff_decompose, caratheodory_reduce,
+                       birkhoff_decompose, caratheodory_reduce,
                        enumerate_slice_extreme_points, is_extreme_point,
                        klee_atom_count, klee_reduce, minimal_face)
 from .linalg import (SvdResult, lstsq, null_space_basis, op_norm_estimate,

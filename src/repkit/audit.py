@@ -29,7 +29,7 @@ from .finite import kernel_image_basis, rank1_atomic_decomposition
 from .geometry import AtomicDecomposition
 from .linalg import null_space_basis, pseudo_inverse, svd
 from .measure import DiscreteMeasure
-from .tv2d import (QUANT_TOL, DiskSet, discrete_tv, disk_average_apply,
+from .tv2d import (DiskSet, discrete_tv, disk_average_apply,
                    level_set_report)
 
 
@@ -39,9 +39,7 @@ class RegularizerSpec:
 
     ``params`` carries the kind-specific data: ``L`` (analysis operator)
     for ``l1_analysis``; ``disks`` and ``size`` for ``tv2d``, optionally
-    with ``quant_tol`` (the level quantization tolerance, default
-    :data:`~repkit.tv2d.QUANT_TOL`)
-    and ``level_report`` (a :class:`~repkit.tv2d.LevelSetReport` of the
+    with ``level_report`` (a :class:`~repkit.tv2d.LevelSetReport` of the
     solution, used instead of computing one).
     """
 
@@ -292,7 +290,7 @@ def _tv2d_level_report(u, spec: RegularizerSpec):
         raise KindMismatch("2-d image expected")
     report = spec.params.get("level_report")
     if report is None:
-        report = level_set_report(img, spec.params.get("quant_tol", QUANT_TOL))
+        report = level_set_report(img)
     return report
 
 

@@ -36,8 +36,9 @@ from .geometry import birkhoff_decompose, enumerate_slice_extreme_points
 from .measure import (DiscreteMeasure, beurling_solve, moment_lp_solve,
                       trigonometric_system)
 from .pgm import read_pgm, write_pgm
-from .tv2d import (QUANT_TOL, DiskSet, PdConfig, chambolle_pock_tv_solve,
-                   disk_average_apply, level_set_report)
+from .tv2d import DiskSet, PdConfig, chambolle_pock_tv_solve, level_set_report
+# Unused here; kept importable because profiling hooks patch this name.
+from .tv2d import disk_average_apply  # noqa: F401
 
 log = logging.getLogger("repkit")
 
@@ -165,7 +166,7 @@ def _solver_config(cls, solver_cfg):
     return cls(**solver_cfg)
 
 
-def _write_tv2d(out_dir, u, trace, outputs, image="image.pgm") -> None:
+def _write_tv2d(out_dir, u, trace, outputs, image) -> None:
     img_path = os.path.join(out_dir, image)
     write_pgm(img_path, u)
     outputs.append(img_path)
@@ -175,6 +176,24 @@ def _write_tv2d(out_dir, u, trace, outputs, image="image.pgm") -> None:
               header=["iteration", "tv", "constraint_residual",
                       "lower_bound"])
     outputs.append(trace_path)
+
+
+def _write_level_report(out_dir, u, trace, outputs):
+    """Writes ``level_report.json`` for a converged tv2d image; returns the
+    report."""
+    report = level_set_report(u)
+    path = os.path.join(out_dir, "level_report.json")
+    _write_json(path, {
+        "levels": [{"value": float(v), "pixel_count": int(c)}
+                   for v, c in report.levels],
+        "indecomposable": [bool(f) for f in report.indecomposable],
+        "saturated": [bool(f) for f in report.saturated],
+        "quantization_tol": report.quantization_tol,
+        "all_simple": bool(report.all_simple()),
+        "constraint_residual": trace.constraint_residuals[-1],
+    })
+    outputs.append(path)
+    return report
 
 
 class Problem(NamedTuple):
@@ -357,10 +376,10 @@ CLI_KINDS = {
 }
 
 
-def _write_payload(kind: CliKind, out_dir, payload, outputs):
+def _write_payload(kind: CliKind, out_dir, payload, outputs, image):
     """Writes a solver's payload; returns what :func:`audit` takes of it."""
     if kind.payload.write is None:
-        _write_tv2d(out_dir, *payload, outputs)
+        _write_tv2d(out_dir, *payload, outputs, image)
         return payload[0]
     path = os.path.join(out_dir, "solution.csv")
     kind.payload.write(path, payload)
@@ -368,23 +387,19 @@ def _write_payload(kind: CliKind, out_dir, payload, outputs):
     return payload
 
 
-def cmd_solve(args) -> int:
-    t0 = time.monotonic()
+def _solve(problem: Problem, out_dir, t0, source, config, outputs=(),
+           image="image.pgm") -> int:
+    """Solves ``problem``, writes the outputs of ``solve`` into ``out_dir``
+    (the image of a tv2d payload as ``image``) and a manifest listing them
+    after ``outputs``, and returns the exit code."""
+    kind = CLI_KINDS[problem.spec.kind]
+    outputs = list(outputs)
     try:
-        doc = load_problem(args.problem)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _error_exit("failed to parse problem file", str(exc))
-    kind = CLI_KINDS[doc["kind"]]
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
-    outputs = []
-    try:
-        problem = kind.problem(doc, args)
         payload = problem.solve()
     except NonConvergence as exc:
         if exc.payload is not None:
-            _write_payload(kind, out_dir, exc.payload, outputs)
-        _manifest(out_dir, args.problem, doc.get("solver", {}), t0, outputs)
+            _write_payload(kind, out_dir, exc.payload, outputs, image)
+        _manifest(out_dir, source, config, t0, outputs)
         return _error_exit("solver did not converge", str(exc), code=3)
     except Unbounded as exc:
         ray = getattr(exc.ray, "atoms", exc.ray)  # a measure or a vector
@@ -395,15 +410,35 @@ def cmd_solve(args) -> int:
     except (RepkitError, ValueError, KeyError) as exc:
         return _error_exit("solver failed", str(exc))
 
-    payload = _write_payload(kind, out_dir, payload, outputs)
-    cert = audit(payload, problem.spec, problem.phi)
+    spec = problem.spec
+    if kind.payload.write is None:  # a tv2d (image, trace)
+        report = _write_level_report(out_dir, *payload, outputs)
+        spec = dataclasses.replace(
+            spec, params={**spec.params, "level_report": report})
+    payload = _write_payload(kind, out_dir, payload, outputs, image)
+    cert = audit(payload, spec, problem.phi)
     cert_path = os.path.join(out_dir, "certificate.json")
     _write_json(cert_path, cert.to_json_dict(include_atoms=kind.atoms))
     outputs.append(cert_path)
-    _manifest(out_dir, args.problem, doc.get("solver", {}), t0, outputs)
+    _manifest(out_dir, source, config, t0, outputs)
     log.info("audit %s: %d atoms vs bound %d",
              "pass" if cert.passed else "FAIL", cert.atom_count, cert.bound)
     return 0 if cert.passed else 2
+
+
+def cmd_solve(args) -> int:
+    t0 = time.monotonic()
+    try:
+        doc = load_problem(args.problem)
+    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        return _error_exit("failed to parse problem file", str(exc))
+    out_dir = args.out or "."
+    os.makedirs(out_dir, exist_ok=True)
+    try:
+        problem = CLI_KINDS[doc["kind"]].problem(doc, args)
+    except (RepkitError, ValueError, KeyError) as exc:
+        return _error_exit("solver failed", str(exc))
+    return _solve(problem, out_dir, t0, args.problem, doc.get("solver", {}))
 
 
 def _atoms_rows(decomp):
@@ -465,93 +500,45 @@ def cmd_audit(args) -> int:
     return 0 if cert.passed else 2
 
 
-def _fig2_inputs(args):
-    """The fig2 disks (scaled to ``--size``) and measurements."""
+def _fig2_problem(args) -> dict:
+    """The tv2d problem of ``fig2``, with the disks scaled to ``--size``."""
+    # Reconstruction of the published experiment's layout; the original
+    # disk placements and measurements are not public.
+    layout = {"disks": DEFAULT_FIG2_DISKS, "y": DEFAULT_FIG2_Y}
     if args.disks:
         with open(args.disks, "r", encoding="utf-8") as fh:
             layout = json.load(fh)
         if not isinstance(layout, dict) or "disks" not in layout:
             raise ValueError("layout file must be an object with a 'disks' "
                              "key")
-        disks = DiskSet(layout["disks"])
-        y = np.asarray(layout.get("y", DEFAULT_FIG2_Y[:len(disks)]),
-                       dtype=float)
-    else:
-        # Reconstruction of the published experiment's layout; the original
-        # disk placements and measurements are not public.
-        disks = DiskSet(DEFAULT_FIG2_DISKS)
-        y = np.asarray(DEFAULT_FIG2_Y, dtype=float)
+    disks = DiskSet(layout["disks"]).disks
+    y = layout.get("y", DEFAULT_FIG2_Y[:len(disks)])
     if args.y:
-        y = np.asarray([float(v) for v in args.y.split(",")], dtype=float)
-    if len(y) != len(disks):
-        raise ValueError("one measurement per disk required")
-    if not args.tol > 0:
-        raise ValueError("--tol must be positive")
+        y = [float(v) for v in args.y.split(",")]
     scale = args.size / 200.0
-    if scale != 1.0:
-        disks = DiskSet([(cx * scale, cy * scale, r * scale)
-                         for cx, cy, r in disks.disks])
-    return disks, y
+    return {"kind": "tv2d", "y": y, "size": [args.size, args.size],
+            "phi": {"disks": [(cx * scale, cy * scale, r * scale)
+                              for cx, cy, r in disks]},
+            "solver": {"max_iters": args.iters}}
 
 
 def cmd_fig2(args) -> int:
+    """``solve`` on the fig2 problem, plus ``disks.pgm``."""
     t0 = time.monotonic()
     try:
-        disks, y = _fig2_inputs(args)
-    except (OSError, ValueError, TypeError) as exc:
+        doc = _fig2_problem(args)
+        problem = _image_problem(doc, args)
+    except (OSError, ValueError) as exc:
         return _error_exit("failed to read the fig2 inputs", str(exc))
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
-    size = (args.size, args.size)
-
-    outputs = []
-    mask_img = np.zeros((size[1], size[0]))
-    for k, m in enumerate(disks.masks((size[1], size[0]))):
+    mask_img = np.zeros((args.size, args.size))
+    for k, m in enumerate(problem.phi.masks(mask_img.shape)):
         mask_img[m] = k + 1.0
     disks_path = os.path.join(out_dir, "disks.pgm")
     write_pgm(disks_path, mask_img)
-    outputs.append(disks_path)
-
-    cfg = PdConfig(max_iters=args.iters)
-    exit_code = 0
-    try:
-        u, trace = chambolle_pock_tv_solve(disks, y, size, cfg)
-    except NonConvergence as exc:
-        u, trace = exc.payload
-        exit_code = 3
-        log.warning("non-convergence after %d iterations; writing partial "
-                    "outputs", trace.iterations[-1] if trace.iterations else 0)
-
-    _write_tv2d(out_dir, u, trace, outputs, image="result.pgm")
-
-    report = level_set_report(u, quant_tol=args.tol)
-    report_path = os.path.join(out_dir, "level_report.json")
-    _write_json(report_path, {
-        "levels": [{"value": float(v), "pixel_count": int(c)}
-                   for v, c in report.levels],
-        "indecomposable": [bool(f) for f in report.indecomposable],
-        "saturated": [bool(f) for f in report.saturated],
-        "quantization_tol": report.quantization_tol,
-        "all_simple": bool(report.all_simple()),
-        "constraint_residual": float(np.abs(disk_average_apply(u, disks)
-                                            - y).max()),
-    })
-    outputs.append(report_path)
-
-    spec = RegularizerSpec(kind="tv2d",
-                           params={"disks": disks, "size": size,
-                                   "level_report": report})
-    cert = audit(u, spec, disks)
-    cert_path = os.path.join(out_dir, "certificate.json")
-    _write_json(cert_path, cert.to_json_dict(include_atoms=False))
-    outputs.append(cert_path)
-    _manifest(out_dir, args.disks, {"iters": args.iters, "tol": args.tol},
-              t0, outputs)
-    log.info("levels=%d all_simple=%s audit=%s", report.level_count,
-             report.all_simple(), "pass" if cert.passed else "FAIL")
-    if exit_code == 0 and not cert.passed:
-        exit_code = 2
-    return exit_code
+    return _solve(problem, out_dir, t0, args.disks, doc["solver"],
+                  [disks_path], image="result.pgm")
 
 
 def cmd_enumerate_slice(args) -> int:
@@ -594,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="decompose a solution into atoms")
     p.add_argument("solution")
     p.add_argument("--problem", default=None)
-    p.add_argument("--kind", default=None,
+    p.add_argument("--kind", default=None, choices=["birkhoff"],
                    help="'birkhoff' for doubly stochastic matrices; "
                         "otherwise taken from --problem")
     p.add_argument("--out", default=None)
@@ -615,8 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON file {'disks': [[cx,cy,r],...], 'y': [...]}")
     p.add_argument("--y", default=None, help="comma-separated measurements")
     p.add_argument("--iters", type=int, default=200_000)
-    p.add_argument("--tol", type=float, default=QUANT_TOL,
-                   help="level quantization tolerance")
     p.add_argument("--out", default=None)
     p.set_defaults(func="cmd_fig2")
 

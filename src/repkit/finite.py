@@ -89,6 +89,8 @@ class SplittingConfig:
 
     def __post_init__(self):
         check_numeric_fields(self)
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
         if not self.gamma > 0.0:
             raise ValueError("gamma must be positive")
 
@@ -98,10 +100,8 @@ class AnalysisReport:
     """Structure of an l1-analysis solution ``u = sum a_i Lpinv e_i + u_K``."""
 
     support: list
-    coefficients: np.ndarray
     kernel_component: np.ndarray
     objective: float
-    kernel_dim: int
     image_constraint_dim: int  # dim Phi(ker L)
 
 
@@ -218,10 +218,8 @@ def l1_analysis_solve(Phi, y, L):
         np.abs(coeffs) > 1e-9 * (1.0 + np.abs(coeffs).max()))]
     report = AnalysisReport(
         support=support,
-        coefficients=coeffs,
         kernel_component=u - Lpinv @ (L @ u),
         objective=float(np.abs(coeffs).sum()),
-        kernel_dim=int(N.shape[1]),
         image_constraint_dim=int(d),
     )
     return u, report

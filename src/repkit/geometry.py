@@ -24,24 +24,6 @@ DROP_TOL = 1e-12
 
 
 @dataclass
-class VPolytope:
-    """Generator description ``conv(vertices) + cone(rays)``."""
-
-    vertices: list = field(default_factory=list)
-    rays: list = field(default_factory=list)
-
-    def __post_init__(self):
-        self.vertices = [np.asarray(v, dtype=float) for v in self.vertices]
-        self.rays = [np.asarray(r, dtype=float) for r in self.rays]
-        dims = {v.shape for v in self.vertices} | {r.shape for r in self.rays}
-        if len(dims) > 1:
-            raise ValueError("generators must share one dimension")
-        for r in self.rays:
-            if np.linalg.norm(r) == 0.0:
-                raise ValueError("ray directions must be nonzero")
-
-
-@dataclass
 class HPolyhedron:
     """Inequality description ``A_ineq x <= b_ineq, A_eq x = b_eq``."""
 

@@ -52,7 +52,6 @@ class MomentSystem:
 
     basis_eval: object
     m: int
-    kind: str = "custom"
 
     def __post_init__(self):
         if self.m < 1:
@@ -78,13 +77,12 @@ def trigonometric_system(m: int) -> MomentSystem:
             return np.cos(2.0 * np.pi * k * x)
         return np.sin(2.0 * np.pi * k * x)
 
-    return MomentSystem(basis_eval=basis_eval, m=m, kind="trigonometric")
+    return MomentSystem(basis_eval=basis_eval, m=m)
 
 
 def monomial_system(m: int) -> MomentSystem:
     """Moments against 1, x, x^2, ..."""
-    return MomentSystem(basis_eval=lambda i, x: np.asarray(x, float) ** i,
-                        m=m, kind="monomial")
+    return MomentSystem(basis_eval=lambda i, x: np.asarray(x, float) ** i, m=m)
 
 
 def moments_of(mu: DiscreteMeasure, sys: MomentSystem) -> np.ndarray:
@@ -142,7 +140,6 @@ class MeasureSolveInfo:
     objective: float
     lp_residual: float
     duals: np.ndarray
-    grid_n: int
     pre_merge: DiscreteMeasure
 
 
@@ -170,8 +167,7 @@ def beurling_solve(sys: MomentSystem, y, grid_n: int = DEFAULT_GRID):
     if residual > 1e-8 * (1.0 + np.linalg.norm(y)):
         raise Infeasible(f"grid moments off by {residual:.3e}")
     info = MeasureSolveInfo(objective=sol.objective, lp_residual=residual,
-                            duals=basis @ sol.duals, grid_n=grid_n,
-                            pre_merge=raw)
+                            duals=basis @ sol.duals, pre_merge=raw)
     return merge_atoms(raw, 2.0 / grid_n), info
 
 
@@ -205,5 +201,5 @@ def moment_lp_solve(psi, sys: MomentSystem, y, grid_n: int = DEFAULT_GRID):
     info = MeasureSolveInfo(
         objective=sol.objective,
         lp_residual=float(np.linalg.norm(moments_of(raw, sys) - y)),
-        duals=basis @ sol.duals, grid_n=grid_n, pre_merge=raw)
+        duals=basis @ sol.duals, pre_merge=raw)
     return merge_atoms(raw, 2.0 / grid_n), info

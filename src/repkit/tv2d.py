@@ -109,6 +109,8 @@ class PdConfig:
 
     def __post_init__(self):
         check_numeric_fields(self)
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
         if self.log_every < 1:
             raise ValueError("log_every must be at least 1")
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repkit.cli import main, write_csv
+from repkit.cli import DEFAULT_FIG2_DISKS, DEFAULT_FIG2_Y, main, write_csv
 from repkit.measure import DiscreteMeasure, moments_of, trigonometric_system
 from repkit.pgm import read_pgm, write_pgm
 
@@ -107,6 +107,12 @@ UNREADABLE = {
                                "solver": {"max_iters": "abc"}}, "max_iters"),
     "splitting-max_iters": ({**SPLITTING_DOC, "solver": {"max_iters": "x"}},
                             "max_iters"),
+    # no iteration at all, which gave an empty trace or a false Infeasible
+    "primal-dual-max_iters-0": ({**PRIMAL_DUAL_DOC,
+                                 "solver": {"max_iters": 0}}, "max_iters"),
+    "splitting-max_iters-negative": ({**SPLITTING_DOC,
+                                      "solver": {"max_iters": -3}},
+                                     "max_iters"),
     "psd-gamma": ({**PSD_DOC, "solver": {"gamma": "x"}}, "gamma"),
     "log_every-0": ({**PRIMAL_DUAL_DOC, "solver": {"log_every": 0}},
                     "log_every"),
@@ -462,6 +468,19 @@ class TestDecompose:
                        "--out", str(out)) == 0
         assert (out / "atoms.csv").exists()
 
+    def test_kind_other_than_birkhoff_exits_1(self, tmp_path, capsys):
+        # not taken as the problem file's kind, nor ignored
+        sol = tmp_path / "u.csv"
+        write_csv(sol, [[1.0], [0.0], [0.0]])
+        prob = write_json(tmp_path / "p.json", {
+            "kind": "nonneg_cone", "phi": [[1.0, 1.0, 1.0]], "y": [1.0]})
+        assert run_cli("decompose", str(sol), "--kind", "nuclear",
+                       "--problem", prob, "--out", str(tmp_path / "d")) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid arguments"
+        assert "birkhoff" in err["detail"]
+        assert not (tmp_path / "d").exists()
+
     def test_missing_problem_exits_1(self, tmp_path, capsys):
         sol = tmp_path / "s.csv"
         write_csv(sol, [[1.0]])
@@ -527,9 +546,9 @@ class TestFig2:
         ([[24.0, 24.0, 10.0]], []),
         (None, ["--y", "1,a"]),
         (None, ["--y", "0.5,0.2"]),  # the default layout has 3 disks
-        (None, ["--tol", "0"]),
+        (None, ["--iters", "0"]),
     ], ids=["missing-file", "no-disks-key", "not-an-object", "bad-y",
-            "y-count", "tol"])
+            "y-count", "iters"])
     def test_bad_inputs_exit_1(self, tmp_path, capsys, layout, extra):
         out = tmp_path / "out"
         argv = ["fig2", "--size", "48", "--out", str(out)] + extra
@@ -542,6 +561,34 @@ class TestFig2:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "failed to read the fig2 inputs"
         assert not out.exists()
+
+    def test_same_outputs_as_solve(self, tmp_path):
+        # fig2 is solve on the tv2d problem with the disks scaled to --size
+        scale = 48 / 200.0
+        disks = [[cx * scale, cy * scale, r * scale]
+                 for cx, cy, r in DEFAULT_FIG2_DISKS]
+        prob = write_json(tmp_path / "p.json", {
+            "kind": "tv2d", "y": DEFAULT_FIG2_Y, "size": [48, 48],
+            "phi": {"disks": disks}})
+        fig2, solved = tmp_path / "fig2", tmp_path / "solve"
+        assert run_cli("fig2", "--size", "48", "--out", str(fig2)) == 0
+        assert run_cli("solve", prob, "--out", str(solved)) == 0
+        assert ((fig2 / "result.pgm").read_bytes()
+                == (solved / "image.pgm").read_bytes())
+        for name in ("certificate.json", "trace.csv", "level_report.json"):
+            assert (fig2 / name).read_bytes() == (solved / name).read_bytes()
+
+    def test_non_convergence_exits_3(self, tmp_path, capsys):
+        # the partial outputs of solve, and the disk layout
+        out = tmp_path / "out"
+        assert run_cli("fig2", "--size", "48", "--iters", "3",
+                       "--out", str(out)) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "solver did not converge"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [os.path.basename(p) for p in manifest["outputs"]] == [
+            "disks.pgm", "result.pgm", "trace.csv"]
+        assert manifest["solver_config"] == {"max_iters": 3}
 
 
 class TestEnumerateSlice:

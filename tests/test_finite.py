@@ -274,6 +274,13 @@ def test_splitting_config_rejects_nonpositive_gamma(gamma):
         SplittingConfig(gamma=gamma)
 
 
+@pytest.mark.parametrize("max_iters", [0, -3])
+def test_splitting_config_rejects_max_iters_below_1(max_iters):
+    # Without an iteration psd_solve raised Infeasible on feasible systems.
+    with pytest.raises(ValueError, match="max_iters"):
+        SplittingConfig(max_iters=max_iters)
+
+
 @pytest.mark.parametrize("field,value", [
     ("max_iters", "x"), ("max_iters", 10.0), ("max_iters", True),
     ("gamma", "x"), ("gamma", False), ("eps_feas", None), ("eps_gap", [1])])

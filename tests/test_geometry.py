@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repkit.errors import (CombinatorialLimitExceeded, InfeasiblePoint,
                            InvalidDecomposition, NotDoublyStochastic)
-from repkit.geometry import (AtomicDecomposition, HPolyhedron, VPolytope,
+from repkit.geometry import (AtomicDecomposition, HPolyhedron,
                              birkhoff_decompose, caratheodory_reduce,
                              enumerate_slice_extreme_points, is_extreme_point,
                              klee_atom_count, klee_reduce, minimal_face)
@@ -14,14 +14,9 @@ from repkit.geometry import (AtomicDecomposition, HPolyhedron, VPolytope,
 rng = np.random.default_rng(99)
 
 
-def test_vpolytope_validation():
-    poly = VPolytope(vertices=[[0.0, 0.0], [1.0, 0.0]], rays=[[0.0, 1.0]])
-    dec = klee_reduce([0.5, 2.0], poly.vertices, poly.rays)
+def test_klee_reduce_lists():
+    dec = klee_reduce([0.5, 2.0], [[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0]])
     dec.validate([0.5, 2.0])
-    with pytest.raises(ValueError):
-        VPolytope(vertices=[[0.0, 0.0]], rays=[[0.0, 0.0]])
-    with pytest.raises(ValueError):
-        VPolytope(vertices=[[0.0, 0.0], [1.0, 0.0, 0.0]])
 
 
 @pytest.mark.parametrize("dec,target,message", [

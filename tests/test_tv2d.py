@@ -305,6 +305,12 @@ class TestChambollePock:
         with pytest.raises(ValueError, match="log_every"):
             PdConfig(log_every=log_every)
 
+    @pytest.mark.parametrize("max_iters", [0, -3])
+    def test_config_rejects_max_iters_below_1(self, max_iters):
+        # The loop would end before its first log: an empty trace.
+        with pytest.raises(ValueError, match="max_iters"):
+            PdConfig(max_iters=max_iters)
+
     def test_zero_measurements_give_zero_image(self):
         disks = DiskSet([(16.0, 16.0, 8.0)])
         u, _ = chambolle_pock_tv_solve(disks, [0.0], (32, 32),
