@@ -9,11 +9,12 @@ and compares the count against the structural bound
     atoms counted w/ rays: m + j - d - 1  (+1 likewise)
 
 where ``m`` is the measurement count, ``d`` the dimension of the image of
-the invariant directions under the measurements, and ``j`` the assumed
-dimension of the solution's face inside the solution set (0 for solvers
-that return vertices). Linear programs are audited through their epigraph
-lifting, which adds the objective row to ``m``; the two conventions give
-the same ray-counted bound ``m + j - d``.
+the invariant directions under the measurements, and ``j`` the dimension
+of the solution's face inside the solution set. ``j`` is not computed yet:
+the bounds take ``j = 0``, right for solvers that return vertices, and the
+certificate records it as ``j_assumed``. Linear programs are audited
+through their epigraph lifting, which adds the objective row to ``m``;
+the two conventions give the same ray-counted bound ``m + j - d``.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ class RepresenterCertificate:
     kind: str
     m: int
     d: int
-    j_assumed: int
     at_infimum: bool
     atom_count: int
     point_bound: int
@@ -91,7 +91,7 @@ class RepresenterCertificate:
             "kind": self.kind,
             "m": int(self.m),
             "d": int(self.d),
-            "j_assumed": int(self.j_assumed),
+            "j_assumed": 0,
             "at_infimum": bool(self.at_infimum),
             "atom_count": int(self.atom_count),
             "point_bound": int(self.point_bound),
@@ -402,8 +402,7 @@ def decompose_solution(u, spec: RegularizerSpec) -> AtomicDecomposition:
     return KINDS[spec.kind].decompose(u, spec)
 
 
-def audit(u, spec: RegularizerSpec, Phi,
-          j_assumed: int = 0) -> RepresenterCertificate:
+def audit(u, spec: RegularizerSpec, Phi) -> RepresenterCertificate:
     """Assemble a certificate for a solution of the given regularizer kind.
 
     ``Phi`` is the measurement matrix for vector/matrix kinds, the number
@@ -411,10 +410,8 @@ def audit(u, spec: RegularizerSpec, Phi,
     :class:`DiskSet` for images. ``at_infimum`` is detected: always true
     on cones, never on the LP epigraph, and true for norms only when the
     achieved value is zero. The reconstruction tolerance is 1e-6, or the
-    quantization residual for kinds that quantize. ``j_assumed`` defaults
-    to 0, the right value for solvers that return extreme points of the
-    solution set; callers auditing interior iterates should raise it and
-    say so.
+    quantization residual for kinds that quantize. The bounds take
+    ``j = 0``, the face dimension of an extreme point of the solution set.
     """
     kind = KINDS[spec.kind]
     notes = []
@@ -429,8 +426,8 @@ def audit(u, spec: RegularizerSpec, Phi,
         notes.append("objective row lifted into the measurement count")
 
     bump = 1 if at_infimum else 0
-    point_bound = m_eff + j_assumed - d + bump
-    ray_bound = m_eff + j_assumed - d - 1 + bump
+    point_bound = m_eff - d + bump
+    ray_bound = m_eff - d - 1 + bump
 
     quant_residual = None
     if kind.quantize is not None:
@@ -448,7 +445,7 @@ def audit(u, spec: RegularizerSpec, Phi,
         notes.append(f"quantization residual {quant_residual:.6g}")
     passed = bool(atom_count <= bound and rec_err <= reconstruction_tol)
     return RepresenterCertificate(
-        kind=spec.kind, m=m, d=d, j_assumed=j_assumed,
+        kind=spec.kind, m=m, d=d,
         at_infimum=bool(at_infimum), atom_count=atom_count,
         point_bound=point_bound, ray_bound=ray_bound, bound=bound,
         uses_rays=uses_rays, reconstruction_error=rec_err,

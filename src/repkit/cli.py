@@ -33,8 +33,8 @@ from .finite import (LpProblem, MatrixProblem, SplittingConfig,
                      l1_analysis_solve, nnls_solve, nuclear_min_solve,
                      psd_solve, simplex_solve)
 from .geometry import birkhoff_decompose, enumerate_slice_extreme_points
-from .measure import (DiscreteMeasure, beurling_solve, moment_lp_solve,
-                      trigonometric_system)
+from .measure import (DEFAULT_GRID, DiscreteMeasure, beurling_solve,
+                      moment_lp_solve, trigonometric_system)
 from .pgm import read_pgm, write_pgm
 from .tv2d import DiskSet, PdConfig, chambolle_pock_tv_solve, level_set_report
 # Unused here; kept importable because profiling hooks patch this name.
@@ -46,6 +46,8 @@ FMT = "%.17g"  # byte-reproducible numeric formatting
 
 COMMON_KEYS = {"kind", "y"}
 
+# Reconstruction of the published experiment's layout, on a 200-pixel
+# square; the original disk placements and measurements are not public.
 DEFAULT_FIG2_DISKS = [(60.0, 60.0, 25.0), (140.0, 70.0, 20.0),
                       (100.0, 140.0, 30.0)]
 DEFAULT_FIG2_Y = [0.8, -0.5, 0.3]
@@ -209,12 +211,13 @@ class Problem(NamedTuple):
 def _numbers(value, name, ndim=None) -> np.ndarray:
     """A problem file's ``value`` as a float array, with ``ndim`` dimensions
     if given; ``ValueError`` naming ``name`` if it is anything else, such
-    as an object, a null or a ragged list."""
+    as an object, a ragged list, or a null, NaN or infinity."""
     try:
         array = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         array = None
-    if array is None or ndim not in (None, array.ndim):
+    if (array is None or ndim not in (None, array.ndim)
+            or not np.isfinite(array).all()):
         what = "a list" if ndim == 1 else "an array"
         raise ValueError(f"'{name}' must be {what} of numbers")
     return array
@@ -238,22 +241,20 @@ def _phi(doc):
     return phi, _measurements(doc, phi.shape[0], "row of 'phi'")
 
 
-def _grid_n(doc, args) -> int:
-    grid_n = getattr(args, "grid", None)
-    if grid_n is None:
-        grid_n = doc.get("grid_n", 512)
+def _grid_n(doc) -> int:
+    grid_n = doc.get("grid_n", DEFAULT_GRID)
     if not is_integer(grid_n):
         raise ValueError("'grid_n' must be an integer")
     return grid_n
 
 
-def _nnls_problem(doc, args) -> Problem:
+def _nnls_problem(doc) -> Problem:
     phi, y = _phi(doc)
     return Problem(RegularizerSpec(kind="nonneg_cone"), phi,
                    lambda: nnls_solve(phi, y))
 
 
-def _lp_problem(doc, args) -> Problem:
+def _lp_problem(doc) -> Problem:
     lp = LpProblem(c=_numbers(doc["cost"], "cost"),
                    A=_numbers(doc["phi"], "phi"), b=_y(doc))
 
@@ -268,14 +269,14 @@ def _lp_problem(doc, args) -> Problem:
     return Problem(RegularizerSpec(kind="lp_epigraph"), lp.A, solve)
 
 
-def _analysis_problem(doc, args) -> Problem:
+def _analysis_problem(doc) -> Problem:
     phi, y = _phi(doc)
     L = _numbers(doc["L"], "L")
     return Problem(RegularizerSpec(kind="l1_analysis", params={"L": L}), phi,
                    lambda: l1_analysis_solve(phi, y, L)[0])
 
 
-def _nuclear_problem(doc, args) -> Problem:
+def _nuclear_problem(doc) -> Problem:
     prob = MatrixProblem(measurement_maps=doc["measurement_maps"],
                          y=_y(doc), shape=doc["shape"])
     cfg = _solver_config(SplittingConfig, doc.get("solver"))
@@ -283,7 +284,7 @@ def _nuclear_problem(doc, args) -> Problem:
                    lambda: nuclear_min_solve(prob, cfg))
 
 
-def _psd_problem(doc, args) -> Problem:
+def _psd_problem(doc) -> Problem:
     prob = MatrixProblem(measurement_maps=doc["measurement_maps"],
                          y=_y(doc), shape=doc["shape"])
     cfg = _solver_config(SplittingConfig, doc.get("solver"))
@@ -296,22 +297,22 @@ def _psd_problem(doc, args) -> Problem:
                    lambda: psd_solve(prob, cost=cost, cfg=cfg))
 
 
-def _beurling_problem(doc, args) -> Problem:
-    y, grid_n = _y(doc), _grid_n(doc, args)
+def _beurling_problem(doc) -> Problem:
+    y, grid_n = _y(doc), _grid_n(doc)
     return Problem(RegularizerSpec(kind="measure_tv"), len(y),
                    lambda: beurling_solve(trigonometric_system(len(y)), y,
                                           grid_n=grid_n)[0])
 
 
-def _moment_lp_problem(doc, args) -> Problem:
-    y, grid_n = _y(doc), _grid_n(doc, args)
+def _moment_lp_problem(doc) -> Problem:
+    y, grid_n = _y(doc), _grid_n(doc)
     psi = _psi_from_spec(doc.get("psi"))
     return Problem(RegularizerSpec(kind="measure_nonneg"), len(y),
                    lambda: moment_lp_solve(psi, trigonometric_system(len(y)),
                                            y, grid_n=grid_n)[0])
 
 
-def _image_problem(doc, args) -> Problem:
+def _image_problem(doc) -> Problem:
     """The solver returns an ``(image, trace)`` pair."""
     phi = doc.get("phi")
     if not isinstance(phi, dict) or "disks" not in phi:
@@ -327,10 +328,14 @@ def _image_problem(doc, args) -> Problem:
 
 class PayloadFile(NamedTuple):
     """Reads and writes ``solution.csv``, looking the I/O functions up by
-    name at call time, where perfbench's tracer wraps them."""
+    name at call time, where perfbench's tracer wraps them.
+    ``shape(problem)`` is the shape of ``problem``'s solutions (by default
+    one entry per column of ``phi``, or the shape of a measurement map),
+    or None for any shape."""
 
     read: Callable
     write: Callable | None  # None: the payload is a tv2d (image, trace)
+    shape: Callable = lambda problem: np.shape(problem.phi)[1:]
 
 
 VECTOR_FILE = PayloadFile(
@@ -338,20 +343,22 @@ VECTOR_FILE = PayloadFile(
     lambda path, u: write_csv(path, [[v] for v in np.asarray(u).ravel()]))
 MATRIX_FILE = PayloadFile(lambda path: read_matrix_csv(path),
                           lambda path, M: write_csv(path, np.atleast_2d(M)))
-MEASURE_FILE = PayloadFile(
+MEASURE_FILE = PayloadFile(  # any number of atoms
     lambda path: read_measure_csv(path),
     lambda path, mu: write_csv(path, mu.atoms,
-                               header=["location", "amplitude"]))
-IMAGE_FILE = PayloadFile(lambda path: read_pgm(path), None)
+                               header=["location", "amplitude"]),
+    lambda problem: None)
+IMAGE_FILE = PayloadFile(lambda path: read_pgm(path), None,
+                         lambda problem: problem.spec.params["size"][::-1])
 
 
 @dataclass(frozen=True)
 class CliKind:
     """How the command line handles one regularizer kind.
 
-    ``keys``: problem-file keys beyond ``COMMON_KEYS``; ``problem(doc,
-    args) -> Problem``: the one reader of the kind's problem files, shared
-    by ``solve``, ``audit`` and ``decompose``.
+    ``keys``: problem-file keys beyond ``COMMON_KEYS``; ``problem(doc) ->
+    Problem``: the one reader of the kind's problem files, shared by
+    ``solve``, ``audit`` and ``decompose``.
     """
 
     keys: set
@@ -374,6 +381,16 @@ CLI_KINDS = {
     "tv2d": CliKind({"phi", "size", "solver"}, _image_problem, IMAGE_FILE,
                     atoms=False),
 }
+
+
+def _read_payload(kind: CliKind, problem: Problem, path):
+    """The solution file at ``path``, checked to be of ``problem``'s shape."""
+    payload = kind.payload.read(path)
+    shape = kind.payload.shape(problem)
+    if shape is not None and np.shape(payload) != shape:
+        raise ValueError(f"solution of shape {np.shape(payload)} for a "
+                         f"problem whose solutions have shape {shape}")
+    return payload
 
 
 def _write_payload(kind: CliKind, out_dir, payload, outputs, image):
@@ -432,12 +449,12 @@ def cmd_solve(args) -> int:
         doc = load_problem(args.problem)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _error_exit("failed to parse problem file", str(exc))
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
     try:
-        problem = CLI_KINDS[doc["kind"]].problem(doc, args)
+        problem = CLI_KINDS[doc["kind"]].problem(doc)
     except (RepkitError, ValueError, KeyError) as exc:
         return _error_exit("solver failed", str(exc))
+    out_dir = args.out or "."
+    os.makedirs(out_dir, exist_ok=True)
     return _solve(problem, out_dir, t0, args.problem, doc.get("solver", {}))
 
 
@@ -454,14 +471,11 @@ def _atoms_rows(decomp):
 
 
 def cmd_decompose(args) -> int:
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
     try:
         if args.kind == "birkhoff":
             M = read_matrix_csv(args.solution)
-            decomp = birkhoff_decompose(M, tol=args.tol)
-            path = os.path.join(out_dir, "permutations.csv")
-            write_csv(path, _atoms_rows(decomp))
+            decomp = birkhoff_decompose(M)
+            name = "permutations.csv"
             rec = sum(w * a for a, w in decomp.point_atoms).reshape(M.shape)
             err = float(np.abs(rec - M).max())
         else:
@@ -470,12 +484,14 @@ def cmd_decompose(args) -> int:
                                  "birkhoff")
             doc = load_problem(args.problem)
             kind = CLI_KINDS[doc["kind"]]
-            spec = kind.problem(doc, args).spec
-            payload = kind.payload.read(args.solution)
-            decomp = decompose_solution(payload, spec)
-            path = os.path.join(out_dir, "atoms.csv")
-            write_csv(path, _atoms_rows(decomp))
+            problem = kind.problem(doc)
+            payload = _read_payload(kind, problem, args.solution)
+            decomp = decompose_solution(payload, problem.spec)
+            name = "atoms.csv"
             err = KINDS[doc["kind"]].error(decomp, payload)
+        out_dir = args.out or "."
+        os.makedirs(out_dir, exist_ok=True)
+        write_csv(os.path.join(out_dir, name), _atoms_rows(decomp))
     except (RepkitError, ValueError, KeyError, OSError) as exc:
         return _error_exit("decompose failed", str(exc))
     print(f"reconstruction_error {_fmt(err)}")
@@ -486,10 +502,9 @@ def cmd_audit(args) -> int:
     try:
         doc = load_problem(args.problem)
         kind = CLI_KINDS[doc["kind"]]
-        problem = kind.problem(doc, args)
-        payload = kind.payload.read(args.solution)
-        cert = audit(payload, problem.spec, problem.phi,
-                     j_assumed=args.j_assumed)
+        problem = kind.problem(doc)
+        payload = _read_payload(kind, problem, args.solution)
+        cert = audit(payload, problem.spec, problem.phi)
     except (RepkitError, ValueError, KeyError, OSError) as exc:
         return _error_exit("audit failed", str(exc))
     out_dir = args.out or "."
@@ -500,51 +515,35 @@ def cmd_audit(args) -> int:
     return 0 if cert.passed else 2
 
 
-def _fig2_problem(args) -> dict:
-    """The tv2d problem of ``fig2``, with the disks scaled to ``--size``."""
-    # Reconstruction of the published experiment's layout; the original
-    # disk placements and measurements are not public.
-    layout = {"disks": DEFAULT_FIG2_DISKS, "y": DEFAULT_FIG2_Y}
-    if args.disks:
-        with open(args.disks, "r", encoding="utf-8") as fh:
-            layout = json.load(fh)
-        if not isinstance(layout, dict) or "disks" not in layout:
-            raise ValueError("layout file must be an object with a 'disks' "
-                             "key")
-    disks = DiskSet(layout["disks"]).disks
-    y = layout.get("y", DEFAULT_FIG2_Y[:len(disks)])
-    if args.y:
-        y = [float(v) for v in args.y.split(",")]
-    scale = args.size / 200.0
-    return {"kind": "tv2d", "y": y, "size": [args.size, args.size],
-            "phi": {"disks": [(cx * scale, cy * scale, r * scale)
-                              for cx, cy, r in disks]},
-            "solver": {"max_iters": args.iters}}
-
-
 def cmd_fig2(args) -> int:
-    """``solve`` on the fig2 problem, plus ``disks.pgm``."""
+    """``solve`` on the default layout with its disks scaled from 200 to
+    ``--size`` pixels and ``--iters`` as ``max_iters``, plus ``disks.pgm``."""
     t0 = time.monotonic()
+    scale = args.size / 200.0
+    doc = {"kind": "tv2d", "y": DEFAULT_FIG2_Y, "size": [args.size] * 2,
+           "phi": {"disks": [(cx * scale, cy * scale, r * scale)
+                             for cx, cy, r in DEFAULT_FIG2_DISKS]},
+           "solver": {"max_iters": args.iters}}
     try:
-        doc = _fig2_problem(args)
-        problem = _image_problem(doc, args)
-    except (OSError, ValueError) as exc:
+        problem = _image_problem(doc)
+        masks = problem.phi.masks((args.size, args.size))
+    except (RepkitError, ValueError) as exc:
         return _error_exit("failed to read the fig2 inputs", str(exc))
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     mask_img = np.zeros((args.size, args.size))
-    for k, m in enumerate(problem.phi.masks(mask_img.shape)):
+    for k, m in enumerate(masks):
         mask_img[m] = k + 1.0
     disks_path = os.path.join(out_dir, "disks.pgm")
     write_pgm(disks_path, mask_img)
-    return _solve(problem, out_dir, t0, args.disks, doc["solver"],
-                  [disks_path], image="result.pgm")
+    return _solve(problem, out_dir, t0, None, doc["solver"], [disks_path],
+                  image="result.pgm")
 
 
 def cmd_enumerate_slice(args) -> int:
     try:
         L = read_matrix_csv(args.operator)
-        points = enumerate_slice_extreme_points(L, tol=args.tol)
+        points = enumerate_slice_extreme_points(L)
     except (RepkitError, ValueError, OSError) as exc:
         return _error_exit("enumeration failed", str(exc))
     out_dir = args.out or "."
@@ -574,8 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve a problem file and audit it")
     p.add_argument("problem")
     p.add_argument("--out", default=None)
-    p.add_argument("--grid", type=int, default=None,
-                   help="grid override for the measure kinds")
     p.set_defaults(func="cmd_solve")
 
     p = sub.add_parser("decompose", help="decompose a solution into atoms")
@@ -585,22 +582,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'birkhoff' for doubly stochastic matrices; "
                         "otherwise taken from --problem")
     p.add_argument("--out", default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func="cmd_decompose")
 
     p = sub.add_parser("audit", help="audit an existing solution file")
     p.add_argument("solution")
     p.add_argument("--problem", required=True)
-    p.add_argument("--j-assumed", type=int, default=0, dest="j_assumed")
     p.add_argument("--out", default=None)
     p.set_defaults(func="cmd_audit")
 
     p = sub.add_parser("fig2", help="disk-average TV reconstruction "
                                     "experiment")
     p.add_argument("--size", type=int, default=200)
-    p.add_argument("--disks", default=None,
-                   help="JSON file {'disks': [[cx,cy,r],...], 'y': [...]}")
-    p.add_argument("--y", default=None, help="comma-separated measurements")
     p.add_argument("--iters", type=int, default=200_000)
     p.add_argument("--out", default=None)
     p.set_defaults(func="cmd_fig2")
@@ -609,7 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="extreme points of range(L) inside the l1 ball")
     p.add_argument("operator", help="CSV file holding L")
     p.add_argument("--out", default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func="cmd_enumerate_slice")
     return parser
 

@@ -2,6 +2,7 @@
 plain input values that more than one module reads."""
 
 import dataclasses
+import math
 import numbers
 
 
@@ -87,16 +88,18 @@ def check_shape(shape, name: str = "shape") -> tuple:
 def check_numeric_fields(cfg) -> None:
     """Raise ``ValueError`` unless every field of the dataclass ``cfg``
     holds a number of its default's type: an integer where the default is
-    an ``int``, any real number where it is a ``float``. Booleans are
-    neither."""
+    an ``int``, any finite real number where it is a ``float``. Booleans
+    are neither."""
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
         if isinstance(f.default, int):
             if not is_integer(value):
                 raise ValueError(f"{f.name} must be an integer, "
                                  f"not {value!r}")
-        elif isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{f.name} must be a number, not {value!r}")
+        elif (isinstance(value, bool) or not isinstance(value, numbers.Real)
+              or not math.isfinite(value)):
+            raise ValueError(f"{f.name} must be a finite number, "
+                             f"not {value!r}")
 
 
 def is_integer(value) -> bool:

@@ -46,11 +46,13 @@ class MatrixProblem:
 
     def __post_init__(self):
         try:
-            self.measurement_maps = [np.asarray(a, dtype=float)
-                                     for a in self.measurement_maps]
-        except TypeError:
+            maps = [np.asarray(a, dtype=float) for a in self.measurement_maps]
+        except (TypeError, ValueError):
+            maps = None
+        if maps is None or not all(np.isfinite(a).all() for a in maps):
             raise ValueError("measurement maps must be a list of matrices "
-                             "of numbers") from None
+                             "of finite numbers")
+        self.measurement_maps = maps
         self.y = np.asarray(self.y, dtype=float)
         self.shape = check_shape(self.shape)
         if not self.measurement_maps:

@@ -21,6 +21,7 @@ from .simplex import solve_standard_form
 
 MEMBERSHIP_TOL = 1e-8
 DROP_TOL = 1e-12
+ZERO_TOL = 1e-9  # zero entries in the Birkhoff and l1-slice sweeps
 
 
 @dataclass
@@ -294,7 +295,7 @@ def _perfect_matching(support):
     return perm
 
 
-def birkhoff_decompose(M, tol: float = 1e-9) -> AtomicDecomposition:
+def birkhoff_decompose(M) -> AtomicDecomposition:
     """Greedy Birkhoff-von Neumann decomposition of a doubly stochastic matrix.
 
     Repeatedly finds a permutation supported on the positive entries (Hall's
@@ -307,18 +308,18 @@ def birkhoff_decompose(M, tol: float = 1e-9) -> AtomicDecomposition:
     n = M.shape[0]
     if M.shape[0] != M.shape[1]:
         raise NotDoublyStochastic("matrix must be square")
-    if np.any(M < -tol):
+    if np.any(M < -ZERO_TOL):
         raise NotDoublyStochastic("negative entry")
-    if (np.abs(M.sum(axis=0) - 1.0).max() > n * tol
-            or np.abs(M.sum(axis=1) - 1.0).max() > n * tol):
+    if (np.abs(M.sum(axis=0) - 1.0).max() > n * ZERO_TOL
+            or np.abs(M.sum(axis=1) - 1.0).max() > n * ZERO_TOL):
         raise NotDoublyStochastic("row/column sums differ from 1")
 
     residual = np.maximum(M, 0.0)
     atoms = []
     for _ in range((n - 1) ** 2 + 1):
-        if residual.max() <= tol:
+        if residual.max() <= ZERO_TOL:
             break
-        perm = _perfect_matching(residual > tol)
+        perm = _perfect_matching(residual > ZERO_TOL)
         if perm is None:
             break  # leftover mass below the matching threshold
         theta = float(residual[np.arange(n), perm].min())
@@ -330,7 +331,7 @@ def birkhoff_decompose(M, tol: float = 1e-9) -> AtomicDecomposition:
     return AtomicDecomposition(point_atoms=atoms)
 
 
-def enumerate_slice_extreme_points(L, tol: float = 1e-9) -> list:
+def enumerate_slice_extreme_points(L) -> list:
     """All extreme points of ``range(L)`` intersected with the unit l1 ball.
 
     ``L`` must be p-by-n with full column rank and in general position; each
@@ -377,17 +378,17 @@ def enumerate_slice_extreme_points(L, tol: float = 1e-9) -> list:
             except np.linalg.LinAlgError:
                 continue  # face parallel to the subspace; not a vertex
             z = L @ w
-            if np.abs(z[off]).max(initial=0.0) > tol:
+            if np.abs(z[off]).max(initial=0.0) > ZERO_TOL:
                 continue
             zs = z[list(support)] * np.asarray(signs)
-            if np.any(zs < -tol):
+            if np.any(zs < -ZERO_TOL):
                 continue  # sign pattern does not close up
-            if abs(np.abs(z).sum() - 1.0) > 1e2 * tol:
+            if abs(np.abs(z).sum() - 1.0) > 1e2 * ZERO_TOL:
                 continue
             if not is_extreme_point(np.concatenate([w, np.abs(z)]), lifted):
                 continue
             for cand in (z, -z):
                 if not found or np.linalg.norm(np.asarray(found) - cand,
-                                               axis=1).min() > tol:
+                                               axis=1).min() > ZERO_TOL:
                     found.append(cand.copy())
     return found

@@ -63,13 +63,16 @@ class DiskSet:
 
     def __post_init__(self):
         try:
-            self.disks = [(float(cx), float(cy), float(r))
-                          for cx, cy, r in self.disks]
-        except TypeError:
-            raise ValueError("disks must be (cx, cy, r) triples") from None
-        for _, _, r in self.disks:
-            if r <= 0:
-                raise ValueError("disk radii must be positive")
+            disks = [(float(cx), float(cy), float(r))
+                     for cx, cy, r in self.disks]
+        except (TypeError, ValueError):
+            disks = None
+        if disks is None or not np.isfinite(disks).all():
+            raise ValueError("disks must be (cx, cy, r) triples of finite "
+                             "numbers")
+        self.disks = disks
+        if any(r <= 0 for _, _, r in disks):
+            raise ValueError("disk radii must be positive")
 
     def __len__(self) -> int:
         return len(self.disks)

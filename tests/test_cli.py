@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import importlib
 import json
@@ -127,6 +128,35 @@ UNREADABLE = {
     "disks-a-number": ({**PRIMAL_DUAL_DOC, "phi": {"disks": 5}}, "disks"),
     # a PSD cost of another shape than the matrix
     "psd-cost-shape": ({**PSD_DOC, "cost": np.eye(3).tolist()}, "'cost'"),
+    # a null, NaN or infinity where a number belongs, which was solved as
+    # NaN: a null in y gave u = 0 and a passing certificate
+    "y-null": ({"kind": "nonneg_cone", "y": [None, 1.0],
+                "phi": [[1, 0], [0, 1]]}, "'y'"),
+    "y-nan": ({"kind": "nonneg_cone", "y": [float("nan"), 1.0],
+               "phi": [[1, 0], [0, 1]]}, "'y'"),
+    "cost-infinity": ({"kind": "lp_epigraph", "y": [1.0], "phi": [[1, 1]],
+                       "cost": [1.0, float("-inf")]}, "'cost'"),
+    "maps-null": ({**SPLITTING_DOC,
+                   "measurement_maps": [[[1.0, None], [0.0, 0.0]]]},
+                  "measurement maps"),
+    "disks-nan": ({**PRIMAL_DUAL_DOC,
+                   "phi": {"disks": [[4, float("nan"), 3]]}}, "disks"),
+}
+
+# A problem of each kind whose solutions have a fixed shape, a solution of
+# another shape, and the two shapes as the error detail names them.
+WRONG_SHAPE = {
+    "vector-short": ({"kind": "nonneg_cone", "phi": [[1, 1, 1]], "y": [1.0]},
+                     np.ones(1), "(1,)", "(3,)"),
+    "vector-long": ({"kind": "nonneg_cone", "phi": [[1, 1, 1]], "y": [1.0]},
+                    np.ones(5), "(5,)", "(3,)"),
+    "matrix": ({"kind": "nuclear", "measurement_maps": [np.eye(3).tolist()],
+                "y": [1.0], "shape": [3, 3]}, np.eye(2), "(2, 2)", "(3, 3)"),
+    "image": ({**PRIMAL_DUAL_DOC, "size": [32, 32]}, np.zeros((10, 10)),
+              "(10, 10)", "(32, 32)"),
+    # size is [width, height]
+    "image-transposed": ({**PRIMAL_DUAL_DOC, "size": [32, 24]},
+                         np.zeros((32, 24)), "(32, 24)", "(24, 32)"),
 }
 
 
@@ -153,11 +183,10 @@ class TestSolve:
         assert err["detail"] == "'grid_n' must be an integer"
 
     def test_grid_option_0_is_not_ignored(self, tmp_path, capsys):
-        # --grid 0 is a grid of 0 points, not an absent option
-        path = write_json(tmp_path / "m.json",
-                          {"kind": "measure_tv", **CATALOG["measure_tv"]})
-        assert run_cli("solve", path, "--grid", "0",
-                       "--out", str(tmp_path / "o")) == 1
+        # grid_n 0 is a grid of 0 points, not an absent key
+        path = write_json(tmp_path / "m.json", {
+            "kind": "measure_tv", **CATALOG["measure_tv"], "grid_n": 0})
+        assert run_cli("solve", path, "--out", str(tmp_path / "o")) == 1
         err = json.loads(capsys.readouterr().err)
         assert "grid" in err["detail"]
 
@@ -356,8 +385,29 @@ class TestProblemReading:
             err = json.loads(capsys.readouterr().err)
             assert err["error"] == error
             details.append(err["detail"])
+            assert not (tmp_path / "o").exists()
         assert word in details[0]
         assert details == [details[0]] * 3
+
+    @pytest.mark.parametrize("name", sorted(WRONG_SHAPE))
+    def test_solution_of_another_shape(self, tmp_path, capsys, name):
+        # not audited or decomposed as if it were a solution
+        doc, u, got, want = WRONG_SHAPE[name]
+        path = write_json(tmp_path / "p.json", doc)
+        sol = tmp_path / "s"
+        if doc["kind"] == "tv2d":
+            write_pgm(sol, u)
+        else:
+            write_csv(sol, u.reshape(len(u), -1))
+        for argv, error in [
+                (["audit", str(sol), "--problem", path], "audit failed"),
+                (["decompose", str(sol), "--problem", path],
+                 "decompose failed")]:
+            assert run_cli(*argv, "--out", str(tmp_path / "o")) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == error
+            assert got in err["detail"] and want in err["detail"]
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("kind", sorted(CATALOG))
     def test_values_of_another_type_exit_1(self, tmp_path, capsys, kind):
@@ -381,9 +431,16 @@ class TestUsageErrors:
         [], ["solve"], ["--bogus"], ["solve", "p.json", "--bogus"],
         ["solve", "p.json", "--seed", "0"], ["fig2", "--seed", "0"],
         ["fig2", "--size", "abc"], ["audit", "s.csv"],
+        # retired options: the problem file or the program sets these
+        ["solve", "p.json", "--grid", "64"],
+        ["audit", "s.csv", "--problem", "p.json", "--j-assumed", "1"],
+        ["decompose", "s.csv", "--kind", "birkhoff", "--tol", "1e-6"],
+        ["enumerate-slice", "L.csv", "--tol", "1e-6"],
+        ["fig2", "--disks", "layout.json"], ["fig2", "--y", "0.5,0.1,0.2"],
     ], ids=["no-command", "no-problem", "unknown-option",
             "unknown-solve-option", "solve-seed", "fig2-seed", "bad-int",
-            "no-audit-problem"])
+            "no-audit-problem", "solve-grid", "audit-j-assumed",
+            "decompose-tol", "enumerate-slice-tol", "fig2-disks", "fig2-y"])
     def test_exits_1_with_json(self, capsys, argv):
         assert run_cli(*argv) == 1
         captured = capsys.readouterr()
@@ -418,20 +475,24 @@ class TestParserReuse:
 
     def test_no_state_between_calls(self, tmp_path, monkeypatch):
         cli = importlib.import_module("repkit.cli")
-        solve = cli.cmd_solve
-        grids = []
+        decompose = cli.cmd_decompose
+        kinds = []
 
         def recorder(args):
-            grids.append(args.grid)
-            return solve(args)
+            kinds.append(args.kind)
+            return decompose(args)
 
-        monkeypatch.setattr(cli, "cmd_solve", recorder)
-        path = write_json(tmp_path / "m.json",
-                          {"kind": "measure_tv", **CATALOG["measure_tv"]})
-        assert run_cli("solve", path, "--grid", "64",
+        monkeypatch.setattr(cli, "cmd_decompose", recorder)
+        sol = tmp_path / "ds.csv"
+        write_csv(sol, [[0.3, 0.7], [0.7, 0.3]])
+        assert run_cli("decompose", str(sol), "--kind", "birkhoff",
                        "--out", str(tmp_path / "a")) == 0
-        assert run_cli("solve", path, "--out", str(tmp_path / "b")) == 0
-        assert grids == [64, None]
+        prob = write_json(tmp_path / "p.json", {
+            "kind": "nuclear", "measurement_maps": [np.eye(2).tolist()],
+            "y": [1.0], "shape": [2, 2]})
+        assert run_cli("decompose", str(sol), "--problem", prob,
+                       "--out", str(tmp_path / "b")) == 0
+        assert kinds == ["birkhoff", None]
 
 
 class TestDecompose:
@@ -531,32 +592,24 @@ class TestFig2:
         assert len(report["levels"]) <= 4
 
     def test_single_disk_layout(self, tmp_path):
-        layout = write_json(tmp_path / "one.json", {
-            "disks": [[24.0, 24.0, 10.0]], "y": [0.6]})
+        # a layout other than fig2's is a tv2d problem file
+        prob = write_json(tmp_path / "one.json", {
+            "kind": "tv2d", "phi": {"disks": [[5.76, 5.76, 2.4]]},
+            "y": [0.6], "size": [48, 48], "solver": {"max_iters": 40000}})
         out = tmp_path / "one_out"
-        code = run_cli("fig2", "--size", "48", "--disks", layout,
-                       "--iters", "40000", "--out", str(out))
+        code = run_cli("solve", prob, "--out", str(out))
         assert code == 0
         report = json.loads((out / "level_report.json").read_text())
         assert len(report["levels"]) == 1
 
-    @pytest.mark.parametrize("layout,extra", [
-        ("missing", []),
-        ({"y": [0.5]}, []),
-        ([[24.0, 24.0, 10.0]], []),
-        (None, ["--y", "1,a"]),
-        (None, ["--y", "0.5,0.2"]),  # the default layout has 3 disks
-        (None, ["--iters", "0"]),
-    ], ids=["missing-file", "no-disks-key", "not-an-object", "bad-y",
-            "y-count", "iters"])
-    def test_bad_inputs_exit_1(self, tmp_path, capsys, layout, extra):
+    @pytest.mark.parametrize("extra", [
+        ["--iters", "0"],
+        ["--size", "0"],
+        ["--size", "1"],  # no disk covers a pixel center
+    ], ids=["iters", "size-0", "size-1"])
+    def test_bad_inputs_exit_1(self, tmp_path, capsys, extra):
         out = tmp_path / "out"
         argv = ["fig2", "--size", "48", "--out", str(out)] + extra
-        if layout is not None:
-            path = tmp_path / "layout.json"
-            if layout != "missing":
-                write_json(path, layout)
-            argv += ["--disks", str(path)]
         assert run_cli(*argv) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "failed to read the fig2 inputs"
@@ -657,6 +710,18 @@ def _readme_table(*header):
 
 class TestDocumentedKeys:
     """The README's key tables match what the command line accepts."""
+
+    def test_command_options(self):
+        cli = importlib.import_module("repkit.cli")
+        [commands] = [action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+        accepted = {
+            name: {(a.option_strings or [a.dest])[0]
+                   for a in parser._actions if a.dest != "help"}
+            for name, parser in commands.choices.items()}
+        documented = {command: set(options) for [command], options
+                      in _readme_table("command", "arguments and options")}
+        assert documented == accepted
 
     def test_problem_file_keys(self):
         cli = importlib.import_module("repkit.cli")

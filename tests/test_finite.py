@@ -283,7 +283,8 @@ def test_splitting_config_rejects_max_iters_below_1(max_iters):
 
 @pytest.mark.parametrize("field,value", [
     ("max_iters", "x"), ("max_iters", 10.0), ("max_iters", True),
-    ("gamma", "x"), ("gamma", False), ("eps_feas", None), ("eps_gap", [1])])
+    ("gamma", "x"), ("gamma", False), ("eps_feas", None), ("eps_gap", [1]),
+    ("eps_feas", float("inf")), ("eps_gap", float("nan"))])
 def test_splitting_config_rejects_non_numbers(field, value):
     with pytest.raises(ValueError, match=field):
         SplittingConfig(**{field: value})

@@ -294,7 +294,9 @@ def test_tv_constant_shift_property(seed, c):
 class TestChambollePock:
     @pytest.mark.parametrize("field,value", [
         ("max_iters", "abc"), ("max_iters", 2.5), ("max_iters", True),
-        ("tol_gap", "x"), ("tol_gap", None), ("log_every", False)])
+        ("tol_gap", "x"), ("tol_gap", None), ("log_every", False),
+        # a NaN gap never stops the loop; an infinite one stops it at once
+        ("tol_gap", float("nan")), ("tol_gap", float("inf"))])
     def test_config_rejects_non_numbers(self, field, value):
         with pytest.raises(ValueError, match=field):
             PdConfig(**{field: value})
