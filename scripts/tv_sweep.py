@@ -2,8 +2,8 @@
 """Random-layout sweep of the disk-average TV solver.
 
 Draws one random disk layout per seed (:func:`random_layout`, the generator
-the tests use too), solves it with ``chambolle_pock_tv_solve`` at the
-default ``PdConfig``, and prints one line per seed: iterations, TV, the
+the tests use too), solves it with ``chambolle_pock_tv_solve`` at its
+default ``max_iters``, and prints one line per seed: iterations, TV, the
 final gap ``(TV - lower bound) / max(TV, |y|_inf)`` that the stop tests,
 the largest logged constraint residual, the level count and simple-set
 flag of the level-set report, and the solve time in seconds. Run it at two

@@ -27,16 +27,15 @@ import numpy as np
 
 from . import __version__
 from .audit import KINDS, RegularizerSpec, audit, decompose_solution
-from .errors import (NonConvergence, RepkitError, Unbounded, check_shape,
-                     is_integer)
-from .finite import (LpProblem, MatrixProblem, SplittingConfig,
-                     l1_analysis_solve, nnls_solve, nuclear_min_solve,
-                     psd_solve, simplex_solve)
+from .errors import (NonConvergence, RepkitError, Unbounded,
+                     check_max_iters, check_shape, is_integer)
+from .finite import (LpProblem, MatrixProblem, l1_analysis_solve, nnls_solve,
+                     nuclear_min_solve, psd_solve, simplex_solve)
 from .geometry import birkhoff_decompose, enumerate_slice_extreme_points
 from .measure import (DEFAULT_GRID, DiscreteMeasure, beurling_solve,
                       moment_lp_solve, trigonometric_system)
 from .pgm import read_pgm, write_pgm
-from .tv2d import DiskSet, PdConfig, chambolle_pock_tv_solve, level_set_report
+from .tv2d import DiskSet, chambolle_pock_tv_solve, level_set_report
 # Unused here; kept importable because profiling hooks patch this name.
 from .tv2d import disk_average_apply  # noqa: F401
 
@@ -45,6 +44,8 @@ log = logging.getLogger("repkit")
 FMT = "%.17g"  # byte-reproducible numeric formatting
 
 COMMON_KEYS = {"kind", "y"}
+# The fields of a problem file's optional ``solver`` object.
+SOLVER_KEYS = {"max_iters"}
 
 # Reconstruction of the published experiment's layout, on a 200-pixel
 # square; the original disk placements and measurements are not public.
@@ -157,15 +158,20 @@ def _manifest(out_dir, input_path, config, t0, outputs) -> None:
     })
 
 
-def _solver_config(cls, solver_cfg):
-    """``cls`` built from a problem file's ``solver`` object."""
-    solver_cfg = solver_cfg or {}
-    if not isinstance(solver_cfg, dict):
+def _max_iters(doc) -> dict:
+    """A problem file's ``solver`` object, checked to hold nothing but a
+    valid ``max_iters``: the keyword arguments it gives the solver."""
+    solver = doc.get("solver")
+    if solver is None:
+        return {}
+    if not isinstance(solver, dict):
         raise ValueError("'solver' must be an object")
-    unknown = set(solver_cfg) - {f.name for f in dataclasses.fields(cls)}
+    unknown = set(solver) - SOLVER_KEYS
     if unknown:
         raise ValueError(f"unknown solver keys: {sorted(unknown)}")
-    return cls(**solver_cfg)
+    if "max_iters" in solver:
+        check_max_iters(solver["max_iters"])
+    return solver
 
 
 def _write_tv2d(out_dir, u, trace, outputs, image) -> None:
@@ -201,11 +207,12 @@ def _write_level_report(out_dir, u, trace, outputs):
 class Problem(NamedTuple):
     """A checked problem file: its regularizer, what :func:`audit` takes as
     ``Phi``, and the solver call on the same inputs, which returns the
-    payload."""
+    payload; for ``tv2d``, also the disk masks on the image grid."""
 
     spec: RegularizerSpec
     phi: object
     solve: Callable
+    masks: list | None = None
 
 
 def _numbers(value, name, ndim=None) -> np.ndarray:
@@ -241,10 +248,14 @@ def _phi(doc):
     return phi, _measurements(doc, phi.shape[0], "row of 'phi'")
 
 
-def _grid_n(doc) -> int:
+def _grid_n(doc, y) -> int:
+    """``grid_n``, checked to be an integer of at least one point per
+    moment of ``y``."""
     grid_n = doc.get("grid_n", DEFAULT_GRID)
     if not is_integer(grid_n):
         raise ValueError("'grid_n' must be an integer")
+    if grid_n < len(y):
+        raise ValueError("'grid_n' must be at least the number of moments")
     return grid_n
 
 
@@ -279,33 +290,35 @@ def _analysis_problem(doc) -> Problem:
 def _nuclear_problem(doc) -> Problem:
     prob = MatrixProblem(measurement_maps=doc["measurement_maps"],
                          y=_y(doc), shape=doc["shape"])
-    cfg = _solver_config(SplittingConfig, doc.get("solver"))
+    solver = _max_iters(doc)
     return Problem(RegularizerSpec(kind="nuclear"), prob.measurement_maps,
-                   lambda: nuclear_min_solve(prob, cfg))
+                   lambda: nuclear_min_solve(prob, **solver))
 
 
 def _psd_problem(doc) -> Problem:
     prob = MatrixProblem(measurement_maps=doc["measurement_maps"],
                          y=_y(doc), shape=doc["shape"])
-    cfg = _solver_config(SplittingConfig, doc.get("solver"))
+    solver = _max_iters(doc)
     cost = doc.get("cost")
     if cost is not None:
         cost = _numbers(cost, "cost")
         if cost.shape != prob.shape:
             raise ValueError("'cost' must have the shape given by 'shape'")
     return Problem(RegularizerSpec(kind="psd_cone"), prob.measurement_maps,
-                   lambda: psd_solve(prob, cost=cost, cfg=cfg))
+                   lambda: psd_solve(prob, cost=cost, **solver))
 
 
 def _beurling_problem(doc) -> Problem:
-    y, grid_n = _y(doc), _grid_n(doc)
+    y = _y(doc)
+    grid_n = _grid_n(doc, y)
     return Problem(RegularizerSpec(kind="measure_tv"), len(y),
                    lambda: beurling_solve(trigonometric_system(len(y)), y,
                                           grid_n=grid_n)[0])
 
 
 def _moment_lp_problem(doc) -> Problem:
-    y, grid_n = _y(doc), _grid_n(doc)
+    y = _y(doc)
+    grid_n = _grid_n(doc, y)
     psi = _psi_from_spec(doc.get("psi"))
     return Problem(RegularizerSpec(kind="measure_nonneg"), len(y),
                    lambda: moment_lp_solve(psi, trigonometric_system(len(y)),
@@ -313,17 +326,21 @@ def _moment_lp_problem(doc) -> Problem:
 
 
 def _image_problem(doc) -> Problem:
-    """The solver returns an ``(image, trace)`` pair."""
+    """The solver returns an ``(image, trace)`` pair. Drawing the masks
+    raises :class:`~repkit.errors.EmptyDisk` for a disk that covers no
+    pixel center."""
     phi = doc.get("phi")
     if not isinstance(phi, dict) or "disks" not in phi:
         raise ValueError("'phi' must be an object with a 'disks' key")
     disks = DiskSet(phi["disks"])
     y = _measurements(doc, len(disks), "disk")
     size = check_shape(doc["size"], "size")
-    cfg = _solver_config(PdConfig, doc.get("solver"))
+    masks = disks.masks(size[::-1])
+    solver = _max_iters(doc)
     spec = RegularizerSpec(kind="tv2d", params={"disks": disks, "size": size})
     return Problem(spec, disks,
-                   lambda: chambolle_pock_tv_solve(disks, y, size, cfg))
+                   lambda: chambolle_pock_tv_solve(disks, y, size, **solver),
+                   masks)
 
 
 class PayloadFile(NamedTuple):
@@ -526,13 +543,12 @@ def cmd_fig2(args) -> int:
            "solver": {"max_iters": args.iters}}
     try:
         problem = _image_problem(doc)
-        masks = problem.phi.masks((args.size, args.size))
     except (RepkitError, ValueError) as exc:
         return _error_exit("failed to read the fig2 inputs", str(exc))
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     mask_img = np.zeros((args.size, args.size))
-    for k, m in enumerate(masks):
+    for k, m in enumerate(problem.masks):
         mask_img[m] = k + 1.0
     disks_path = os.path.join(out_dir, "disks.pgm")
     write_pgm(disks_path, mask_img)

@@ -1,8 +1,6 @@
 """Exception hierarchy shared by all repkit modules, and the checks of
 plain input values that more than one module reads."""
 
-import dataclasses
-import math
 import numbers
 
 
@@ -85,21 +83,13 @@ def check_shape(shape, name: str = "shape") -> tuple:
     return shape
 
 
-def check_numeric_fields(cfg) -> None:
-    """Raise ``ValueError`` unless every field of the dataclass ``cfg``
-    holds a number of its default's type: an integer where the default is
-    an ``int``, any finite real number where it is a ``float``. Booleans
-    are neither."""
-    for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(f.default, int):
-            if not is_integer(value):
-                raise ValueError(f"{f.name} must be an integer, "
-                                 f"not {value!r}")
-        elif (isinstance(value, bool) or not isinstance(value, numbers.Real)
-              or not math.isfinite(value)):
-            raise ValueError(f"{f.name} must be a finite number, "
-                             f"not {value!r}")
+def check_max_iters(value) -> None:
+    """Raise ``ValueError`` unless ``value`` is an iteration cap: an
+    integer, not a boolean, of at least 1."""
+    if not is_integer(value):
+        raise ValueError(f"max_iters must be an integer, not {value!r}")
+    if value < 1:
+        raise ValueError("max_iters must be at least 1")
 
 
 def is_integer(value) -> bool:

@@ -5,7 +5,10 @@ programs (basic solutions via the shared simplex kernel), nonnegative least
 squares (active set), l1-analysis minimization (projected LP
 reformulation), and, by one Douglas-Rachford loop, nuclear-norm
 minimization and positive semidefinite feasibility or cost minimization to
-a certified duality gap, with a facial rank-reduction post-step.
+a certified duality gap, with a facial rank-reduction post-step. The
+splitting's step and tolerances are the constants :data:`GAMMA`,
+:data:`EPS_FEAS` and :data:`EPS_GAP`; only its iteration cap,
+``max_iters``, is an argument.
 """
 
 from __future__ import annotations
@@ -15,17 +18,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (Infeasible, NonConvergence, NotSurjective,
-                     check_numeric_fields, check_shape)
+                     check_max_iters, check_shape)
 from .geometry import AtomicDecomposition
 from .linalg import lstsq, null_space_basis, pseudo_inverse, rank, svd
 from .simplex import LpProblem, LpSolution, row_compress, solve_standard_form
 
 __all__ = [
-    "LpProblem", "LpSolution", "MatrixProblem", "SplittingConfig",
-    "AnalysisReport", "simplex_solve", "nnls_solve", "l1_analysis_solve",
-    "kernel_image_basis", "nuclear_min_solve", "psd_solve", "rank_reduce_psd",
+    "LpProblem", "LpSolution", "MatrixProblem", "AnalysisReport",
+    "simplex_solve", "nnls_solve", "l1_analysis_solve", "kernel_image_basis",
+    "nuclear_min_solve", "psd_solve", "rank_reduce_psd",
     "rank1_atomic_decomposition", "barvinok_bound",
 ]
+
+# Douglas-Rachford splitting of the matrix solvers: the proximal step, and
+# the relative measurement residual and duality gap that certify an iterate.
+GAMMA = 1.0
+EPS_FEAS = 1e-7
+EPS_GAP = 1e-5
 
 
 @dataclass
@@ -77,24 +86,6 @@ class MatrixProblem:
     def stacked(self) -> np.ndarray:
         """Measurements as a read-only (m, p*n) matrix acting on vec(M)."""
         return self._stacked
-
-
-@dataclass
-class SplittingConfig:
-    """Douglas-Rachford parameters of the matrix solvers: proximal step
-    ``gamma``; ``eps_feas`` and ``eps_gap`` certify an iterate."""
-
-    max_iters: int = 50_000
-    gamma: float = 1.0
-    eps_feas: float = 1e-7
-    eps_gap: float = 1e-5
-
-    def __post_init__(self):
-        check_numeric_fields(self)
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if not self.gamma > 0.0:
-            raise ValueError("gamma must be positive")
 
 
 @dataclass
@@ -246,16 +237,17 @@ def kernel_image_basis(Phi, N) -> np.ndarray:
     return image.u[:, :d]
 
 
-def _douglas_rachford(prob: MatrixProblem, prox, certified,
-                      cfg: SplittingConfig):
+def _douglas_rachford(prob: MatrixProblem, prox, certified, max_iters):
     """Douglas-Rachford splitting of ``f(M) + indicator{A(M) = y}``, with
-    ``prox`` the proximal map of ``cfg.gamma * f``.
+    ``prox`` the proximal map of ``GAMMA * f``.
 
-    Every 10 iterations a feasible ``M`` goes to ``certified(M, lam,
-    At_lam)`` with ``lam = pinv(S S^T) A((Z - M) / gamma)``. Returns the
-    first that passes with ``"certified"``, else the last ``M`` with
-    ``"uncertified"``, or ``"infeasible"`` if no tested one was feasible.
+    Every 10 iterations an ``M`` feasible to :data:`EPS_FEAS` goes to
+    ``certified(M, lam, At_lam)`` with ``lam = pinv(S S^T) A((Z - M) /
+    GAMMA)``. Returns the first that passes with ``"certified"``, else the
+    last ``M`` with ``"uncertified"``, or ``"infeasible"`` if no tested one
+    was feasible.
     """
+    check_max_iters(max_iters)
     S = prob.stacked()
     G_pinv = pseudo_inverse(S @ S.T, tol=1e-12)
 
@@ -269,39 +261,37 @@ def _douglas_rachford(prob: MatrixProblem, prox, certified,
         raise Infeasible("measurement system is inconsistent")
     status = "infeasible"
     Z = M = np.zeros(prob.shape)
-    for it in range(cfg.max_iters):
+    for it in range(max_iters):
         M = prox(Z)
         Z = Z + (project(2.0 * M - Z) - M)
-        if (it % 10 == 0 or it == cfg.max_iters - 1) and \
+        if (it % 10 == 0 or it == max_iters - 1) and \
                 np.linalg.norm(prob.apply(M) - prob.y) \
-                <= cfg.eps_feas * (1.0 + yn):
+                <= EPS_FEAS * (1.0 + yn):
             status = "uncertified"
-            lam = G_pinv @ prob.apply((Z - M) / cfg.gamma)
+            lam = G_pinv @ prob.apply((Z - M) / GAMMA)
             if certified(M, lam, (S.T @ lam).reshape(prob.shape)):
                 return M, "certified"
     return M, status
 
 
-def nuclear_min_solve(prob: MatrixProblem,
-                      cfg: SplittingConfig | None = None) -> np.ndarray:
+def nuclear_min_solve(prob: MatrixProblem, max_iters=50_000) -> np.ndarray:
     """Minimize the nuclear norm subject to affine measurements.
 
     Douglas-Rachford splitting with singular value soft thresholding, to a
-    relative gap ``cfg.eps_gap`` against multipliers rescaled into the
-    spectral unit ball."""
-    cfg = cfg or SplittingConfig()
+    relative gap :data:`EPS_GAP` against multipliers rescaled into the
+    spectral unit ball, within ``max_iters`` iterations."""
 
     def prox(Z):
         f = svd(Z)
-        return (f.u * np.maximum(f.singular_values - cfg.gamma, 0.0)) @ f.v.T
+        return (f.u * np.maximum(f.singular_values - GAMMA, 0.0)) @ f.v.T
 
     def certified(M, lam, At_lam):
         lam = lam / max(svd(At_lam).singular_values.max(initial=0.0), 1.0)
         primal = svd(M).singular_values.sum()
         return abs(primal - float(prob.y @ lam)) \
-            <= cfg.eps_gap * (1.0 + primal)
+            <= EPS_GAP * (1.0 + primal)
 
-    M, status = _douglas_rachford(prob, prox, certified, cfg)
+    M, status = _douglas_rachford(prob, prox, certified, max_iters)
     if status != "certified":
         raise NonConvergence("nuclear norm solver hit max_iters", payload=M)
     return M
@@ -319,17 +309,17 @@ def barvinok_bound(m: int) -> float:
 
 
 def psd_solve(prob: MatrixProblem, cost=None,
-              cfg: SplittingConfig | None = None) -> np.ndarray:
+              max_iters=50_000) -> np.ndarray:
     """PSD matrix with ``<A_i, M> = y_i``, minimizing ``<cost, M>`` if given.
 
-    Douglas-Rachford splitting with eigenvalue clamping of ``Z - gamma *
+    Douglas-Rachford splitting with eigenvalue clamping of ``Z - GAMMA *
     cost``, then the facial rank-reduction post-step. A cost is solved to a
     certified gap: ``|<cost, M> - y.lam|`` and ``-lambda_min(cost - A^T
-    lam)`` both at most ``cfg.eps_gap * (1 + |<cost, M>|)``. Raises
+    lam)`` both at most ``EPS_GAP * (1 + |<cost, M>|)``. Raises
     :class:`Infeasible` if no iterate met the measurements and
-    :class:`NonConvergence` carrying the last one if none was certified.
+    :class:`NonConvergence` carrying the last one if none was certified
+    within ``max_iters`` iterations.
     """
-    cfg = cfg or SplittingConfig()
     if prob.shape[0] != prob.shape[1]:
         raise ValueError("PSD problems require square shape")
     if cost is not None:
@@ -337,18 +327,18 @@ def psd_solve(prob: MatrixProblem, cost=None,
         cost = 0.5 * (cost + cost.T)
 
     def prox(Z):
-        return _project_psd(Z if cost is None else Z - cfg.gamma * cost)
+        return _project_psd(Z if cost is None else Z - GAMMA * cost)
 
     def certified(M, lam, At_lam):
         if cost is None:
             return True
         primal = float(np.tensordot(cost, M))
-        tol = cfg.eps_gap * (1.0 + abs(primal))
+        tol = EPS_GAP * (1.0 + abs(primal))
         slack = cost - 0.5 * (At_lam + At_lam.T)
         return (abs(primal - float(prob.y @ lam)) <= tol
                 and np.linalg.eigvalsh(slack).min() >= -tol)
 
-    M, status = _douglas_rachford(prob, prox, certified, cfg)
+    M, status = _douglas_rachford(prob, prox, certified, max_iters)
     if status == "infeasible":
         raise Infeasible("no PSD iterate met the measurements")
     if status == "uncertified":

@@ -16,6 +16,8 @@ stops on a proven duality gap: the dual of ``T(z)``, corrected into an exact
 dual point (:class:`_DualBound`), bounds the optimal TV from below. A
 level-set report quantizes the output and checks, per level, the
 connectivity and hole-freeness that characterize indicators of simple sets.
+The stopping and quantization tolerances are the module constants below;
+only the solver's iteration cap, ``max_iters``, is an argument.
 
 Images are 2-d float arrays indexed ``[row, col]``; disk centers are given
 in pixel units as ``(cx, cy)`` with ``cx`` along columns.
@@ -35,14 +37,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyDisk, NonConvergence, check_numeric_fields
+from .errors import EmptyDisk, NonConvergence, check_max_iters
 # Unused here; kept importable because profiling hooks patch this name.
 from .linalg import op_norm_estimate  # noqa: F401
 from .linalg import pseudo_inverse
 
 # |grad|^2 <= 8 for forward differences on a 2-d grid.
 GRAD_NORM_SQ = 8.0
-# Restart rule of Applegate et al. (2023), checked every ``log_every``
+# chambolle_pock_tv_solve logs its iterate and tests its stop every
+# LOG_EVERY iterations; it stops on a gap of at most TOL_GAP relative to
+# max(TV, |y|_inf).
+LOG_EVERY = 50
+TOL_GAP = 1e-3
+# Restart rule of Applegate et al. (2023), checked every LOG_EVERY
 # iterations on the fixed-point residual |T(z) - z| of the Halpern iterate:
 # restart once it falls to RESTART_SUFFICIENT of its value at the last
 # restart, or to RESTART_NECESSARY of it and stops decreasing, or once the
@@ -50,9 +57,13 @@ GRAD_NORM_SQ = 8.0
 RESTART_SUFFICIENT = 0.2
 RESTART_NECESSARY = 0.8
 RESTART_ARTIFICIAL = 0.36
-# Default level quantization tolerance of level_set_report, relative to the
-# larger of an image's dynamic range and sup norm.
+# level_set_report: the gap between value clusters relative to the larger
+# of an image's dynamic range and sup norm; the share of the pixels below
+# which a cluster is absorbed; and the span, relative to the magnitude,
+# below which an image is one flat level.
 QUANT_TOL = 0.02
+MIN_MASS = 0.015
+FLAT_TOL = 1e-4
 
 
 @dataclass
@@ -88,34 +99,6 @@ class DiskSet:
                 raise EmptyDisk(f"disk {i} covers no pixel center")
             out.append(mask)
         return out
-
-
-@dataclass
-class PdConfig:
-    """Primal-dual solver parameters.
-
-    The steps are fixed at ``tau = sigma = 0.99 / sqrt(8)``, which keeps
-    ``tau * sigma * |grad|^2 <= 1``, with extrapolation weight
-    ``theta = 1``, the setting the restart rule is analysed for. Every
-    ``log_every`` iterations, where the restart rule is checked too, the
-    dual of ``T(z)`` yields a proven lower bound on the optimal TV
-    (:class:`_DualBound`). The iteration stops once the constraint residual
-    of ``T(z)`` is at most ``1e-4 * |y|_inf`` and its TV exceeds the best
-    bound seen by at most ``tol_gap * max(TV, |y|_inf)``: the returned
-    image is then proven within that gap of optimal. The ``|y|_inf`` floor
-    lets a layout whose optimum has TV 0 (a single disk) stop.
-    """
-
-    max_iters: int = 20_000
-    tol_gap: float = 1e-3
-    log_every: int = 50
-
-    def __post_init__(self):
-        check_numeric_fields(self)
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.log_every < 1:
-            raise ValueError("log_every must be at least 1")
 
 
 @dataclass
@@ -340,25 +323,31 @@ class _DualBound:
         return float(self.q @ y) / self.s
 
 
-def chambolle_pock_tv_solve(disks: DiskSet, y, size, cfg: PdConfig | None = None):
+def chambolle_pock_tv_solve(disks: DiskSet, y, size, max_iters=20_000):
     """Approximate minimizer of TV under exact disk-average constraints.
 
     Saddle formulation with ``K = grad``: ``T`` is one projected PDHG step
-    on ``z = (u, p)``, whose gradient dual is projected onto pointwise
-    Euclidean unit balls and whose primal ends with the exact projection
-    onto ``Phi u = y``. The iteration is the reflected Halpern iteration
-    ``z <- anchor + (k+1)/(k+2) (2 T(z) - z - anchor)``; on the
-    ``log_every`` cadence it restarts (``z <- T(z)``, ``anchor <- z``,
-    ``k <- 0``) when the rule of :data:`RESTART_SUFFICIENT`,
-    :data:`RESTART_NECESSARY` and :data:`RESTART_ARTIFICIAL` fires on the
-    fixed-point residual ``|T(z) - z|``, and the dual of ``T(z)`` gives a
-    proven lower bound on the optimal TV (:class:`_DualBound`). Returns
+    on ``z = (u, p)`` with steps ``tau = sigma = 0.99 / sqrt(8)``, which
+    keep ``tau * sigma * |grad|^2 <= 1``, and extrapolation weight
+    ``theta = 1``, the setting the restart rule is analysed for. Its
+    gradient dual is projected onto pointwise Euclidean unit balls and its
+    primal ends with the exact projection onto ``Phi u = y``. The iteration
+    is the reflected Halpern iteration ``z <- anchor + (k+1)/(k+2) (2 T(z)
+    - z - anchor)``; every :data:`LOG_EVERY` iterations it restarts (``z <-
+    T(z)``, ``anchor <- z``, ``k <- 0``) when the rule of
+    :data:`RESTART_SUFFICIENT`, :data:`RESTART_NECESSARY` and
+    :data:`RESTART_ARTIFICIAL` fires on the fixed-point residual ``|T(z) -
+    z|``, and the dual of ``T(z)`` gives a proven lower bound on the
+    optimal TV (:class:`_DualBound`). Returns
     ``(image, trace)``, with the image the primal of ``T(z)``, once its
-    sup-norm constraint residual and its gap to the best bound fall below
-    tolerance (:class:`PdConfig`); raises :class:`NonConvergence` carrying
-    ``(image, trace)`` otherwise.
+    sup-norm constraint residual is at most ``1e-4 * |y|_inf`` and its TV
+    exceeds the best bound by at most ``TOL_GAP * max(TV, |y|_inf)``: the
+    image is then proven within that gap of optimal. The ``|y|_inf`` floor
+    lets a layout whose optimum has TV 0 (a single disk) stop. Raises
+    :class:`NonConvergence` carrying ``(image, trace)`` if that takes more
+    than ``max_iters`` iterations.
     """
-    cfg = cfg or PdConfig()
+    check_max_iters(max_iters)
     y = np.asarray(y, dtype=float)
     w, h = size
     n = h * w
@@ -407,13 +396,13 @@ def chambolle_pock_tv_solve(disks: DiskSet, y, size, cfg: PdConfig | None = None
     last_residual = np.inf
     best_bound = 0.0  # TV is nonnegative
     trace = ConvergenceTrace()
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, max_iters + 1):
         step()
         # |T(z) - z|: with tau = sigma, a multiple of the step-weighted
         # norm, and the restart rule compares ratios only
         if it == 1:
             restart_residual = np.linalg.norm(tz - z)
-        if it % cfg.log_every == 0 or it == cfg.max_iters:
+        if it % LOG_EVERY == 0 or it == max_iters:
             fp_residual = np.linalg.norm(tz - z)
             u = tz[0]
             image = u.reshape(h, w)
@@ -422,7 +411,7 @@ def chambolle_pock_tv_solve(disks: DiskSet, y, size, cfg: PdConfig | None = None
             best_bound = max(best_bound, dual_bound(tz[1], tz[2], y))
             trace.log(it, tv, residual, best_bound)
             if (residual <= tol_constraint
-                    and tv - best_bound <= cfg.tol_gap * max(tv, y_inf)):
+                    and tv - best_bound <= TOL_GAP * max(tv, y_inf)):
                 return image.copy(), trace
             # Restart (Applegate et al.'s rule, Lu & Yang's restart point)
             # when the residual has decayed enough since the last restart,
@@ -496,35 +485,32 @@ def _label(mask, connectivity: int):
     return np.where(flat, number[parent], 0).reshape(h, w), int(roots.size)
 
 
-def level_set_report(u, quant_tol: float = QUANT_TOL, min_mass: float = 0.015,
-                     flat_tol: float = 1e-4) -> LevelSetReport:
+def level_set_report(u) -> LevelSetReport:
     """Quantize an image into value clusters and flag simple-set structure.
 
     Values are clustered greedily: sorted, split wherever the gap exceeds
-    ``quant_tol`` times the larger of the dynamic range and the sup norm,
-    so that a nearly flat image far from zero (a spread of solver noise
-    around one value) stays one cluster. First-order solvers antialias
-    plateau boundaries, which leaves stray pixels at intermediate values;
-    clusters holding less than ``min_mass`` of the pixels are therefore
-    absorbed into the nearest cluster by value (smallest first) before
-    flagging. An image whose span is below ``flat_tol`` relative to its
-    magnitude is one plateau of solver noise, not structure, and reports a
-    single level. Per cluster, the level set is checked for 4-connectivity
-    and the superlevel set for hole-freeness (8-connectivity of its
-    complement).
+    :data:`QUANT_TOL` times the larger of the dynamic range and the sup
+    norm, so that a nearly flat image far from zero (a spread of solver
+    noise around one value) stays one cluster. First-order solvers
+    antialias plateau boundaries, which leaves stray pixels at intermediate
+    values; clusters holding less than :data:`MIN_MASS` of the pixels are
+    therefore absorbed into the nearest cluster by value (smallest first)
+    before flagging. An image whose span is below :data:`FLAT_TOL` relative
+    to its magnitude is one plateau of solver noise, not structure, and
+    reports a single level. Per cluster, the level set is checked for
+    4-connectivity and the superlevel set for hole-freeness (8-connectivity
+    of its complement).
     """
-    if quant_tol <= 0:
-        raise ValueError("quant_tol must be positive")
     u = np.asarray(u, dtype=float)
     flat = np.sort(u.ravel())
     span = flat[-1] - flat[0]
     peak = max(abs(flat[0]), abs(flat[-1]))
-    if span <= flat_tol * max(1.0, peak):
+    if span <= FLAT_TOL * max(1.0, peak):
         return LevelSetReport(levels=[(float(flat.mean()), u.size)],
                               indecomposable=[True], saturated=[True],
-                              quantization_tol=quant_tol,
+                              quantization_tol=QUANT_TOL,
                               labels=np.zeros(u.shape, dtype=int))
-    gap = quant_tol * max(span, peak)
+    gap = QUANT_TOL * max(span, peak)
     cuts = np.flatnonzero(np.diff(flat) > gap)
     labels = np.digitize(u, 0.5 * (flat[cuts] + flat[cuts + 1]))
     counts = np.bincount(labels.ravel(), minlength=cuts.size + 1)
@@ -533,7 +519,7 @@ def level_set_report(u, quant_tol: float = QUANT_TOL, min_mass: float = 0.015,
 
     # owner[c] is the cluster that initial cluster c now belongs to.
     owner = np.arange(counts.size)
-    floor = min_mass * u.size
+    floor = MIN_MASS * u.size
     while counts.size > 1 and counts.min() < floor:
         values = sums / counts
         k = int(np.lexsort((values, counts))[0])  # smallest, lowest value
@@ -557,5 +543,5 @@ def level_set_report(u, quant_tol: float = QUANT_TOL, min_mass: float = 0.015,
         supermask = labels >= k
         saturated.append(_label(~supermask, 8)[1] <= 1)
     return LevelSetReport(levels=levels, indecomposable=indecomposable,
-                          saturated=saturated, quantization_tol=quant_tol,
+                          saturated=saturated, quantization_tol=QUANT_TOL,
                           labels=labels)

@@ -20,8 +20,8 @@ from repkit.geometry import (HPolyhedron, birkhoff_decompose,
                              klee_reduce, minimal_face)
 from repkit.linalg import null_space_basis
 from repkit.measure import beurling_solve, trigonometric_system
-from repkit.tv2d import (DiskSet, PdConfig, chambolle_pock_tv_solve,
-                         disk_average_apply, level_set_report)
+from repkit.tv2d import (DiskSet, chambolle_pock_tv_solve, disk_average_apply,
+                         level_set_report)
 
 
 def report(criterion, ok, detail):
@@ -231,9 +231,9 @@ def _fig2_run(size, max_iters):
     scale = size / 200.0
     disks = DiskSet([(cx * scale, cy * scale, r * scale)
                      for cx, cy, r in FIG2_DISKS])
-    cfg = PdConfig(max_iters=max_iters)
     try:
-        u, trace = chambolle_pock_tv_solve(disks, FIG2_Y, (size, size), cfg)
+        u, trace = chambolle_pock_tv_solve(disks, FIG2_Y, (size, size),
+                                           max_iters=max_iters)
         converged = True
     except NonConvergence as exc:
         u, trace = exc.payload
@@ -247,7 +247,7 @@ def test_criterion_8_fig2_smoke_64():
     disks, u, trace, converged = _fig2_run(64, 120_000)
     elapsed = time.monotonic() - t0
     residual = np.abs(disk_average_apply(u, disks) - FIG2_Y).max()
-    rep = level_set_report(u, quant_tol=0.02)
+    rep = level_set_report(u)
     ok = (residual <= 1e-4 * np.abs(FIG2_Y).max() and rep.level_count <= 4
           and rep.all_simple() and elapsed < 60.0)
     report("8-smoke", ok,
@@ -262,7 +262,7 @@ def test_criterion_8_fig2_full_200():
     disks, u, trace, converged = _fig2_run(200, 300_000)
     elapsed = time.monotonic() - t0
     residual = np.abs(disk_average_apply(u, disks) - FIG2_Y).max()
-    rep = level_set_report(u, quant_tol=0.02)
+    rep = level_set_report(u)
     cert = audit(u, RegularizerSpec(
         kind="tv2d", params={"disks": disks, "size": (200, 200),
                              "level_report": rep}), disks)

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import importlib
 import json
 import os
@@ -114,9 +113,26 @@ UNREADABLE = {
     "splitting-max_iters-negative": ({**SPLITTING_DOC,
                                       "solver": {"max_iters": -3}},
                                      "max_iters"),
+    # solver fields that the solvers fix as constants
     "psd-gamma": ({**PSD_DOC, "solver": {"gamma": "x"}}, "gamma"),
     "log_every-0": ({**PRIMAL_DUAL_DOC, "solver": {"log_every": 0}},
                     "log_every"),
+    "splitting-eps_feas": ({**SPLITTING_DOC, "solver": {"eps_feas": 1e-7}},
+                           "eps_feas"),
+    "psd-eps_gap": ({**PSD_DOC, "solver": {"eps_gap": 1e-5}}, "eps_gap"),
+    "primal-dual-tol_gap": ({**PRIMAL_DUAL_DOC, "solver": {"tol_gap": 1e-3}},
+                            "tol_gap"),
+    # a false value, which was read as an absent solver object
+    "solver-0": ({**SPLITTING_DOC, "solver": 0}, "'solver'"),
+    # a grid coarser than the moment count, which solve rejected only after
+    # creating --out and audit and decompose accepted
+    "grid-below-moments": ({"kind": "measure_tv", "y": [1.0, 0.2, -0.3],
+                            "grid_n": 2}, "'grid_n'"),
+    # a disk between pixel centers, which solve rejected only after
+    # creating --out and decompose accepted
+    "disk-covers-no-pixel": ({**PRIMAL_DUAL_DOC,
+                              "phi": {"disks": [[4, 4, 0.3]]}},
+                             "covers no pixel"),
     # values of the wrong JSON type, which raised TypeError
     "psi-coefficients-a-number": (
         {"kind": "measure_nonneg", "y": [1.0, 0.5, 0.2],
@@ -371,7 +387,7 @@ class TestProblemReading:
             write_pgm(sol, np.zeros((8, 8)))
         elif doc["kind"] in ("nuclear", "psd_cone"):
             write_csv(sol, np.diag([1.0, 0.0]))
-        elif doc["kind"] == "measure_nonneg":
+        elif doc["kind"] in ("measure_tv", "measure_nonneg"):
             write_csv(sol, [[0.5, 1.0]], header=["location", "amplitude"])
         else:
             write_csv(sol, [[1.0]] + [[0.0]] * (len(doc["phi"][0]) - 1))
@@ -732,13 +748,9 @@ class TestDocumentedKeys:
             for kind, entry in cli.CLI_KINDS.items()}
 
     def test_solver_fields(self):
-        from repkit.finite import SplittingConfig
-        from repkit.tv2d import PdConfig
         cli = importlib.import_module("repkit.cli")
         rows = _readme_table("solver", "kinds", "`solver` fields")
-        assert {cls: set(fields) for [cls], _, fields in rows} == {
-            cls.__name__: {f.name for f in dataclasses.fields(cls)}
-            for cls in (SplittingConfig, PdConfig)}
+        assert all(set(fields) == cli.SOLVER_KEYS for _, _, fields in rows)
         assert {kind for _, kinds, _ in rows for kind in kinds} == {
             kind for kind, entry in cli.CLI_KINDS.items()
             if "solver" in entry.keys}

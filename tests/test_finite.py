@@ -5,7 +5,8 @@ import pytest
 
 from repkit.audit import RegularizerSpec, audit
 from repkit.errors import Infeasible, NonConvergence, NotSurjective
-from repkit.finite import (LpProblem, MatrixProblem, SplittingConfig,
+from repkit.cli import _max_iters
+from repkit.finite import (EPS_FEAS, LpProblem, MatrixProblem,
                            barvinok_bound, l1_analysis_solve, nnls_solve,
                            nuclear_min_solve, psd_solve,
                            rank1_atomic_decomposition, rank_reduce_psd,
@@ -221,7 +222,8 @@ class TestNuclear:
         assert abs(n1 - n2) <= 1e-6 * max(n1, 1.0)
 
 
-def _reference_nuclear_solve(prob, cfg=SplittingConfig()):
+def _reference_nuclear_solve(prob, max_iters=50_000, gamma=1.0,
+                             eps_feas=1e-7, eps_gap=1e-5):
     """The Douglas-Rachford loop ``nuclear_min_solve`` shipped with: singular
     value thresholding, affine projection and the rescaled gap test every
     10 iterations. Returns ``(M, converged)``."""
@@ -235,22 +237,22 @@ def _reference_nuclear_solve(prob, cfg=SplittingConfig()):
     yn = np.linalg.norm(prob.y)
     Z = np.zeros(prob.shape)
     M = Z
-    for it in range(cfg.max_iters):
+    for it in range(max_iters):
         f = svd(Z)
-        M = (f.u * np.maximum(f.singular_values - cfg.gamma, 0.0)) @ f.v.T
+        M = (f.u * np.maximum(f.singular_values - gamma, 0.0)) @ f.v.T
         Q = project(2.0 * M - Z)
         Z = Z + (Q - M)
-        if it % 10 == 0 or it == cfg.max_iters - 1:
+        if it % 10 == 0 or it == max_iters - 1:
             if np.linalg.norm(prob.apply(M) - prob.y) \
-                    <= cfg.eps_feas * (1.0 + yn):
-                lam = G_pinv @ prob.apply((Z - M) / cfg.gamma)
+                    <= eps_feas * (1.0 + yn):
+                lam = G_pinv @ prob.apply((Z - M) / gamma)
                 At_lam = (S.T @ lam).reshape(prob.shape)
                 op = svd(At_lam).singular_values.max(initial=0.0)
                 if op > 1.0:
                     lam = lam / op
                 primal = svd(M).singular_values.sum()
                 gap = primal - float(prob.y @ lam)
-                if abs(gap) <= cfg.eps_gap * (1.0 + primal):
+                if abs(gap) <= eps_gap * (1.0 + primal):
                     return M, True
     return M, False
 
@@ -269,16 +271,19 @@ def _criterion4_draws(count):
 
 @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan")])
 def test_splitting_config_rejects_nonpositive_gamma(gamma):
-    # The multipliers are read off (Z - M) / gamma.
-    with pytest.raises(ValueError):
-        SplittingConfig(gamma=gamma)
+    # The step is the constant GAMMA: the solver object of a problem file
+    # may not set it.
+    with pytest.raises(ValueError, match="gamma"):
+        _max_iters({"solver": {"gamma": gamma}})
 
 
 @pytest.mark.parametrize("max_iters", [0, -3])
 def test_splitting_config_rejects_max_iters_below_1(max_iters):
     # Without an iteration psd_solve raised Infeasible on feasible systems.
-    with pytest.raises(ValueError, match="max_iters"):
-        SplittingConfig(max_iters=max_iters)
+    prob = MatrixProblem([np.eye(2)], [1.0], (2, 2))
+    for solve in (nuclear_min_solve, psd_solve):
+        with pytest.raises(ValueError, match="max_iters"):
+            solve(prob, max_iters=max_iters)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -286,8 +291,9 @@ def test_splitting_config_rejects_max_iters_below_1(max_iters):
     ("gamma", "x"), ("gamma", False), ("eps_feas", None), ("eps_gap", [1]),
     ("eps_feas", float("inf")), ("eps_gap", float("nan"))])
 def test_splitting_config_rejects_non_numbers(field, value):
+    # max_iters only if it is an integer; the constants in no case
     with pytest.raises(ValueError, match=field):
-        SplittingConfig(**{field: value})
+        _max_iters({"solver": {field: value}})
 
 
 class TestNuclearRegression:
@@ -299,11 +305,10 @@ class TestNuclearRegression:
 
     def test_nonconvergence_payload_matches_reference(self):
         prob = next(_criterion4_draws(1))
-        cfg = SplittingConfig(max_iters=2)
-        M_ref, converged = _reference_nuclear_solve(prob, cfg)
+        M_ref, converged = _reference_nuclear_solve(prob, max_iters=2)
         assert not converged
         with pytest.raises(NonConvergence) as exc:
-            nuclear_min_solve(prob, cfg)
+            nuclear_min_solve(prob, max_iters=2)
         assert np.array_equal(exc.value.payload, M_ref)
 
 
@@ -311,7 +316,7 @@ class TestPsd:
     def test_consistent_system_without_psd_point_is_infeasible(self):
         prob = MatrixProblem([np.eye(2)], [-1.0], (2, 2))
         with pytest.raises(Infeasible):
-            psd_solve(prob, cfg=SplittingConfig(max_iters=200))
+            psd_solve(prob, max_iters=200)
 
     def test_barvinok_bound_values(self):
         assert barvinok_bound(3) == 2.0
@@ -500,7 +505,7 @@ class TestPsdEighCount:
         # feasible set by the cap decides which of the two errors is raised.
         prob, cost = _seed7_system()
         with pytest.raises((NonConvergence, Infeasible)):
-            psd_solve(prob, cost=cost, cfg=SplittingConfig(max_iters=500))
+            psd_solve(prob, cost=cost, max_iters=500)
 
 
 def _burer_monteiro_maxcut(C, sweeps=20_000):
@@ -537,7 +542,7 @@ class TestMaxCut:
         ref = _burer_monteiro_maxcut(C)
         assert abs(value - ref) <= 1e-6 * abs(ref)
         assert np.linalg.norm(prob.apply(M) - prob.y) \
-            <= SplittingConfig().eps_feas * (1 + np.linalg.norm(prob.y))
+            <= EPS_FEAS * (1 + np.linalg.norm(prob.y))
         assert audit(M, RegularizerSpec(kind="psd_cone"), maps).passed
 
 

@@ -1,5 +1,6 @@
 import functools
 import importlib.util
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -10,17 +11,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repkit import tv2d
-from repkit.cli import DEFAULT_FIG2_DISKS, DEFAULT_FIG2_Y
+from repkit.cli import DEFAULT_FIG2_DISKS, DEFAULT_FIG2_Y, _max_iters
 from repkit.errors import EmptyDisk, NonConvergence
 from repkit.linalg import lstsq, op_norm_estimate
 from repkit.tv2d import (RESTART_ARTIFICIAL, RESTART_NECESSARY,
-                         RESTART_SUFFICIENT, ConvergenceTrace, DiskSet,
-                         PdConfig, _DiskMeans, _DualBound, _div, _div_into,
+                         RESTART_SUFFICIENT, TOL_GAP, ConvergenceTrace,
+                         DiskSet, _DiskMeans, _DualBound, _div, _div_into,
                          _grad_into, _label, chambolle_pock_tv_solve,
                          discrete_tv, disk_average_adjoint,
                          disk_average_apply, level_set_report)
 
 rng = np.random.default_rng(55)
+DEFAULT_MAX_ITERS = inspect.signature(
+    chambolle_pock_tv_solve).parameters["max_iters"].default
 
 
 def _flood_components(mask, connectivity: int) -> int:
@@ -50,12 +53,12 @@ def _flood_components(mask, connectivity: int) -> int:
     return count
 
 
-def _reference_cp_solve(disks, y, size, cfg, tol_change=1e-5):
+def _reference_cp_solve(disks, y, size, max_iters, log_every=50,
+                        tol_change=1e-5):
     """Reference: the unrestarted Chambolle-Pock loop on ``K = (grad, Phi)``
     with row-scaled mean constraints and a power-iteration norm estimate,
     on 2-d arrays with boolean-mask disk means. It stops on the relative
-    step ``tol_change``, at the value it shipped with, and reads only
-    ``max_iters`` and ``log_every`` from ``cfg``."""
+    step ``tol_change``, at the value it shipped with."""
 
     def grad(u):
         gx = np.zeros_like(u)
@@ -110,7 +113,7 @@ def _reference_cp_solve(disks, y, size, cfg, tol_change=1e-5):
     py = np.zeros((h, w))
     q = np.zeros(len(y))
     trace = ConvergenceTrace()
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, max_iters + 1):
         gx, gy = grad(u_bar)
         px = px + sigma * gx
         py = py + sigma * gy
@@ -121,7 +124,7 @@ def _reference_cp_solve(disks, y, size, cfg, tol_change=1e-5):
         u_old = u
         u = u + tau * div(px, py) - tau * phi_s_adj(q)
         u_bar = u + (u - u_old)  # extrapolation weight theta = 1
-        if it % cfg.log_every == 0 or it == cfg.max_iters:
+        if it % log_every == 0 or it == max_iters:
             residual = np.abs(phi(u) - y).max(initial=0.0)
             trace.log(it, discrete_tv(u), residual, np.nan)  # no bound
             change = np.linalg.norm(u - u_old) / (1.0 + np.linalg.norm(u))
@@ -131,7 +134,8 @@ def _reference_cp_solve(disks, y, size, cfg, tol_change=1e-5):
                          payload=(u, trace))
 
 
-def _reference_average_restart(disks, y, size, cfg, tol_change=2e-6):
+def _reference_average_restart(disks, y, size, max_iters=DEFAULT_MAX_ITERS,
+                               log_every=50, tol_change=2e-6):
     """Reference: the restarted PDHG loop of the previous design, which
     restarts to the running average of its epoch and checks each restart
     candidate with an extra step (Applegate et al., 2023). It stops on the
@@ -192,14 +196,14 @@ def _reference_average_restart(disks, y, size, cfg, tol_change=2e-6):
     restart_residual = fixed_point_residual(u, px, py)
     last_residual = np.inf
     trace = ConvergenceTrace()
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, max_iters + 1):
         u, u_old = u_old, u
         step(u_old, px, py, u)
         u_sum += u
         px_sum += px
         py_sum += py
 
-        if it % cfg.log_every == 0 or it == cfg.max_iters:
+        if it % log_every == 0 or it == max_iters:
             image = u.reshape(h, w)
             residual = np.abs(means.apply(u) - y).max(initial=0.0)
             trace.log(it, discrete_tv(image), residual, np.nan)  # no bound
@@ -298,25 +302,28 @@ class TestChambollePock:
         # a NaN gap never stops the loop; an infinite one stops it at once
         ("tol_gap", float("nan")), ("tol_gap", float("inf"))])
     def test_config_rejects_non_numbers(self, field, value):
+        # max_iters only if it is an integer; the constants in no case
         with pytest.raises(ValueError, match=field):
-            PdConfig(**{field: value})
+            _max_iters({"solver": {field: value}})
 
     @pytest.mark.parametrize("log_every", [0, -50])
     def test_config_rejects_log_every_below_1(self, log_every):
-        # The loop logs and tests every log_every iterations.
+        # The loop logs and tests every LOG_EVERY iterations, a constant
+        # that the solver object of a problem file may not set.
         with pytest.raises(ValueError, match="log_every"):
-            PdConfig(log_every=log_every)
+            _max_iters({"solver": {"log_every": log_every}})
 
     @pytest.mark.parametrize("max_iters", [0, -3])
     def test_config_rejects_max_iters_below_1(self, max_iters):
         # The loop would end before its first log: an empty trace.
         with pytest.raises(ValueError, match="max_iters"):
-            PdConfig(max_iters=max_iters)
+            chambolle_pock_tv_solve(DiskSet([(4.0, 4.0, 3.0)]), [0.5],
+                                    (8, 8), max_iters=max_iters)
 
     def test_zero_measurements_give_zero_image(self):
         disks = DiskSet([(16.0, 16.0, 8.0)])
         u, _ = chambolle_pock_tv_solve(disks, [0.0], (32, 32),
-                                       PdConfig(max_iters=3000))
+                                       max_iters=3000)
         assert np.abs(u).max() < 1e-6
 
     def test_single_disk_two_level_structure(self):
@@ -324,7 +331,7 @@ class TestChambollePock:
         # so the converged output has at most 2 quantized levels.
         disks = DiskSet([(16.0, 16.0, 8.0)])
         u, trace = chambolle_pock_tv_solve(disks, [0.7], (32, 32),
-                                           PdConfig(max_iters=30000))
+                                           max_iters=30000)
         rep = level_set_report(u)
         assert rep.level_count <= 2
         assert rep.all_simple()
@@ -334,7 +341,7 @@ class TestChambollePock:
         disks = DiskSet([(9.0, 9.0, 5.0), (23.0, 23.0, 6.0)])
         y = np.array([1.0, -0.6])
         u, trace = chambolle_pock_tv_solve(disks, y, (32, 32),
-                                           PdConfig(max_iters=60000))
+                                           max_iters=60000)
         assert np.abs(disk_average_apply(u, disks) - y).max() <= 1e-4
         # oracle: least-squares feasible image has no smaller TV
         masks = disks.masks((32, 32))
@@ -343,13 +350,13 @@ class TestChambollePock:
         assert np.abs(disk_average_apply(ref, disks) - y).max() < 1e-8
         assert discrete_tv(u) <= discrete_tv(ref) * (1 + 1e-3)
 
-    def test_trace_residual_eventually_monotone(self):
+    def test_trace_residual_eventually_monotone(self, monkeypatch):
         # stronger than monotone: every iterate is projected onto Phi u = y,
         # so every logged residual is at rounding level
+        monkeypatch.setattr(tv2d, "LOG_EVERY", 10)
         disks = DiskSet([(16.0, 16.0, 8.0)])
         _, trace = chambolle_pock_tv_solve(disks, [0.5], (32, 32),
-                                           PdConfig(max_iters=20000,
-                                                    log_every=10))
+                                           max_iters=20000)
         assert max(trace.constraint_residuals) <= 1e-12 * 0.5
 
     def test_overlapping_and_duplicate_disks_stay_feasible(self):
@@ -359,7 +366,7 @@ class TestChambollePock:
                          (10.0, 10.0, 6.0)])
         y = np.array([0.8, -0.2, 0.8])
         u, trace = chambolle_pock_tv_solve(disks, y, (24, 24),
-                                           PdConfig(max_iters=40000))
+                                           max_iters=40000)
         assert np.abs(disk_average_apply(u, disks) - y).max() <= 1e-12
         assert max(trace.constraint_residuals) <= 1e-12
 
@@ -368,7 +375,7 @@ class TestChambollePock:
         # restarts to the epoch average 3,200 and the Halpern loop stopping
         # on the step size 2,300
         _, trace = chambolle_pock_tv_solve(_fig2_layout(64), DEFAULT_FIG2_Y,
-                                           (64, 64), PdConfig(max_iters=1300))
+                                           (64, 64), max_iters=1300)
         assert trace.iterations[-1] <= 1300
 
     @pytest.mark.parametrize("y", [0.7, -0.6])
@@ -381,12 +388,14 @@ class TestChambollePock:
         assert trace.lower_bounds[-1] == 0.0
 
     @pytest.mark.parametrize("max_iters", [75, 80, 140])
-    def test_nonconvergence_payload_is_last_logged_iterate(self, max_iters):
+    def test_nonconvergence_payload_is_last_logged_iterate(self, monkeypatch,
+                                                           max_iters):
         # at these caps the restart rule fires on the last iteration; the
         # image carried out is still the one whose TV was logged last
+        monkeypatch.setattr(tv2d, "LOG_EVERY", 20)
         with pytest.raises(NonConvergence) as got:
             chambolle_pock_tv_solve(_fig2_layout(24), DEFAULT_FIG2_Y, (24, 24),
-                                    PdConfig(max_iters=max_iters, log_every=20))
+                                    max_iters=max_iters)
         u, trace = got.value.payload
         assert trace.iterations[-1] == max_iters
         assert discrete_tv(u) == trace.tv_values[-1]
@@ -457,11 +466,9 @@ class TestAgainstReferenceLoop:
         ids=["overlap-24x20", "fig2-24", "fig2-64"]
         + [f"random-40-{seed}" for seed in range(5)])
     def test_matches_reference(self, disks, y, size):
-        u, trace = chambolle_pock_tv_solve(disks, y, size,
-                                           PdConfig(max_iters=120_000))
+        u, trace = chambolle_pock_tv_solve(disks, y, size, max_iters=120_000)
         # the reference at the stopping tolerance it shipped with
-        ref_u, _ = _reference_cp_solve(disks, y, size,
-                                       PdConfig(max_iters=120_000))
+        ref_u, _ = _reference_cp_solve(disks, y, size, max_iters=120_000)
         assert discrete_tv(u) <= discrete_tv(ref_u) * (1 + 1e-3)
         y_inf = np.abs(y).max()
         assert np.abs(disk_average_apply(u, disks) - y).max() \
@@ -471,13 +478,15 @@ class TestAgainstReferenceLoop:
         assert rep.level_count == ref_rep.level_count
         assert rep.all_simple() == ref_rep.all_simple()
 
-    def test_nonconvergence_payload_matches_reference(self):
+    def test_nonconvergence_payload_matches_reference(self, monkeypatch):
         disks = _fig2_layout(24)
-        cfg = PdConfig(max_iters=75, log_every=20)
+        monkeypatch.setattr(tv2d, "LOG_EVERY", 20)
         with pytest.raises(NonConvergence) as got:
-            chambolle_pock_tv_solve(disks, DEFAULT_FIG2_Y, (24, 24), cfg)
+            chambolle_pock_tv_solve(disks, DEFAULT_FIG2_Y, (24, 24),
+                                    max_iters=75)
         with pytest.raises(NonConvergence) as ref:
-            _reference_cp_solve(disks, DEFAULT_FIG2_Y, (24, 24), cfg)
+            _reference_cp_solve(disks, DEFAULT_FIG2_Y, (24, 24), max_iters=75,
+                                log_every=20)
         u, trace = got.value.payload
         _, ref_trace = ref.value.payload
         assert u.shape == (24, 24)
@@ -499,9 +508,8 @@ class TestAgainstAverageRestart:
         ids=["fig2-24", "fig2-64"] + [f"random-40-{seed}"
                                       for seed in range(5)])
     def test_matches_average_restart(self, disks, y, size):
-        cfg = PdConfig()
-        u, trace = chambolle_pock_tv_solve(disks, y, size, cfg)
-        ref_u, _ = _reference_average_restart(disks, y, size, cfg)
+        u, trace = chambolle_pock_tv_solve(disks, y, size)
+        ref_u, _ = _reference_average_restart(disks, y, size)
         assert discrete_tv(u) <= discrete_tv(ref_u) * (1 + 1e-3)
         rep, ref_rep = level_set_report(u), level_set_report(ref_u)
         assert rep.level_count == ref_rep.level_count
@@ -547,7 +555,7 @@ def _solved_dual(index):
 class TestDualBound:
     """The bound is a proof: ``grad^T p' = Phi^T q`` and ``|p'| <= s`` hold
     to rounding, so ``<q, y> / s`` lies below the TV of every feasible
-    image, and at the stop it lies within ``tol_gap`` of the returned TV."""
+    image, and at the stop it lies within ``TOL_GAP`` of the returned TV."""
 
     @staticmethod
     def _check_dual(bound, disks, size):
@@ -574,7 +582,7 @@ class TestDualBound:
         tv, best = discrete_tv(u), trace.lower_bounds[-1]
         assert trace.tv_values[-1] == tv
         assert lower <= best <= tv
-        assert tv - best <= PdConfig().tol_gap * max(tv, np.abs(y).max())
+        assert tv - best <= TOL_GAP * max(tv, np.abs(y).max())
         # the best bound only rises
         assert np.all(np.diff(trace.lower_bounds) >= 0)
 
@@ -627,9 +635,9 @@ def test_tv_sweep_script(monkeypatch, capsys):
     assert [row.split()[0] for row in rows] == ["0", "1"]
     for row in rows:
         _, iters, tv, gap, residual, levels, simple, _ = row.split()
-        assert int(iters) <= PdConfig().max_iters
+        assert int(iters) <= DEFAULT_MAX_ITERS
         assert float(tv) > 0 and float(residual) <= 1e-12
-        assert 0 <= float(gap) <= PdConfig().tol_gap
+        assert 0 <= float(gap) <= TOL_GAP
         assert int(levels) >= 1 and simple in ("True", "False")
     assert re.fullmatch(r"total \d+\.\d{3}s", total)
 
@@ -744,12 +752,13 @@ def _staircase_images(seed, count):
 
 
 class TestLevelSetReport:
-    def test_clusters_match_reference(self):
+    def test_clusters_match_reference(self, monkeypatch):
         merged = 0
         for u in _staircase_images(4242, 60):
             for quant_tol in (0.005, 0.02, 0.1):
                 ref_labels, ref_levels = _reference_clusters(u, quant_tol)
-                rep = level_set_report(u, quant_tol=quant_tol)
+                monkeypatch.setattr(tv2d, "QUANT_TOL", quant_tol)
+                rep = level_set_report(u)
                 assert np.array_equal(rep.labels, ref_labels)
                 assert [c for _, c in rep.levels] == [c for _, c in ref_levels]
                 assert np.allclose([v for v, _ in rep.levels],
@@ -776,30 +785,33 @@ class TestLevelSetReport:
         assert rep.level_count == 1
         assert rep.all_simple()
 
-    def test_two_disjoint_squares(self):
+    def test_two_disjoint_squares(self, monkeypatch):
+        monkeypatch.setattr(tv2d, "MIN_MASS", 0.001)
         u = np.zeros((40, 40))
         u[5:15, 5:15] = 1.0
         u[20:30, 20:30] = 2.0
-        rep = level_set_report(u, min_mass=0.001)
+        rep = level_set_report(u)
         assert rep.level_count == 3
         values = sorted(v for v, _ in rep.levels)
         assert np.allclose(values, [0.0, 1.0, 2.0])
         assert all(rep.indecomposable)
         assert all(rep.saturated)
 
-    def test_annulus_is_not_saturated(self):
+    def test_annulus_is_not_saturated(self, monkeypatch):
+        monkeypatch.setattr(tv2d, "MIN_MASS", 0.001)
         u = np.zeros((40, 40))
         u[10:30, 10:30] = 1.0
         u[15:25, 15:25] = 0.0
-        rep = level_set_report(u, min_mass=0.001)
+        rep = level_set_report(u)
         assert rep.level_count == 2
         assert rep.saturated[1] is False
 
-    def test_disconnected_level_flagged(self):
+    def test_disconnected_level_flagged(self, monkeypatch):
+        monkeypatch.setattr(tv2d, "MIN_MASS", 0.001)
         u = np.zeros((30, 30))
         u[2:8, 2:8] = 1.0
         u[20:26, 20:26] = 1.0
-        rep = level_set_report(u, min_mass=0.001)
+        rep = level_set_report(u)
         assert rep.level_count == 2
         assert rep.indecomposable[1] is False
 
@@ -812,7 +824,9 @@ class TestLevelSetReport:
         assert rep.level_count == 2
         assert sum(c for _, c in rep.levels) == u.size
 
-    def test_pixel_counts_partition_image(self):
+    def test_pixel_counts_partition_image(self, monkeypatch):
+        monkeypatch.setattr(tv2d, "QUANT_TOL", 0.3)
+        monkeypatch.setattr(tv2d, "MIN_MASS", 0.0)
         u = rng.standard_normal((12, 12))
-        rep = level_set_report(u, quant_tol=0.3, min_mass=0.0)
+        rep = level_set_report(u)
         assert sum(c for _, c in rep.levels) == u.size
