@@ -30,8 +30,7 @@ from .finite import kernel_image_basis, rank1_atomic_decomposition
 from .geometry import AtomicDecomposition
 from .linalg import null_space_basis, pseudo_inverse, svd
 from .measure import DiscreteMeasure
-from .tv2d import (DiskSet, discrete_tv, disk_average_apply,
-                   level_set_report)
+from .tv2d import DiskSet, discrete_tv, level_set_report
 
 
 @dataclass
@@ -40,8 +39,9 @@ class RegularizerSpec:
 
     ``params`` carries the kind-specific data: ``L`` (analysis operator)
     for ``l1_analysis``; ``disks`` and ``size`` for ``tv2d``, optionally
-    with ``level_report`` (a :class:`~repkit.tv2d.LevelSetReport` of the
-    solution, used instead of computing one).
+    with ``masks`` (the disk masks on the image grid, drawn instead if
+    absent) and ``level_report`` (a :class:`~repkit.tv2d.LevelSetReport`
+    of the solution, used instead of computing one).
     """
 
     kind: str
@@ -173,13 +173,20 @@ def _kernel_lineality(spec, Phi) -> LinealityReport:
 
 
 def _constant_lineality(spec, Phi) -> LinealityReport:
-    disks = spec.params["disks"]
-    if not isinstance(disks, DiskSet):
-        disks = DiskSet(disks)
+    """Constant images. Their mean over a disk that covers a pixel center
+    is the constant, so the measurements see them (``d = 1``) unless there
+    is no disk. The masks in ``spec.params["masks"]`` show that every disk
+    covers a pixel center; a spec without them has them drawn here, which
+    raises :class:`~repkit.errors.EmptyDisk` for a disk that covers none."""
     w, h = spec.params["size"]
+    masks = spec.params.get("masks")
+    if masks is None:
+        disks = spec.params["disks"]
+        if not isinstance(disks, DiskSet):
+            disks = DiskSet(disks)
+        masks = disks.masks((h, w))
     ones = np.ones(h * w) / np.sqrt(h * w)
-    img = disk_average_apply(ones.reshape(h, w), disks)
-    d = 1 if np.linalg.norm(img) > 1e-12 else 0
+    d = 1 if len(masks) else 0
     return LinealityReport(lineality_basis=ones.reshape(-1, 1), d=d,
                            kernel_overlap=1 - d)
 

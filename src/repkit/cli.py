@@ -207,12 +207,11 @@ def _write_level_report(out_dir, u, trace, outputs):
 class Problem(NamedTuple):
     """A checked problem file: its regularizer, what :func:`audit` takes as
     ``Phi``, and the solver call on the same inputs, which returns the
-    payload; for ``tv2d``, also the disk masks on the image grid."""
+    payload."""
 
     spec: RegularizerSpec
     phi: object
     solve: Callable
-    masks: list | None = None
 
 
 def _numbers(value, name, ndim=None) -> np.ndarray:
@@ -326,9 +325,10 @@ def _moment_lp_problem(doc) -> Problem:
 
 
 def _image_problem(doc) -> Problem:
-    """The solver returns an ``(image, trace)`` pair. Drawing the masks
-    raises :class:`~repkit.errors.EmptyDisk` for a disk that covers no
-    pixel center."""
+    """The solver returns an ``(image, trace)`` pair. The disk masks on the
+    image grid travel in the spec's ``masks``; drawing them raises
+    :class:`~repkit.errors.EmptyDisk` for a disk that covers no pixel
+    center."""
     phi = doc.get("phi")
     if not isinstance(phi, dict) or "disks" not in phi:
         raise ValueError("'phi' must be an object with a 'disks' key")
@@ -337,10 +337,10 @@ def _image_problem(doc) -> Problem:
     size = check_shape(doc["size"], "size")
     masks = disks.masks(size[::-1])
     solver = _max_iters(doc)
-    spec = RegularizerSpec(kind="tv2d", params={"disks": disks, "size": size})
+    spec = RegularizerSpec(kind="tv2d", params={"disks": disks, "size": size,
+                                                "masks": masks})
     return Problem(spec, disks,
-                   lambda: chambolle_pock_tv_solve(disks, y, size, **solver),
-                   masks)
+                   lambda: chambolle_pock_tv_solve(disks, y, size, **solver))
 
 
 class PayloadFile(NamedTuple):
@@ -548,7 +548,7 @@ def cmd_fig2(args) -> int:
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     mask_img = np.zeros((args.size, args.size))
-    for k, m in enumerate(problem.masks):
+    for k, m in enumerate(problem.spec.params["masks"]):
         mask_img[m] = k + 1.0
     disks_path = os.path.join(out_dir, "disks.pgm")
     write_pgm(disks_path, mask_img)

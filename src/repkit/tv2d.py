@@ -28,7 +28,8 @@ projection. The iteration runs on ``(3, n)`` stacks of flat row-major
 ``(u, px, py)`` allocated before the loop: forward differences and their
 adjoint are contiguous 1-d slices with the wrap-around across row ends
 zeroed, and every update writes in place. Connected components are
-labelled by vectorized union-find (:func:`_label`).
+labelled by vectorized union-find on the horizontal runs of a mask
+(:func:`_label`).
 """
 
 from __future__ import annotations
@@ -444,28 +445,45 @@ def _label(mask, connectivity: int):
 
     ``labels`` is 0 off the mask and ``1..count`` on it, numbered in
     raster order of each component's first pixel (the numbering of
-    ``scipy.ndimage.label``). Vectorized union-find over the pixel
-    adjacencies: each round hooks every root onto the smallest root it
-    shares an edge with, then compresses all paths by pointer jumping, and
-    drops the edges that now join one tree. A root never hooks onto a larger
-    index, so the forest stays acyclic and every root is its component's
-    smallest pixel index.
+    ``scipy.ndimage.label``). The graph is built on runs, the maximal
+    horizontal segments of the mask, numbered in raster order (He, Chao &
+    Suzuki, "A run-based two-scan labeling algorithm", 2008): a run is
+    joined to each run of the row above that it overlaps in a column, or,
+    for 8-connectivity, in a column or a diagonal neighbour of one.
+    Vectorized union-find over those edges: each round hooks every root
+    onto the smallest root it shares an edge with, then compresses all
+    paths by pointer jumping, and drops the edges that now join one tree.
+    A root never hooks onto a larger index, so the forest stays acyclic
+    and every root is its component's first run, which holds its first
+    pixel. The labels are painted back run by run.
     """
+    if connectivity not in (4, 8):
+        raise ValueError("connectivity must be 4 or 8")
     mask = np.asarray(mask, dtype=bool)
     h, w = mask.shape
-    index = np.arange(h * w).reshape(h, w)
-    shifts = [(index[:, :-1], index[:, 1:], mask[:, :-1] & mask[:, 1:]),
-              (index[:-1], index[1:], mask[:-1] & mask[1:])]
-    if connectivity == 8:
-        shifts += [(index[:-1, :-1], index[1:, 1:],
-                    mask[:-1, :-1] & mask[1:, 1:]),
-                   (index[:-1, 1:], index[1:, :-1],
-                    mask[:-1, 1:] & mask[1:, :-1])]
-    elif connectivity != 4:
-        raise ValueError("connectivity must be 4 or 8")
-    a = np.concatenate([src[both] for src, _, both in shifts])
-    b = np.concatenate([dst[both] for _, dst, both in shifts])
-    parent = np.arange(h * w)
+    # Runs are the steps of each row padded with False at both ends, kept
+    # as keys row * (w + 2) + column: keys of consecutive rows lie w + 2
+    # apart, so a row's runs, widened by one column, stay clear of the runs
+    # of every other row.
+    padded = np.zeros((h, w + 2), dtype=np.int8)
+    padded[:, 1:-1] = mask
+    steps = np.diff(padded).ravel()  # (h, w + 1) row-major
+    starts = np.flatnonzero(steps == 1)
+    ends = np.flatnonzero(steps == -1)
+    row = starts // (w + 1)  # a run ends on the row it starts on
+    starts += row
+    ends += row
+    # Run j overlaps run i of the row above when s_i < e_j + reach and
+    # s_j < e_i + reach, ends exclusive: its partners there are the runs
+    # [lo, hi), contiguous since the runs of a row are ordered.
+    reach = 1 if connectivity == 8 else 0
+    lo = np.searchsorted(ends, starts - (w + 2) - reach, side="right")
+    hi = np.searchsorted(starts, ends - (w + 2) + reach, side="left")
+    degree = np.maximum(hi - lo, 0)
+    b = np.repeat(np.arange(starts.size), degree)
+    a = np.arange(b.size) - np.repeat(np.cumsum(degree) - degree - lo,
+                                      degree)
+    parent = np.arange(starts.size)
     while True:
         ra, rb = parent[a], parent[b]
         apart = ra != rb
@@ -478,11 +496,11 @@ def _label(mask, connectivity: int):
             if np.array_equal(grand, parent):
                 break
             parent = grand
-    flat = mask.ravel()
-    roots = np.flatnonzero(flat & (parent == np.arange(h * w)))
-    number = np.zeros(h * w, dtype=int)
-    number[roots] = np.arange(1, roots.size + 1)
-    return np.where(flat, number[parent], 0).reshape(h, w), int(roots.size)
+    roots = parent == np.arange(starts.size)
+    number = np.cumsum(roots)[parent]
+    labels = np.zeros(h * w, dtype=int)
+    labels[mask.ravel()] = np.repeat(number, ends - starts)
+    return labels.reshape(h, w), int(roots.sum())
 
 
 def level_set_report(u) -> LevelSetReport:

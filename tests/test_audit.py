@@ -5,7 +5,7 @@ import pytest
 
 from repkit.audit import (RegularizerSpec, audit, decompose_solution,
                           lineality_of)
-from repkit.errors import KindMismatch, UnsupportedKind
+from repkit.errors import EmptyDisk, KindMismatch, UnsupportedKind
 from repkit.finite import (LpProblem, MatrixProblem, l1_analysis_solve,
                            nnls_solve, nuclear_min_solve, simplex_solve)
 from repkit.measure import (DiscreteMeasure, beurling_solve, moment_lp_solve,
@@ -59,6 +59,16 @@ class TestLineality:
                                                    "size": (28, 28)}),
                            disks)
         assert rep.d == 1
+        # the masks a problem reader drew, or raw triples drawn here
+        for params in ({"disks": disks, "masks": disks.masks((28, 28))},
+                       {"disks": [(8.0, 8.0, 4.0)]}):
+            spec = RegularizerSpec(kind="tv2d",
+                                   params={**params, "size": (28, 28)})
+            assert lineality_of(spec, disks).d == 1
+        spec = RegularizerSpec(kind="tv2d", params={
+            "disks": [(8.0, 8.0, 4.0), (40.0, 40.0, 1.0)], "size": (28, 28)})
+        with pytest.raises(EmptyDisk):
+            lineality_of(spec, disks)
 
     @pytest.mark.parametrize("kind", ["nuclear", "psd_cone"])
     def test_matrix_kinds_live_in_the_flattened_space(self, kind):

@@ -594,6 +594,49 @@ class TestAudit:
                        "--out", str(tmp_path / "a")) == 2
 
 
+# Image files of a 2 x 1 problem that ``audit`` and ``decompose`` reject
+# as JSON on stderr with exit 1: a header that stops short, samples that a
+# P2 file cannot hold, and scale or offset comments that are not finite
+# (or, for the scale, not positive).
+MALFORMED_PGM = {
+    "magic-only": "P2\n",
+    "header-without-height": "P2\n4\n",
+    "negative-sample": "P2\n2 1\n3\n-1 2\n",
+    "sample-above-maxval": "P2\n2 1\n3\n0 4\n",
+    "samples-past-w-times-h": "P2\n2 1\n3\n0 1 2\n",
+    "maxval-abc": "P2\n2 1\nabc\n0 1\n",
+    "scale-nan": "P2\n# scale nan\n2 1\n3\n0 1\n",
+    "offset-inf": "P2\n# offset inf\n2 1\n3\n0 1\n",
+    "scale-0": "P2\n# scale 0\n2 1\n3\n0 1\n",
+}
+
+
+class TestMalformedImage:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_PGM))
+    def test_exits_1_with_json(self, tmp_path, capsys, name):
+        prob = write_json(tmp_path / "p.json", {
+            "kind": "tv2d", "phi": {"disks": [[1.0, 0.5, 1.0]]},
+            "y": [0.5], "size": [2, 1]})
+        sol = tmp_path / "u.pgm"
+        sol.write_text(MALFORMED_PGM[name])
+        for command in ("audit", "decompose"):
+            assert run_cli(command, str(sol), "--problem", prob,
+                           "--out", str(tmp_path / "o")) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == f"{command} failed"
+            assert not (tmp_path / "o").exists()
+
+    def test_well_formed_file_passes(self, tmp_path, capsys):
+        prob = write_json(tmp_path / "p.json", {
+            "kind": "tv2d", "phi": {"disks": [[1.0, 0.5, 1.0]]},
+            "y": [0.5], "size": [2, 1]})
+        sol = tmp_path / "u.pgm"
+        sol.write_text("P2\n# scale 0.5\n2 1\n3\n1 1\n")
+        assert run_cli("audit", str(sol), "--problem", prob,
+                       "--out", str(tmp_path / "o")) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
 class TestFig2:
     def test_smoke_size_48(self, tmp_path):
         out = tmp_path / "fig2"

@@ -631,14 +631,21 @@ def test_tv_sweep_script(monkeypatch, capsys):
     _TV_SWEEP.main()
     header, *rows, total = capsys.readouterr().out.splitlines()
     assert header.split() == ["seed", "iters", "tv", "gap", "max",
-                              "residual", "levels", "simple", "seconds"]
+                              "residual", "levels", "simple", "atoms",
+                              "pass", "seconds"]
     assert [row.split()[0] for row in rows] == ["0", "1"]
-    for row in rows:
-        _, iters, tv, gap, residual, levels, simple, _ = row.split()
+    for seed, row in enumerate(rows):
+        (_, iters, tv, gap, residual, levels, simple, atoms, passed,
+         _) = row.split()
         assert int(iters) <= DEFAULT_MAX_ITERS
         assert float(tv) > 0 and float(residual) <= 1e-12
         assert 0 <= float(gap) <= TOL_GAP
         assert int(levels) >= 1 and simple in ("True", "False")
+        # the replayed image keeps its levels, one atom per jump, and
+        # passes when the atoms are within m - d = m - 1
+        m = len(_TV_SWEEP.random_layout(seed)[0])
+        assert int(atoms) == int(levels) - 1
+        assert passed == str(int(atoms) <= m - 1)
     assert re.fullmatch(r"total \d+\.\d{3}s", total)
 
 
@@ -649,6 +656,59 @@ def _serpentine(n):
     for r in range(1, n, 2):
         mask[r, -1 if r % 4 == 1 else 0] = True
     return mask
+
+
+def _reference_label(mask, connectivity: int):
+    """Reference: union-find on pixels, the pixel adjacencies as edges."""
+    mask = np.asarray(mask, dtype=bool)
+    h, w = mask.shape
+    index = np.arange(h * w).reshape(h, w)
+    shifts = [(index[:, :-1], index[:, 1:], mask[:, :-1] & mask[:, 1:]),
+              (index[:-1], index[1:], mask[:-1] & mask[1:])]
+    if connectivity == 8:
+        shifts += [(index[:-1, :-1], index[1:, 1:],
+                    mask[:-1, :-1] & mask[1:, 1:]),
+                   (index[:-1, 1:], index[1:, :-1],
+                    mask[:-1, 1:] & mask[1:, :-1])]
+    a = np.concatenate([src[both] for src, _, both in shifts])
+    b = np.concatenate([dst[both] for _, dst, both in shifts])
+    parent = np.arange(h * w)
+    while True:
+        ra, rb = parent[a], parent[b]
+        apart = ra != rb
+        if not apart.any():
+            break
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    flat = mask.ravel()
+    roots = np.flatnonzero(flat & (parent == np.arange(h * w)))
+    number = np.zeros(h * w, dtype=int)
+    number[roots] = np.arange(1, roots.size + 1)
+    return np.where(flat, number[parent], 0).reshape(h, w), int(roots.size)
+
+
+@st.composite
+def _label_masks(draw):
+    """Masks of shape 1 x n, n x 1 or up to 16 x 16: random, full, empty
+    or a checkerboard."""
+    h, w = draw(st.one_of(
+        st.tuples(st.just(1), st.integers(1, 40)),
+        st.tuples(st.integers(1, 40), st.just(1)),
+        st.tuples(st.integers(1, 16), st.integers(1, 16))))
+    kind = draw(st.sampled_from(["random", "full", "empty", "checkerboard"]))
+    if kind == "full":
+        return np.ones((h, w), dtype=bool)
+    if kind == "empty":
+        return np.zeros((h, w), dtype=bool)
+    if kind == "checkerboard":
+        return np.indices((h, w)).sum(axis=0) % 2 == draw(st.integers(0, 1))
+    bits = draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
+    return np.array(bits, dtype=bool).reshape(h, w)
 
 
 class TestLabel:
@@ -705,6 +765,14 @@ class TestLabel:
         assert _label(touching, 4)[1] == 2
         assert _label(cases["serpentine"], 4)[1] == 1
         assert _label(cases["serpentine"], 8)[1] == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(_label_masks(), st.sampled_from([4, 8]))
+    def test_matches_pixel_reference(self, mask, connectivity):
+        labels, count = _label(mask, connectivity)
+        ref, ref_count = _reference_label(mask, connectivity)
+        assert count == ref_count
+        assert labels.dtype == ref.dtype and np.array_equal(labels, ref)
 
     def test_invalid_connectivity(self):
         with pytest.raises(ValueError):
