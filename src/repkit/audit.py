@@ -19,7 +19,6 @@ the two conventions give the same ray-counted bound ``m + j - d``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -28,6 +27,7 @@ import numpy as np
 from .errors import KindMismatch, UnsupportedKind
 from .finite import kernel_image_basis, rank1_atomic_decomposition
 from .geometry import AtomicDecomposition
+from .jsontext import dumps
 from .linalg import null_space_basis, pseudo_inverse, svd
 from .measure import DiscreteMeasure
 from .tv2d import DiskSet, discrete_tv, level_set_report
@@ -124,8 +124,7 @@ class RepresenterCertificate:
         return doc
 
     def to_json(self, include_atoms: bool = True) -> str:
-        return json.dumps(self.to_json_dict(include_atoms), sort_keys=True,
-                          indent=2)
+        return dumps(self.to_json_dict(include_atoms))
 
 
 def _as_matrix_phi(Phi):

@@ -32,6 +32,7 @@ from .errors import (NonConvergence, RepkitError, Unbounded,
 from .finite import (LpProblem, MatrixProblem, l1_analysis_solve, nnls_solve,
                      nuclear_min_solve, psd_solve, simplex_solve)
 from .geometry import birkhoff_decompose, enumerate_slice_extreme_points
+from .jsontext import dumps
 from .measure import (DEFAULT_GRID, DiscreteMeasure, beurling_solve,
                       moment_lp_solve, trigonometric_system)
 from .pgm import read_pgm, write_pgm
@@ -66,12 +67,14 @@ def _fmt(x) -> str:
 
 
 def write_csv(path, rows, header=None) -> None:
-    lines = []
-    if header:
-        lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, (int, float, np.floating))
-                              else str(v) for v in row))
+    """Writes ``rows`` (a float ndarray, or rows of numbers and strings) as
+    CSV, numbers in ``FMT``, after the ``header`` row if given."""
+    lines = [",".join(header)] if header else []
+    if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
+        lines += [",".join(map(FMT.__mod__, row)) for row in rows.tolist()]
+    else:
+        lines += [",".join(_fmt(v) if isinstance(v, (int, float, np.floating))
+                           else str(v) for v in row) for row in rows]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -107,11 +110,10 @@ def _is_number(tok) -> bool:
 
 
 def _write_json(path, doc) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    """Writes ``json.dumps(doc, sort_keys=True, indent=2)`` and a newline
+    to ``path``, in place."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(dumps(doc) + "\n")
 
 
 def _error_exit(message, detail=None, code=1) -> int:
@@ -175,15 +177,17 @@ def _max_iters(doc) -> dict:
 
 
 def _write_tv2d(out_dir, u, trace, outputs, image) -> None:
-    img_path = os.path.join(out_dir, image)
-    write_pgm(img_path, u)
-    outputs.append(img_path)
+    """Writes ``trace.csv``, then the image, which raises ``ValueError``
+    (writing nothing) if no PGM can hold it."""
     trace_path = os.path.join(out_dir, "trace.csv")
     write_csv(trace_path, zip(trace.iterations, trace.tv_values,
                               trace.constraint_residuals, trace.lower_bounds),
               header=["iteration", "tv", "constraint_residual",
                       "lower_bound"])
     outputs.append(trace_path)
+    img_path = os.path.join(out_dir, image)
+    write_pgm(img_path, u)
+    outputs.append(img_path)
 
 
 def _write_level_report(out_dir, u, trace, outputs):
@@ -357,7 +361,7 @@ class PayloadFile(NamedTuple):
 
 VECTOR_FILE = PayloadFile(
     lambda path: read_vector_csv(path),
-    lambda path, u: write_csv(path, [[v] for v in np.asarray(u).ravel()]))
+    lambda path, u: write_csv(path, np.asarray(u, dtype=float).reshape(-1, 1)))
 MATRIX_FILE = PayloadFile(lambda path: read_matrix_csv(path),
                           lambda path, M: write_csv(path, np.atleast_2d(M)))
 MEASURE_FILE = PayloadFile(  # any number of atoms
@@ -431,10 +435,14 @@ def _solve(problem: Problem, out_dir, t0, source, config, outputs=(),
     try:
         payload = problem.solve()
     except NonConvergence as exc:
+        detail = str(exc)
         if exc.payload is not None:
-            _write_payload(kind, out_dir, exc.payload, outputs, image)
+            try:
+                _write_payload(kind, out_dir, exc.payload, outputs, image)
+            except ValueError as err:  # a diverged tv2d image
+                detail += f"; {image} not written: {err}"
         _manifest(out_dir, source, config, t0, outputs)
-        return _error_exit("solver did not converge", str(exc), code=3)
+        return _error_exit("solver did not converge", detail, code=3)
     except Unbounded as exc:
         ray = getattr(exc.ray, "atoms", exc.ray)  # a measure or a vector
         _write_json(os.path.join(out_dir, "certificate.json"),

@@ -17,12 +17,19 @@ MAXVAL = 65535
 
 
 def write_pgm(path, image) -> None:
-    """Write a real-valued image as ASCII PGM with a scale comment."""
+    """Write a real-valued image as ASCII PGM with a scale comment.
+
+    ``ValueError``, writing nothing, if the image holds a NaN or an
+    infinity, or its values span more than a float holds: no finite
+    ``# scale`` and ``# offset`` would describe it."""
     image = np.asarray(image, dtype=float)
     if image.ndim != 2:
         raise ValueError("expected a 2-d image")
-    offset = float(min(image.min(initial=0.0), 0.0))
-    span = float(image.max(initial=0.0) - offset)
+    offset = min(float(image.min(initial=0.0)), 0.0)
+    span = float(image.max(initial=0.0)) - offset
+    if not math.isfinite(span):  # NaN and infinities propagate to it
+        raise ValueError("PGM image values must be finite and span less "
+                         "than the largest float")
     # 1 for a flat image, and for a span so small that the quantum is 0
     scale = span / MAXVAL if span / MAXVAL > 0 else 1.0
     stored = np.round((image - offset) / scale).astype(int)

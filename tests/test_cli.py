@@ -7,10 +7,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repkit.cli import DEFAULT_FIG2_DISKS, DEFAULT_FIG2_Y, main, write_csv
+from repkit.cli import (DEFAULT_FIG2_DISKS, DEFAULT_FIG2_Y, MATRIX_FILE,
+                        MEASURE_FILE, VECTOR_FILE, _atoms_rows, _write_json,
+                        main, write_csv)
+from repkit.errors import NonConvergence
+from repkit.geometry import AtomicDecomposition
 from repkit.measure import DiscreteMeasure, moments_of, trigonometric_system
 from repkit.pgm import read_pgm, write_pgm
+from repkit.tv2d import ConvergenceTrace
 
 
 def run_cli(*argv):
@@ -176,6 +182,14 @@ WRONG_SHAPE = {
 }
 
 
+def _diverged_tv_solve(disks, y, size, **solver):
+    """A tv2d solve that stops at ``max_iters`` on an image of NaN."""
+    trace = ConvergenceTrace()
+    trace.log(10, np.nan, np.inf, 0.0)
+    raise NonConvergence("primal-dual iteration hit max_iters",
+                         payload=(np.full(size[::-1], np.nan), trace))
+
+
 class TestSolve:
     def test_lp_end_to_end(self, tmp_path, lp_problem):
         out = tmp_path / "run"
@@ -281,6 +295,32 @@ class TestSolve:
         rows = (out / "trace.csv").read_text().splitlines()
         assert rows[0] == "iteration,tv,constraint_residual,lower_bound"
         assert rows[-1].startswith("3,")
+
+    @pytest.mark.parametrize("command,image", [("solve", "image.pgm"),
+                                               ("fig2", "result.pgm")])
+    def test_nonconvergence_skips_an_image_no_pgm_holds(
+            self, tmp_path, capsys, monkeypatch, command, image):
+        # exit 3 with the trace and a manifest of the files written; the
+        # NaN image, which no PGM holds, is skipped and named on stderr
+        monkeypatch.setattr("repkit.cli.chambolle_pock_tv_solve",
+                            _diverged_tv_solve)
+        out = tmp_path / "out"
+        if command == "solve":
+            argv = ["solve", write_json(tmp_path / "p.json", PRIMAL_DUAL_DOC)]
+        else:
+            argv = ["fig2", "--size", "24"]
+        assert run_cli(*argv, "--out", str(out)) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "solver did not converge"
+        assert "max_iters" in err["detail"]
+        assert f"{image} not written" in err["detail"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        written = sorted(os.path.basename(p) for p in manifest["outputs"])
+        assert written == (["disks.pgm"] if command == "fig2" else []) + [
+            "trace.csv"]
+        assert sorted(os.listdir(out)) == sorted(written + ["manifest.json"])
+        assert (out / "trace.csv").read_text().splitlines()[1:] == [
+            "10,nan,inf,0"]
 
     @pytest.mark.parametrize("doc,solver", [
         (SPLITTING_DOC, {"bogus": 1}),
@@ -743,11 +783,129 @@ class TestCatalogRoundTrip:
             assert err <= 1e-6
         assert (tmp_path / "d" / "atoms.csv").exists()
 
+    @pytest.mark.parametrize("kind", sorted(CATALOG))
+    def test_out_holds_what_the_manifest_lists(self, tmp_path, capsys, kind):
+        # Files are written in place, so no temporary file is left behind,
+        # and each JSON text is json.dumps' with sorted keys and indent 2.
+        prob = write_json(tmp_path / "p.json", {"kind": kind, **CATALOG[kind]})
+        solved, audited = tmp_path / "s", tmp_path / "a"
+        assert run_cli("solve", prob, "--out", str(solved)) == 0
+        manifest = json.loads((solved / "manifest.json").read_text())
+        assert sorted(os.listdir(solved)) == sorted(
+            [os.path.basename(p) for p in manifest["outputs"]]
+            + ["manifest.json"])
+        sol = solved / ("image.pgm" if kind == "tv2d" else "solution.csv")
+        capsys.readouterr()
+        assert run_cli("audit", str(sol), "--problem", prob,
+                       "--out", str(audited)) == 0
+        assert os.listdir(audited) == ["certificate.json"]
+        texts = [p.read_text() for p in [*solved.glob("*.json"),
+                                          audited / "certificate.json"]]
+        texts.append(capsys.readouterr().out)
+        for text in texts:
+            assert text == json.dumps(json.loads(text), sort_keys=True,
+                                      indent=2) + "\n"
+
     def test_cli_and_audit_list_the_same_kinds(self):
         # ``repkit.audit`` the attribute is the re-exported function.
         audit_mod = importlib.import_module("repkit.audit")
         cli = importlib.import_module("repkit.cli")
         assert set(cli.CLI_KINDS) == set(audit_mod.KINDS) == set(CATALOG)
+
+
+def _reference_write_csv(path, rows, header=None):
+    """Reference: the writer formatting one value at a time."""
+    lines = []
+    if header:
+        lines.append(",".join(header))
+    for row in rows:
+        lines.append(",".join("%.17g" % float(v)
+                              if isinstance(v, (int, float, np.floating))
+                              else str(v) for v in row))
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+_EDGE_FLOATS = st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308,
+                                1e308, -1e308, np.inf, -np.inf, np.nan])
+_FLOATS = st.floats() | _EDGE_FLOATS
+_JSON_NUMBERS = (st.none() | st.booleans() | st.integers() | _FLOATS
+                 | _FLOATS.map(np.float64))
+_JSON_STRINGS = st.text() | st.sampled_from(
+    [", ", "a, b", '"', 'say "a, b"', "\u00e9, \u00fc", "\\", "[{"])
+# Nested dicts and lists, empty ones included, over those numbers and
+# strings; lists of numbers alone are the encoder's fast path.
+_JSON_DOCS = st.recursive(
+    _JSON_NUMBERS | _JSON_STRINGS | st.lists(_JSON_NUMBERS),
+    lambda children: (st.lists(children)
+                      | st.dictionaries(_JSON_STRINGS, children)
+                      | st.dictionaries(st.integers() | _FLOATS, children)),
+    max_leaves=40)
+
+
+@st.composite
+def _matrices(draw):
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    values = draw(st.lists(_FLOATS, min_size=h * w, max_size=h * w))
+    return np.array(values).reshape(h, w)
+
+
+class TestWriters:
+    """The CSV and JSON writers against the encoders they replaced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_matrices())
+    def test_payload_csv_matches_reference(self, tmp_path_factory, M):
+        root = tmp_path_factory.mktemp("csv")
+        VECTOR_FILE.write(root / "v.csv", M.ravel())
+        _reference_write_csv(root / "v_ref.csv", [[v] for v in M.ravel()])
+        MATRIX_FILE.write(root / "m.csv", M)
+        _reference_write_csv(root / "m_ref.csv", np.atleast_2d(M))
+        for name in ("v", "m"):
+            assert ((root / f"{name}.csv").read_bytes()
+                    == (root / f"{name}_ref.csv").read_bytes())
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                              _FLOATS), max_size=6))
+    def test_measure_csv_matches_reference(self, tmp_path_factory, atoms):
+        root = tmp_path_factory.mktemp("csv")
+        mu = DiscreteMeasure(atoms=atoms)
+        MEASURE_FILE.write(root / "mu.csv", mu)
+        _reference_write_csv(root / "ref.csv", mu.atoms,
+                             header=["location", "amplitude"])
+        assert (root / "mu.csv").read_bytes() == (root / "ref.csv").read_bytes()
+
+    def test_atoms_csv_matches_reference(self, tmp_path):
+        decomp = AtomicDecomposition(
+            point_atoms=[(np.array([0.1, -0.0]), 0.75),
+                         (np.array([[1.0, 2.5e-310]]), np.float64(0.25))],
+            ray_atoms=[(np.array([np.inf, np.nan]), 3)],
+            lineality_component=np.array([1e308, -1 / 3]))
+        rows = _atoms_rows(decomp)
+        write_csv(tmp_path / "atoms.csv", rows)
+        _reference_write_csv(tmp_path / "ref.csv", rows)
+        text = (tmp_path / "atoms.csv").read_text()
+        assert text == (tmp_path / "ref.csv").read_text()
+        assert text.splitlines()[0] == "point_0,0.75,0.10000000000000001,-0"
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_DOCS)
+    def test_json_matches_json_dumps(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("json") / "d.json"
+        _write_json(path, doc)
+        assert path.read_text(encoding="ascii") == json.dumps(
+            doc, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("doc", [
+        {}, [], [[]], {"a": {}}, {None: [1, None]}, {True: 0, 2: "x"},
+        {"list": [1, True, None, -0.0, 5e-324, np.nan, -np.inf, 1e308]},
+        {"tuple": (1.0, (2.0, "a, b"))}, [{"b": 1, "a": [0.5]}, 2.0],
+    ], ids=repr)
+    def test_json_examples_match_json_dumps(self, tmp_path, doc):
+        _write_json(tmp_path / "d.json", doc)
+        assert (tmp_path / "d.json").read_text() == json.dumps(
+            doc, sort_keys=True, indent=2) + "\n"
 
 
 def _readme_table(*header):

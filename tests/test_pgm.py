@@ -154,6 +154,24 @@ def test_subnormal_span_round_trips(tmp_path):
     assert np.array_equal(read_pgm(path), np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize("image", [
+    [[0.5, np.nan]], [[np.inf, 0.0]], [[-np.inf, 1.0]], [[np.nan]],
+    [[-1e308, 1e308]],  # finite values whose span is not
+], ids=["nan", "inf", "minus-inf", "all-nan", "span-overflows"])
+def test_refuses_image_no_pgm_holds(tmp_path, image):
+    # no finite scale and offset describe it, and read_pgm requires both
+    path = tmp_path / "x.pgm"
+    with pytest.raises(ValueError, match="finite"):
+        write_pgm(path, np.array(image))
+    assert not path.exists()
+
+
+def test_widest_finite_span_round_trips(tmp_path):
+    path = tmp_path / "w.pgm"
+    write_pgm(path, np.array([[-8e307, 8e307]]))
+    assert np.array_equal(read_pgm(path), [[-8e307, 8e307]])
+
+
 def test_comments_between_header_tokens(tmp_path):
     path = tmp_path / "c.pgm"
     path.write_text("P2\n# a viewer's note\n2 1\n# scale 0.5\n3\n0 3\n")
