@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import KindMismatch, UnsupportedKind
+from .errors import KindMismatch, UnsupportedKind, is_integer
 from .finite import kernel_image_basis, rank1_atomic_decomposition
 from .geometry import AtomicDecomposition
 from .jsontext import dumps
@@ -149,7 +149,12 @@ def _row_count(spec, Phi) -> int:
 
 
 def _moment_count(spec, Phi) -> int:
-    return Phi if isinstance(Phi, int) else len(np.asarray(Phi))
+    """``Phi`` is the number of moments (not a boolean) or the moments."""
+    # any other scalar, a boolean among them, counts as -1 and is rejected
+    m = Phi if is_integer(Phi) else (np.shape(Phi) or (-1,))[0]
+    if m < 0:
+        raise ValueError("Phi must be a number of moments or a moment vector")
+    return int(m)
 
 
 def _line_free(spec, Phi) -> LinealityReport:
@@ -271,20 +276,16 @@ def _staircase(u, spec) -> AtomicDecomposition:
     report = _tv2d_level_report(img, spec)
     values = [v for v, _ in report.levels]
     base = values[0] * np.ones_like(img)
-    jumps = []
-    for k in range(1, len(values)):
-        indicator = (report.labels >= k).astype(float)
-        jumps.append((values[k] - values[k - 1], indicator))
+    jumps = [(values[k] - values[k - 1], (report.labels >= k).astype(float))
+             for k in range(1, len(values))]
     if not jumps:
         return AtomicDecomposition(lineality_component=base.reshape(-1))
     # Convex weights over perimeter-normalized indicators scaled by the
     # total achieved variation of the staircase.
-    tvs = [c * discrete_tv(ind) for c, ind in jumps]
-    total = sum(tvs)
-    atoms = []
-    for (c, ind), t in zip(jumps, tvs):
-        scale = total / discrete_tv(ind)
-        atoms.append((scale * ind.reshape(-1), t / total))
+    tvs = [discrete_tv(ind) for _, ind in jumps]
+    total = sum(c * tv for (c, _), tv in zip(jumps, tvs))
+    atoms = [((total / tv) * ind.reshape(-1), c * tv / total)
+             for (c, ind), tv in zip(jumps, tvs)]
     return AtomicDecomposition(point_atoms=atoms,
                                lineality_component=base.reshape(-1))
 
@@ -295,9 +296,7 @@ def _tv2d_level_report(u, spec: RegularizerSpec):
     if img.ndim != 2:
         raise KindMismatch("2-d image expected")
     report = spec.params.get("level_report")
-    if report is None:
-        report = level_set_report(img)
-    return report
+    return level_set_report(img) if report is None else report
 
 
 def _tv2d_quantize(u, spec: RegularizerSpec):

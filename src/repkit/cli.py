@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -26,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .audit import KINDS, RegularizerSpec, audit, decompose_solution
+from .audit import RegularizerSpec, audit
 from .errors import (NonConvergence, RepkitError, Unbounded,
                      check_max_iters, check_shape, is_integer)
 from .finite import (LpProblem, MatrixProblem, l1_analysis_solve, nnls_solve,
@@ -36,7 +37,8 @@ from .jsontext import dumps
 from .measure import (DEFAULT_GRID, DiscreteMeasure, beurling_solve,
                       moment_lp_solve, trigonometric_system)
 from .pgm import read_pgm, write_pgm
-from .tv2d import DiskSet, chambolle_pock_tv_solve, level_set_report
+from .tv2d import (QUANT_TOL, DiskSet, chambolle_pock_tv_solve,
+                   level_set_report)
 # Unused here; kept importable because profiling hooks patch this name.
 from .tv2d import disk_average_apply  # noqa: F401
 
@@ -80,20 +82,22 @@ def write_csv(path, rows, header=None) -> None:
 
 
 def read_vector_csv(path) -> np.ndarray:
-    rows = _read_rows(path)
-    return np.array([float(v) for row in rows for v in row])
+    return np.array([_number(v) for row in _read_rows(path) for v in row])
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    rows = _read_rows(path)
-    return np.array([[float(v) for v in row] for row in rows])
+    return np.array([[_number(v) for v in row] for row in _read_rows(path)])
 
 
 def read_measure_csv(path) -> DiscreteMeasure:
     rows = _read_rows(path)
-    if rows and not _is_number(rows[0][0]):
-        rows = rows[1:]  # header
-    return DiscreteMeasure(atoms=[(float(r[0]), float(r[1])) for r in rows])
+    try:
+        float(rows[0][0])
+    except (IndexError, ValueError):
+        rows = rows[1:]  # a header, or no row at all
+    if any(len(row) != 2 for row in rows):
+        raise ValueError("a measure row holds a location and an amplitude")
+    return DiscreteMeasure(atoms=[(_number(x), _number(a)) for x, a in rows])
 
 
 def _read_rows(path):
@@ -101,12 +105,12 @@ def _read_rows(path):
         return [line.strip().split(",") for line in fh if line.strip()]
 
 
-def _is_number(tok) -> bool:
-    try:
-        float(tok)
-        return True
-    except ValueError:
-        return False
+def _number(token) -> float:
+    """The CSV readers' number parser: ``token`` as a finite float."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {token.strip()!r}")
+    return value
 
 
 def _write_json(path, doc) -> None:
@@ -200,7 +204,7 @@ def _write_level_report(out_dir, u, trace, outputs):
                    for v, c in report.levels],
         "indecomposable": [bool(f) for f in report.indecomposable],
         "saturated": [bool(f) for f in report.saturated],
-        "quantization_tol": report.quantization_tol,
+        "quantization_tol": QUANT_TOL,
         "all_simple": bool(report.all_simple()),
         "constraint_residual": trace.constraint_residuals[-1],
     })
@@ -379,13 +383,13 @@ class CliKind:
 
     ``keys``: problem-file keys beyond ``COMMON_KEYS``; ``problem(doc) ->
     Problem``: the one reader of the kind's problem files, shared by
-    ``solve``, ``audit`` and ``decompose``.
+    ``solve``, ``audit`` and ``decompose``. A certificate lists its atoms
+    unless the payload is an image (``payload is IMAGE_FILE``).
     """
 
     keys: set
     problem: Callable
     payload: PayloadFile
-    atoms: bool = True
 
 
 CLI_KINDS = {
@@ -399,19 +403,8 @@ CLI_KINDS = {
     "measure_tv": CliKind({"grid_n"}, _beurling_problem, MEASURE_FILE),
     "measure_nonneg": CliKind({"grid_n", "psi"}, _moment_lp_problem,
                               MEASURE_FILE),
-    "tv2d": CliKind({"phi", "size", "solver"}, _image_problem, IMAGE_FILE,
-                    atoms=False),
+    "tv2d": CliKind({"phi", "size", "solver"}, _image_problem, IMAGE_FILE),
 }
-
-
-def _read_payload(kind: CliKind, problem: Problem, path):
-    """The solution file at ``path``, checked to be of ``problem``'s shape."""
-    payload = kind.payload.read(path)
-    shape = kind.payload.shape(problem)
-    if shape is not None and np.shape(payload) != shape:
-        raise ValueError(f"solution of shape {np.shape(payload)} for a "
-                         f"problem whose solutions have shape {shape}")
-    return payload
 
 
 def _write_payload(kind: CliKind, out_dir, payload, outputs, image):
@@ -460,7 +453,8 @@ def _solve(problem: Problem, out_dir, t0, source, config, outputs=(),
     payload = _write_payload(kind, out_dir, payload, outputs, image)
     cert = audit(payload, spec, problem.phi)
     cert_path = os.path.join(out_dir, "certificate.json")
-    _write_json(cert_path, cert.to_json_dict(include_atoms=kind.atoms))
+    _write_json(cert_path, cert.to_json_dict(
+        include_atoms=kind.payload is not IMAGE_FILE))
     outputs.append(cert_path)
     _manifest(out_dir, source, config, t0, outputs)
     log.info("audit %s: %d atoms vs bound %d",
@@ -484,15 +478,28 @@ def cmd_solve(args) -> int:
 
 
 def _atoms_rows(decomp):
-    rows = []
-    for k, (atom, w) in enumerate(decomp.point_atoms):
-        rows.append([f"point_{k}", w] + list(np.asarray(atom).ravel()))
-    for k, (ray, c) in enumerate(decomp.ray_atoms):
-        rows.append([f"ray_{k}", c] + list(np.asarray(ray).ravel()))
+    rows = [[f"point_{k}", w, *np.ravel(atom)]
+            for k, (atom, w) in enumerate(decomp.point_atoms)]
+    rows += [[f"ray_{k}", c, *np.ravel(ray)]
+             for k, (ray, c) in enumerate(decomp.ray_atoms)]
     if decomp.lineality_component is not None:
-        rows.append(["lineality", 1.0]
-                    + list(np.asarray(decomp.lineality_component).ravel()))
+        rows.append(["lineality", 1.0, *np.ravel(decomp.lineality_component)])
     return rows
+
+
+def _audit_solution(args):
+    """The CLI's one way into the audit: the ``CliKind`` of the problem
+    file ``args.problem``, and :func:`audit`'s certificate of the solution
+    file ``args.solution``, checked to be of the problem's shape."""
+    doc = load_problem(args.problem)
+    kind = CLI_KINDS[doc["kind"]]
+    problem = kind.problem(doc)
+    payload = kind.payload.read(args.solution)
+    shape = kind.payload.shape(problem)
+    if shape is not None and np.shape(payload) != shape:
+        raise ValueError(f"solution of shape {np.shape(payload)} for a "
+                         f"problem whose solutions have shape {shape}")
+    return kind, audit(payload, problem.spec, problem.phi)
 
 
 def cmd_decompose(args) -> int:
@@ -501,19 +508,15 @@ def cmd_decompose(args) -> int:
             M = read_matrix_csv(args.solution)
             decomp = birkhoff_decompose(M)
             name = "permutations.csv"
-            rec = sum(w * a for a, w in decomp.point_atoms).reshape(M.shape)
+            rec = decomp.reconstruct().reshape(M.shape)
             err = float(np.abs(rec - M).max())
         else:
             if args.problem is None:
                 raise ValueError("--problem is required unless --kind "
                                  "birkhoff")
-            doc = load_problem(args.problem)
-            kind = CLI_KINDS[doc["kind"]]
-            problem = kind.problem(doc)
-            payload = _read_payload(kind, problem, args.solution)
-            decomp = decompose_solution(payload, problem.spec)
+            cert = _audit_solution(args)[1]
+            decomp, err = cert.decomposition, cert.reconstruction_error
             name = "atoms.csv"
-            err = KINDS[doc["kind"]].error(decomp, payload)
         out_dir = args.out or "."
         os.makedirs(out_dir, exist_ok=True)
         write_csv(os.path.join(out_dir, name), _atoms_rows(decomp))
@@ -525,17 +528,13 @@ def cmd_decompose(args) -> int:
 
 def cmd_audit(args) -> int:
     try:
-        doc = load_problem(args.problem)
-        kind = CLI_KINDS[doc["kind"]]
-        problem = kind.problem(doc)
-        payload = _read_payload(kind, problem, args.solution)
-        cert = audit(payload, problem.spec, problem.phi)
+        kind, cert = _audit_solution(args)
     except (RepkitError, ValueError, KeyError, OSError) as exc:
         return _error_exit("audit failed", str(exc))
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
-    _write_json(os.path.join(out_dir, "certificate.json"),
-                cert.to_json_dict(include_atoms=kind.atoms))
+    _write_json(os.path.join(out_dir, "certificate.json"), cert.to_json_dict(
+        include_atoms=kind.payload is not IMAGE_FILE))
     print(cert.to_json(include_atoms=False))
     return 0 if cert.passed else 2
 

@@ -407,12 +407,13 @@ def rank_reduce_psd(M, prob: MatrixProblem, cost=None) -> np.ndarray:
         M = 0.5 * (M + M.T)
 
 
-def rank1_atomic_decomposition(M, tol: float = 1e-9) -> AtomicDecomposition:
+def rank1_atomic_decomposition(M) -> AtomicDecomposition:
     """Express ``M`` over unit-norm rank-one atoms via its SVD.
 
     Atoms are ``|M|_* u_i v_i^T`` flattened row-major, with weights
     ``s_i / |M|_*``, so ``M / |M|_*`` is a convex combination of extreme
-    points of the nuclear-norm unit ball. The zero matrix yields an empty
+    points of the nuclear-norm unit ball; singular values at most 1e-9
+    times the largest are dropped. The zero matrix yields an empty
     decomposition.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
@@ -420,7 +421,7 @@ def rank1_atomic_decomposition(M, tol: float = 1e-9) -> AtomicDecomposition:
     s = f.singular_values
     if s.size == 0 or s.max(initial=0.0) <= 0.0:
         return AtomicDecomposition()
-    keep = s > tol * s[0]
+    keep = s > 1e-9 * s[0]
     total = float(s[keep].sum())
     atoms = []
     for i in np.flatnonzero(keep):

@@ -90,7 +90,7 @@ class AtomicDecomposition:
     def atom_count(self) -> int:
         return len(self.point_atoms) + len(self.ray_atoms)
 
-    def validate(self, target=None, tol: float = 1e-8) -> None:
+    def validate(self, target=None) -> None:
         """Raise :class:`InvalidDecomposition` when the invariants fail."""
         weights = np.array([w for _, w in self.point_atoms])
         coeffs = np.array([c for _, c in self.ray_atoms])
@@ -103,7 +103,7 @@ class AtomicDecomposition:
         if target is not None:
             target = np.asarray(target, dtype=float)
             err = np.linalg.norm(self.reconstruct() - target)
-            if not err <= tol * (1.0 + np.linalg.norm(target)):
+            if not err <= 1e-8 * (1.0 + np.linalg.norm(target)):
                 raise InvalidDecomposition(f"reconstruction error {err:.3e}")
 
 
@@ -308,6 +308,8 @@ def birkhoff_decompose(M) -> AtomicDecomposition:
     n = M.shape[0]
     if M.shape[0] != M.shape[1]:
         raise NotDoublyStochastic("matrix must be square")
+    if not np.isfinite(M).all():
+        raise NotDoublyStochastic("non-finite entry")
     if np.any(M < -ZERO_TOL):
         raise NotDoublyStochastic("negative entry")
     if (np.abs(M.sum(axis=0) - 1.0).max() > n * ZERO_TOL

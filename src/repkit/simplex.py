@@ -194,14 +194,14 @@ def solve_standard_form(c, A, b, feas_tol: float | None = None) -> LpSolution:
                       objective=float(c @ x), duals=duals, pivots=pivots)
 
 
-def row_compress(A, b, tol: float = 1e-10):
+def row_compress(A, b):
     """Replace ``A x = b`` by an equivalent full-row-rank system.
 
     Projects the equalities onto an orthonormal basis ``Q`` of the range of
     ``A`` and returns ``(Q.T A, Q.T b, Q)``; duals of the compressed system
     map back to the original rows as ``Q @ duals``. Raises
     :class:`Infeasible` when ``b`` has a component outside the range of
-    ``A`` larger than ``tol * (1 + |b|)``.
+    ``A`` larger than ``1e-10 * (1 + |b|)``.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float)
@@ -210,6 +210,6 @@ def row_compress(A, b, tol: float = 1e-10):
     r = int(np.count_nonzero(s > 1e-12 * smax)) if smax > 0 else 0
     basis = u[:, :r]
     resid = b - basis @ (basis.T @ b)
-    if np.linalg.norm(resid) > tol * (1.0 + np.linalg.norm(b)):
+    if np.linalg.norm(resid) > 1e-10 * (1.0 + np.linalg.norm(b)):
         raise Infeasible("equality system is inconsistent")
     return basis.T @ A, basis.T @ b, basis

@@ -132,7 +132,6 @@ class LevelSetReport:
     levels: list
     indecomposable: list
     saturated: list
-    quantization_tol: float
     labels: np.ndarray
 
     @property
@@ -526,7 +525,6 @@ def level_set_report(u) -> LevelSetReport:
     if span <= FLAT_TOL * max(1.0, peak):
         return LevelSetReport(levels=[(float(flat.mean()), u.size)],
                               indecomposable=[True], saturated=[True],
-                              quantization_tol=QUANT_TOL,
                               labels=np.zeros(u.shape, dtype=int))
     gap = QUANT_TOL * max(span, peak)
     cuts = np.flatnonzero(np.diff(flat) > gap)
@@ -561,5 +559,4 @@ def level_set_report(u) -> LevelSetReport:
         supermask = labels >= k
         saturated.append(_label(~supermask, 8)[1] <= 1)
     return LevelSetReport(levels=levels, indecomposable=indecomposable,
-                          saturated=saturated, quantization_tol=QUANT_TOL,
-                          labels=labels)
+                          saturated=saturated, labels=labels)

@@ -214,6 +214,21 @@ class TestAuditEndToEnd:
         cert2 = audit(mu2, RegularizerSpec(kind="measure_nonneg"), 3)
         assert cert2.passed and cert2.uses_rays
 
+    @pytest.mark.parametrize("kind", ["measure_tv", "measure_nonneg"])
+    def test_moment_count_of_any_integer_type(self, kind):
+        mu = DiscreteMeasure(atoms=[(0.25, 1.0)])
+        for count in (np.int64(3), np.int32(3), 3, [0.0, 1.0, 2.0]):
+            assert audit(mu, RegularizerSpec(kind=kind), count).m == 3
+
+    @pytest.mark.parametrize("kind", ["measure_tv", "measure_nonneg"])
+    @pytest.mark.parametrize("count", [True, False, np.bool_(True), -1,
+                                       np.int64(-2), 3.0])
+    def test_moment_count_rejects_booleans_and_negatives(self, kind, count):
+        # ``True`` gave a certificate with m = 1
+        mu = DiscreteMeasure(atoms=[(0.25, 1.0)])
+        with pytest.raises(ValueError, match="moments"):
+            audit(mu, RegularizerSpec(kind=kind), count)
+
     def test_scaling_y_preserves_support_and_pass(self):
         g = np.random.default_rng(5)
         A = g.standard_normal((3, 9))

@@ -606,6 +606,97 @@ class TestDecompose:
         assert err["error"] == "decompose failed"
         assert "--problem" in err["detail"]
 
+    def test_decomposition_is_the_audits(self, tmp_path, monkeypatch):
+        # decompose prints the audit's own atoms, so a traced run books the
+        # decomposition under audit.decompose_solution
+        audit_mod = importlib.import_module("repkit.audit")
+        decompose = audit_mod.decompose_solution
+        seen = []
+
+        def recorder(u, spec):
+            seen.append(spec.kind)
+            return decompose(u, spec)
+
+        monkeypatch.setattr(audit_mod, "decompose_solution", recorder)
+        sol = tmp_path / "m.csv"
+        write_csv(sol, np.diag([3.0, 1.0]))
+        prob = write_json(tmp_path / "p.json", {
+            "kind": "nuclear", "measurement_maps": [np.eye(2).tolist()],
+            "y": [4.0], "shape": [2, 2]})
+        assert run_cli("decompose", str(sol), "--problem", prob,
+                       "--out", str(tmp_path / "d")) == 0
+        assert seen == ["nuclear"]
+
+    def test_birkhoff_non_finite_exits_1(self, tmp_path, capsys):
+        # was exit 0 with "reconstruction_error nan" and a permutation
+        sol = tmp_path / "ds.csv"
+        sol.write_text("nan,0.5\n0.5,0.5\n")
+        assert run_cli("decompose", str(sol), "--kind", "birkhoff",
+                       "--out", str(tmp_path / "d")) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "decompose failed"
+        assert "not a finite number" in err["detail"]
+        assert not (tmp_path / "d").exists()
+
+
+# Solution files that ``audit`` and ``decompose`` reject with exit 1 and
+# JSON on stderr, creating no --out: the problem kind, the file's text and
+# a word of the detail. A measure row must hold two fields (one field was
+# an IndexError traceback, a third field was dropped), and no CSV may
+# hold a NaN or an infinity (audit exited 2 on them, decompose 0).
+MALFORMED_CSV = {
+    "measure-one-field": ("measure_tv", "location,amplitude\n0.5\n",
+                          "location and an amplitude"),
+    "measure-three-fields": ("measure_tv",
+                             "location,amplitude\n0.5,1.0,7\n",
+                             "location and an amplitude"),
+    "measure-nan": ("measure_tv", "location,amplitude\n0.5,nan\n",
+                    "finite"),
+    "measure-inf": ("measure_nonneg", "location,amplitude\n0.5,inf\n",
+                    "finite"),
+    "vector-nan": ("nonneg_cone", "1\nnan\n0\n", "finite"),
+    "vector-inf": ("nonneg_cone", "1\n-inf\n0\n", "finite"),
+    "matrix-nan": ("nuclear", "1,0\n0,NaN\n", "finite"),
+    "matrix-inf": ("psd_cone", "Infinity,0\n0,1\n", "finite"),
+}
+
+MALFORMED_CSV_PROBLEMS = {
+    "measure_tv": {"y": [1.0, 0.2, -0.3], "grid_n": 64},
+    "measure_nonneg": {"y": [1.0, 0.2, -0.3], "grid_n": 64},
+    "nonneg_cone": {"phi": [[1.0, 1.0, 1.0]], "y": [1.0]},
+    "nuclear": {"measurement_maps": [np.eye(2).tolist()], "y": [1.0],
+                "shape": [2, 2]},
+    "psd_cone": {"measurement_maps": [np.eye(2).tolist()], "y": [1.0],
+                 "shape": [2, 2]},
+}
+
+
+class TestMalformedSolution:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_CSV))
+    def test_exits_1_with_json(self, tmp_path, capsys, name):
+        kind, text, word = MALFORMED_CSV[name]
+        prob = write_json(tmp_path / "p.json",
+                          {"kind": kind, **MALFORMED_CSV_PROBLEMS[kind]})
+        sol = tmp_path / "s.csv"
+        sol.write_text(text)
+        for command in ("audit", "decompose"):
+            assert run_cli(command, str(sol), "--problem", prob,
+                           "--out", str(tmp_path / "o")) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == f"{command} failed"
+            assert word in err["detail"]
+            assert not (tmp_path / "o").exists()
+
+    def test_operator_non_finite_exits_1(self, tmp_path, capsys):
+        op = tmp_path / "L.csv"
+        op.write_text("1,0\n0,1\n1,inf\n")
+        assert run_cli("enumerate-slice", str(op),
+                       "--out", str(tmp_path / "o")) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "enumeration failed"
+        assert "not a finite number" in err["detail"]
+        assert not (tmp_path / "o").exists()
+
 
 class TestAudit:
     def test_audit_existing_solution(self, tmp_path):

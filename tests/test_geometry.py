@@ -285,6 +285,13 @@ class TestBirkhoff:
         with pytest.raises(NotDoublyStochastic):
             birkhoff_decompose(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # every comparison with NaN is false, so no sum or sign check
+        # caught it and a permutation came back
+        with pytest.raises(NotDoublyStochastic, match="non-finite"):
+            birkhoff_decompose([[bad, 0.5], [0.5, 0.5]])
+
 
 def _random_doubly_stochastic(g, n, mixtures=None):
     """Exact convex combination of random permutation matrices."""
