@@ -320,13 +320,20 @@ def _vector_error(decomp: AtomicDecomposition, u) -> float:
     return float(np.linalg.norm(rebuilt - target) / max(tnorm, 1e-300))
 
 
-def _measure_error(decomp: AtomicDecomposition, u) -> float:
-    target = {x: a for x, a in u.atoms}
-    rebuilt = {}
-    pairs = [(a[0], w * a[1]) for a, w in decomp.point_atoms] + \
-            [(r[0], c * r[1]) for r, c in decomp.ray_atoms]
+def _mass_by_location(pairs) -> dict:
+    """The amplitudes of ``(location, amplitude)`` pairs summed per
+    location: two atoms at one place are one atom of their summed mass."""
+    mass = {}
     for x, a in pairs:
-        rebuilt[x] = rebuilt.get(x, 0.0) + a
+        mass[x] = mass.get(x, 0.0) + a
+    return mass
+
+
+def _measure_error(decomp: AtomicDecomposition, u) -> float:
+    target = _mass_by_location(u.atoms)
+    rebuilt = _mass_by_location(
+        [(a[0], w * a[1]) for a, w in decomp.point_atoms]
+        + [(r[0], c * r[1]) for r, c in decomp.ray_atoms])
     scale = max(u.total_variation, 1e-300)
     keys = set(target) | set(rebuilt)
     return max((abs(target.get(x, 0.0) - rebuilt.get(x, 0.0))

@@ -33,7 +33,7 @@ from .errors import (NonConvergence, RepkitError, Unbounded,
 from .finite import (LpProblem, MatrixProblem, l1_analysis_solve, nnls_solve,
                      nuclear_min_solve, psd_solve, simplex_solve)
 from .geometry import birkhoff_decompose, enumerate_slice_extreme_points
-from .jsontext import dumps
+from .jsontext import dumps, write_text
 from .measure import (DEFAULT_GRID, DiscreteMeasure, beurling_solve,
                       moment_lp_solve, trigonometric_system)
 from .pgm import read_pgm, write_pgm
@@ -77,8 +77,7 @@ def write_csv(path, rows, header=None) -> None:
     else:
         lines += [",".join(_fmt(v) if isinstance(v, (int, float, np.floating))
                            else str(v) for v in row) for row in rows]
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_vector_csv(path) -> np.ndarray:
@@ -116,8 +115,7 @@ def _number(token) -> float:
 def _write_json(path, doc) -> None:
     """Writes ``json.dumps(doc, sort_keys=True, indent=2)`` and a newline
     to ``path``, in place."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps(doc) + "\n")
+    write_text(path, dumps(doc) + "\n")
 
 
 def _error_exit(message, detail=None, code=1) -> int:

@@ -13,6 +13,8 @@ import warnings
 
 import numpy as np
 
+from .jsontext import write_text
+
 MAXVAL = 65535
 
 
@@ -44,8 +46,7 @@ def write_pgm(path, image) -> None:
     lines.append(f"{w} {h}")
     lines.append(str(MAXVAL))
     lines.extend(" ".join(map(str, row)) for row in stored.tolist())
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def _header_int(token, name, high=None) -> int:

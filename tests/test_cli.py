@@ -715,6 +715,22 @@ class TestAudit:
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["pass"] is True
 
+    def test_atoms_at_one_location_add_up(self, tmp_path):
+        # 2 * delta_0.5 as two rows, and as one: the target measure sums
+        # amplitudes per location, as the rebuilt one does
+        prob = write_json(tmp_path / "p.json", {
+            "kind": "measure_nonneg", "y": [2.0, 0.0, 0.0], "grid_n": 64})
+        for name, rows in [("two", [[0.5, 1.0], [0.5, 1.0]]),
+                           ("one", [[0.5, 2.0]])]:
+            sol = tmp_path / f"{name}.csv"
+            write_csv(sol, rows, header=["location", "amplitude"])
+            out = tmp_path / name
+            assert run_cli("audit", str(sol), "--problem", prob,
+                           "--out", str(out)) == 0
+            cert = json.loads((out / "certificate.json").read_text())
+            assert cert["reconstruction_error"] == 0.0
+            assert cert["pass"] is True
+
     def test_audit_failure_exits_2(self, tmp_path):
         # dense positive vector: too many atoms for one measurement
         sol = tmp_path / "u.csv"
@@ -897,6 +913,32 @@ class TestCatalogRoundTrip:
             assert text == json.dumps(json.loads(text), sort_keys=True,
                                       indent=2) + "\n"
 
+    @pytest.mark.parametrize("kind", [*sorted(CATALOG), "fig2"])
+    def test_reruns_over_longer_files_are_byte_identical(self, tmp_path,
+                                                         kind):
+        # Files are rewritten in place, over whatever --out holds: each
+        # must end up holding exactly a fresh run's bytes.
+        if kind == "fig2":
+            argv = ["fig2", "--size", "24"]
+        else:
+            argv = ["solve", write_json(tmp_path / "p.json",
+                                        {"kind": kind, **CATALOG[kind]})]
+        fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
+        assert run_cli(*argv, "--out", str(fresh)) == 0
+        names = sorted(os.listdir(fresh))
+        expected = {name: (fresh / name).read_bytes() for name in names
+                    if name != "manifest.json"}  # it holds the wall time
+        rerun.mkdir()
+        for name in names:
+            (rerun / name).write_bytes(
+                b"junk\n" * (len((fresh / name).read_bytes()) // 5 + 100))
+        for _ in range(2):
+            assert run_cli(*argv, "--out", str(rerun)) == 0
+            assert sorted(os.listdir(rerun)) == names
+            for name, data in expected.items():
+                assert (rerun / name).read_bytes() == data, name
+            json.loads((rerun / "manifest.json").read_text())
+
     def test_cli_and_audit_list_the_same_kinds(self):
         # ``repkit.audit`` the attribute is the re-exported function.
         audit_mod = importlib.import_module("repkit.audit")
@@ -997,6 +1039,55 @@ class TestWriters:
         _write_json(tmp_path / "d.json", doc)
         assert (tmp_path / "d.json").read_text() == json.dumps(
             doc, sort_keys=True, indent=2) + "\n"
+
+
+# Each writer, the file name it is given and an input that it writes as
+# a few dozen bytes.
+WRITERS = {
+    "json": (_write_json, "d.json", {"a": [0.5, 1.0], "b": "text"}),
+    "csv": (write_csv, "u.csv", np.array([[0.25, -1.0], [3.0, 1e-300]])),
+    "pgm": (write_pgm, "u.pgm", np.array([[0.0, 0.5], [1.0, 0.25]])),
+}
+
+
+class TestWriteInPlace:
+    """Every output file goes through one writer that overwrites the old
+    bytes and then cuts the file to the new length."""
+
+    @pytest.mark.parametrize("old_size", [0, 3, 10_000],
+                             ids=["empty", "shorter", "longer"])
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_rewrite_leaves_exactly_the_new_bytes(self, tmp_path, writer,
+                                                  old_size):
+        write, name, value = WRITERS[writer]
+        write(tmp_path / name, value)
+        expected = (tmp_path / name).read_bytes()
+        target = tmp_path / "old" / name
+        target.parent.mkdir()
+        target.write_bytes(b"#" * old_size)
+        write(target, value)
+        assert target.read_bytes() == expected
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_new_file_mode_is_opens(self, tmp_path, writer, umask):
+        write, name, value = WRITERS[writer]
+        previous = os.umask(umask)
+        try:
+            write(tmp_path / name, value)
+            with open(tmp_path / "by_open", "w"):
+                pass
+        finally:
+            os.umask(previous)
+        assert (os.stat(tmp_path / name).st_mode
+                == os.stat(tmp_path / "by_open").st_mode)
+
+    def test_text_not_ascii_leaves_the_file_as_it_was(self, tmp_path):
+        path = tmp_path / "atoms.csv"
+        path.write_bytes(b"point_0,1\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_csv(path, [["point_\u00e9", 1.0]])
+        assert path.read_bytes() == b"point_0,1\n"
 
 
 def _readme_table(*header):
