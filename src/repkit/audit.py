@@ -58,7 +58,11 @@ class LinealityReport:
 
     lineality_basis: np.ndarray  # columns span lin C
     d: int                       # dim Phi(lin C)
-    kernel_overlap: int          # dim(lin C  intersect  ker Phi)
+
+    @property
+    def kernel_overlap(self) -> int:
+        """dim(lin C  intersect  ker Phi)."""
+        return self.lineality_basis.shape[1] - self.d
 
 
 @dataclass
@@ -160,20 +164,17 @@ def _moment_count(spec, Phi) -> int:
 def _line_free(spec, Phi) -> LinealityReport:
     # Matrix kinds pass a list of maps: the ambient space is a flattened map.
     n = int(np.prod(_as_matrix_phi(Phi).shape[1:]))
-    return LinealityReport(lineality_basis=np.zeros((n, 0)), d=0,
-                           kernel_overlap=0)
+    return LinealityReport(lineality_basis=np.zeros((n, 0)), d=0)
 
 
 def _measure_lineality(spec, Phi) -> LinealityReport:
-    return LinealityReport(lineality_basis=np.zeros((0, 0)), d=0,
-                           kernel_overlap=0)
+    return LinealityReport(lineality_basis=np.zeros((0, 0)), d=0)
 
 
 def _kernel_lineality(spec, Phi) -> LinealityReport:
     basis = null_space_basis(_analysis_operator(spec))
     d = kernel_image_basis(Phi, basis).shape[1]
-    return LinealityReport(lineality_basis=basis, d=d,
-                           kernel_overlap=basis.shape[1] - d)
+    return LinealityReport(lineality_basis=basis, d=d)
 
 
 def _constant_lineality(spec, Phi) -> LinealityReport:
@@ -191,8 +192,7 @@ def _constant_lineality(spec, Phi) -> LinealityReport:
         masks = disks.masks((h, w))
     ones = np.ones(h * w) / np.sqrt(h * w)
     d = 1 if len(masks) else 0
-    return LinealityReport(lineality_basis=ones.reshape(-1, 1), d=d,
-                           kernel_overlap=1 - d)
+    return LinealityReport(lineality_basis=ones.reshape(-1, 1), d=d)
 
 
 def _coordinate_rays(u, spec) -> AtomicDecomposition:
@@ -320,24 +320,14 @@ def _vector_error(decomp: AtomicDecomposition, u) -> float:
     return float(np.linalg.norm(rebuilt - target) / max(tnorm, 1e-300))
 
 
-def _mass_by_location(pairs) -> dict:
-    """The amplitudes of ``(location, amplitude)`` pairs summed per
-    location: two atoms at one place are one atom of their summed mass."""
-    mass = {}
-    for x, a in pairs:
-        mass[x] = mass.get(x, 0.0) + a
-    return mass
-
-
 def _measure_error(decomp: AtomicDecomposition, u) -> float:
-    target = _mass_by_location(u.atoms)
-    rebuilt = _mass_by_location(
-        [(a[0], w * a[1]) for a, w in decomp.point_atoms]
-        + [(r[0], c * r[1]) for r, c in decomp.ray_atoms])
+    target = dict(u.atoms)
+    rebuilt = dict([(a[0], w * a[1]) for a, w in decomp.point_atoms]
+                   + [(r[0], c * r[1]) for r, c in decomp.ray_atoms])
     scale = max(u.total_variation, 1e-300)
-    keys = set(target) | set(rebuilt)
     return max((abs(target.get(x, 0.0) - rebuilt.get(x, 0.0))
-                for x in keys), default=0.0) / scale
+                for x in target.keys() | rebuilt.keys()),
+               default=0.0) / scale
 
 
 def _analysis_value(u, spec) -> float:
@@ -427,8 +417,8 @@ def audit(u, spec: RegularizerSpec, Phi) -> RepresenterCertificate:
     from the image to its quantized staircase, so they agree up to
     rounding and the reconstruction check cannot fail: ``passed`` comes
     down to the atom count against the bound, and the simple-set flags of
-    the level report are not read. The bounds take ``j = 0``, the face
-    dimension of an extreme point of the solution set.
+    the level report are neither read nor computed. The bounds take ``j =
+    0``, the face dimension of an extreme point of the solution set.
     """
     kind = KINDS[spec.kind]
     notes = []

@@ -90,10 +90,8 @@ def read_matrix_csv(path) -> np.ndarray:
 
 def read_measure_csv(path) -> DiscreteMeasure:
     rows = _read_rows(path)
-    try:
-        float(rows[0][0])
-    except (IndexError, ValueError):
-        rows = rows[1:]  # a header, or no row at all
+    if rows[:1] == [["location", "amplitude"]]:
+        rows = rows[1:]
     if any(len(row) != 2 for row in rows):
         raise ValueError("a measure row holds a location and an amplitude")
     return DiscreteMeasure(atoms=[(_number(x), _number(a)) for x, a in rows])
@@ -146,6 +144,8 @@ def _psi_from_spec(spec):
         return lambda x: np.zeros_like(np.asarray(x, dtype=float))
     if isinstance(spec, dict) and spec.get("type") == "polynomial":
         coeffs = _numbers(spec["coefficients"], "coefficients", ndim=1)
+        if coeffs.size == 0:
+            raise ValueError("'coefficients' must hold at least one number")
         return lambda x: np.polynomial.polynomial.polyval(
             np.asarray(x, dtype=float), coeffs)
     raise ValueError("psi must be 'zero' or "

@@ -22,15 +22,20 @@ DEFAULT_GRID = 512
 
 @dataclass
 class DiscreteMeasure:
-    """Finite signed combination of Dirac masses on [0, 1)."""
+    """Finite signed combination of Dirac masses on [0, 1), in normal form:
+    one atom per location, holding the sum of the amplitudes given there,
+    in order of first occurrence; atoms whose sum is 0 are dropped."""
 
     atoms: list = field(default_factory=list)  # (location, amplitude)
 
     def __post_init__(self):
-        self.atoms = [(float(x), float(a)) for x, a in self.atoms]
-        for x, _ in self.atoms:
+        mass = {}
+        for x, a in self.atoms:
+            x = float(x)
             if not 0.0 <= x < 1.0:
                 raise ValueError(f"location {x} outside [0, 1)")
+            mass[x] = mass.get(x, 0.0) + float(a)
+        self.atoms = [(x, a) for x, a in mass.items() if a != 0.0]
 
     @property
     def total_variation(self) -> float:

@@ -34,6 +34,7 @@ labelled by vectorized union-find on the horizontal runs of a mask
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,20 +124,30 @@ class ConvergenceTrace:
 class LevelSetReport:
     """Quantized levels of an image and their simple-set flags.
 
-    ``levels`` holds ``(value, pixel_count)`` in increasing value order.
-    ``indecomposable[k]`` says the k-th level set is 4-connected;
-    ``saturated[k]`` says the complement of the superlevel set at the k-th
-    level is 8-connected (or empty), i.e. the superlevel set has no holes.
+    ``levels`` holds ``(value, pixel_count)`` in increasing value order and
+    ``labels`` the level index of each pixel. The flags are computed from
+    ``labels`` on first read: ``indecomposable[k]`` says the k-th level set
+    is 4-connected; ``saturated[k]`` says the complement of the superlevel
+    set at the k-th level is 8-connected (or empty), i.e. the superlevel
+    set has no holes.
     """
 
     levels: list
-    indecomposable: list
-    saturated: list
     labels: np.ndarray
 
     @property
     def level_count(self) -> int:
         return len(self.levels)
+
+    @functools.cached_property
+    def indecomposable(self) -> list:
+        return [_label(self.labels == k, 4)[1] <= 1
+                for k in range(self.level_count)]
+
+    @functools.cached_property
+    def saturated(self) -> list:
+        return [_label(self.labels < k, 8)[1] <= 1
+                for k in range(self.level_count)]
 
     def all_simple(self) -> bool:
         return all(self.indecomposable) and all(self.saturated)
@@ -514,9 +525,8 @@ def level_set_report(u) -> LevelSetReport:
     therefore absorbed into the nearest cluster by value (smallest first)
     before flagging. An image whose span is below :data:`FLAT_TOL` relative
     to its magnitude is one plateau of solver noise, not structure, and
-    reports a single level. Per cluster, the level set is checked for
-    4-connectivity and the superlevel set for hole-freeness (8-connectivity
-    of its complement).
+    reports a single level. The report's simple-set flags are computed
+    when first read.
     """
     u = np.asarray(u, dtype=float)
     flat = np.sort(u.ravel())
@@ -524,7 +534,6 @@ def level_set_report(u) -> LevelSetReport:
     peak = max(abs(flat[0]), abs(flat[-1]))
     if span <= FLAT_TOL * max(1.0, peak):
         return LevelSetReport(levels=[(float(flat.mean()), u.size)],
-                              indecomposable=[True], saturated=[True],
                               labels=np.zeros(u.shape, dtype=int))
     gap = QUANT_TOL * max(span, peak)
     cuts = np.flatnonzero(np.diff(flat) > gap)
@@ -549,14 +558,6 @@ def level_set_report(u) -> LevelSetReport:
         owner[owner > k] -= 1
     labels = owner[labels]
 
-    levels = []
-    indecomposable = []
-    saturated = []
-    for k in range(counts.size):
-        mask = labels == k
-        levels.append((float(u[mask].mean()), int(counts[k])))
-        indecomposable.append(_label(mask, 4)[1] <= 1)
-        supermask = labels >= k
-        saturated.append(_label(~supermask, 8)[1] <= 1)
-    return LevelSetReport(levels=levels, indecomposable=indecomposable,
-                          saturated=saturated, labels=labels)
+    levels = [(float(u[labels == k].mean()), int(counts[k]))
+              for k in range(counts.size)]
+    return LevelSetReport(levels=levels, labels=labels)

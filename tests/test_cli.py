@@ -3,6 +3,7 @@ import importlib
 import json
 import os
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,11 @@ UNREADABLE = {
     "psi-coefficients-a-number": (
         {"kind": "measure_nonneg", "y": [1.0, 0.5, 0.2],
          "psi": {"type": "polynomial", "coefficients": 5}}, "coefficients"),
+    # no coefficient, which made solve die with an IndexError traceback
+    # and leave an empty --out
+    "psi-coefficients-empty": (
+        {"kind": "measure_nonneg", "y": [1.0, 0.5, 0.2],
+         "psi": {"type": "polynomial", "coefficients": []}}, "coefficients"),
     "maps-a-number": ({**SPLITTING_DOC, "measurement_maps": 5},
                       "measurement maps"),
     "cost-an-object": ({"kind": "lp_epigraph", "y": [1.0],
@@ -642,8 +648,9 @@ class TestDecompose:
 # Solution files that ``audit`` and ``decompose`` reject with exit 1 and
 # JSON on stderr, creating no --out: the problem kind, the file's text and
 # a word of the detail. A measure row must hold two fields (one field was
-# an IndexError traceback, a third field was dropped), and no CSV may
-# hold a NaN or an infinity (audit exited 2 on them, decompose 0).
+# an IndexError traceback, a third field was dropped), a first row is
+# numbers or the header ``location,amplitude``, and no CSV may hold a NaN
+# or an infinity (audit exited 2 on them, decompose 0).
 MALFORMED_CSV = {
     "measure-one-field": ("measure_tv", "location,amplitude\n0.5\n",
                           "location and an amplitude"),
@@ -654,6 +661,8 @@ MALFORMED_CSV = {
                     "finite"),
     "measure-inf": ("measure_nonneg", "location,amplitude\n0.5,inf\n",
                     "finite"),
+    # a first row that is not the header, which was dropped unread
+    "measure-not-the-header": ("measure_nonneg", "abc,1\n0.5,2.0\n", "abc"),
     "vector-nan": ("nonneg_cone", "1\nnan\n0\n", "finite"),
     "vector-inf": ("nonneg_cone", "1\n-inf\n0\n", "finite"),
     "matrix-nan": ("nuclear", "1,0\n0,NaN\n", "finite"),
@@ -731,6 +740,37 @@ class TestAudit:
             assert cert["reconstruction_error"] == 0.0
             assert cert["pass"] is True
 
+    @pytest.mark.parametrize("kind,y,rows,atoms", [
+        # 2 * delta_0.5 as four rows: was 4 atoms against a bound of 3
+        ("measure_nonneg", [2.0, 0.0, 0.0], [[0.5, 0.5]] * 4, [[0.5, 2.0]]),
+        # a negative row that the sum cancels: was a KindMismatch, exit 1
+        ("measure_nonneg", [2.0, 0.0, 0.0], [[0.5, 2.5], [0.5, -0.5]],
+         [[0.5, 2.0]]),
+        # a zero row: was a second atom
+        ("measure_nonneg", [2.0, 0.0, 0.0], [[0.5, 2.0], [0.25, 0.0]],
+         [[0.5, 2.0]]),
+        # delta_0.25 plus a cancelling pair: was 3 atoms and a TV of 3
+        ("measure_tv", [1.0, 0.0, 0.0], [[0.5, 1.0], [0.5, -1.0],
+                                         [0.25, 1.0]], [[0.25, 1.0]]),
+        ("measure_nonneg", [2.0, 0.0, 0.0], [[0.5, 2.0]], [[0.5, 2.0]]),
+    ])
+    def test_measure_rows_in_normal_form(self, tmp_path, kind, y, rows,
+                                         atoms):
+        prob = write_json(tmp_path / "p.json",
+                          {"kind": kind, "y": y, "grid_n": 64})
+        sol = tmp_path / "s.csv"
+        write_csv(sol, rows, header=["location", "amplitude"])
+        mu = MEASURE_FILE.read(sol)
+        assert mu.atoms == [tuple(a) for a in atoms]
+        assert mu.total_variation == sum(abs(a) for _, a in atoms)
+        out = tmp_path / "a"
+        assert run_cli("audit", str(sol), "--problem", prob,
+                       "--out", str(out)) == 0
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["atom_count"] == len(atoms)
+        assert cert["reconstruction_error"] == 0.0
+        assert cert["pass"] is True
+
     def test_audit_failure_exits_2(self, tmp_path):
         # dense positive vector: too many atoms for one measurement
         sol = tmp_path / "u.csv"
@@ -739,6 +779,80 @@ class TestAudit:
             "kind": "nonneg_cone", "phi": [[1.0] * 6], "y": [6.0]})
         assert run_cli("audit", str(sol), "--problem", prob,
                        "--out", str(tmp_path / "a")) == 2
+
+
+@pytest.fixture(scope="module")
+def solved_measures(tmp_path_factory):
+    """The problem file and the solver's ``solution.csv`` of each measure
+    kind of ``CATALOG``."""
+    root = tmp_path_factory.mktemp("measures")
+    solved = {}
+    for kind in ("measure_tv", "measure_nonneg"):
+        prob = write_json(root / f"{kind}.json",
+                          {"kind": kind, **CATALOG[kind]})
+        assert run_cli("solve", prob, "--out", str(root / kind)) == 0
+        solved[kind] = prob, root / kind / "solution.csv"
+    return solved
+
+
+@st.composite
+def _split_rows(draw, atoms):
+    """Rows whose amplitudes add up to ``atoms`` exactly, in a file order
+    in which the atoms' locations first appear in their own order.
+
+    Each amplitude is a chain of running sums ending at it, each within a
+    factor of 2 of the next, so that every row (a difference of two of
+    them) is exact and so is every running sum (Sterbenz). Zero rows, of
+    either sign, follow a row at its location, or sit anywhere at a
+    location of no atom."""
+    order = draw(st.permutations([j for j in range(len(atoms))
+                                  for _ in range(draw(st.integers(1, 4)))]))
+    rank = {j: r for r, j in enumerate(dict.fromkeys(order))}
+    order = [rank[j] for j in order]
+    parts = []
+    for j, (_, amplitude) in enumerate(atoms):
+        sums = [amplitude]
+        for _ in range(order.count(j) - 1):
+            sums.insert(0, sums[0] * draw(st.floats(0.5, 2.0)))
+        parts.append([sums[0]] + [b - a for a, b in zip(sums, sums[1:])])
+    zero = st.sampled_from([0.0, -0.0])
+    rows = []
+    for j in order:
+        x = atoms[j][0]
+        rows.append([x, parts[j].pop(0)])
+        rows += [[x, z] for z in draw(st.lists(zero, max_size=2))]
+    taken = {x for x, _ in atoms}
+    for x in draw(st.lists(st.floats(0.0, 1.0, exclude_max=True)
+                           .filter(lambda x: x not in taken), max_size=3)):
+        rows.insert(draw(st.integers(0, len(rows))), [x, draw(zero)])
+    return rows
+
+
+class TestMeasureRows:
+    @pytest.mark.parametrize("kind", ["measure_tv", "measure_nonneg"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_split_and_zero_rows_change_nothing(self, solved_measures, kind,
+                                                data):
+        # a solver's measure, its atoms split into rows at one location and
+        # zero rows added: the same atoms, total variation and certificate
+        prob, solution = solved_measures[kind]
+        mu = MEASURE_FILE.read(solution)
+        rows = data.draw(_split_rows(mu.atoms))
+        with tempfile.TemporaryDirectory() as tmp:
+            split = os.path.join(tmp, "split.csv")
+            write_csv(split, rows, header=["location", "amplitude"])
+            nu = MEASURE_FILE.read(split)
+            assert nu.atoms == mu.atoms
+            assert nu.total_variation == mu.total_variation
+            certificates = []
+            for name, sol in [("a", solution), ("b", split)]:
+                out = os.path.join(tmp, name)
+                assert run_cli("audit", str(sol), "--problem", prob,
+                               "--out", out) == 0
+                with open(os.path.join(out, "certificate.json"), "rb") as fh:
+                    certificates.append(fh.read())
+        assert certificates[0] == certificates[1]
 
 
 # Image files of a 2 x 1 problem that ``audit`` and ``decompose`` reject
@@ -1105,6 +1219,18 @@ def _readme_table(*header):
         rows.append([re.findall(r"`([^`]+)`", cell)
                      for cell in line.strip("|").split("|")])
     return rows
+
+
+def test_readme_library_use_runs(capsys):
+    # the README's "Library use" block, run as printed: it reads
+    # cert.atom_count, cert.bound and cert.passed
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme[readme.index("## Library use"):]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert re.fullmatch(r"\d+ atoms vs bound \d+ -> True\n",
+                        capsys.readouterr().out)
 
 
 class TestDocumentedKeys:

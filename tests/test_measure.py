@@ -36,6 +36,22 @@ class TestMoments:
         assert np.allclose(got, direct, rtol=1e-15, atol=1e-15)
 
 
+class TestNormalForm:
+    def test_one_atom_per_location(self):
+        mu = DiscreteMeasure(atoms=[(0.5, 1), (0.5, 1), (0.25, 0)])
+        assert mu.atoms == [(0.5, 2.0)]
+        assert mu.total_variation == 2.0
+
+    def test_order_of_first_occurrence(self):
+        mu = DiscreteMeasure(atoms=[(0.75, 1.0), (0.25, -1.0), (0.75, 0.5),
+                                    (0.5, 1.0), (0.5, -1.0)])
+        assert mu.atoms == [(0.75, 1.5), (0.25, -1.0)]
+
+    def test_location_checked_before_summing(self):
+        with pytest.raises(ValueError, match="outside"):
+            DiscreteMeasure(atoms=[(1.0, 1.0), (1.0, -1.0)])
+
+
 class TestMerge:
     def test_weighted_centroid(self):
         mu = DiscreteMeasure(atoms=[(0.500, 0.6), (0.502, 0.4)])

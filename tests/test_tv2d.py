@@ -1,6 +1,7 @@
 import functools
 import importlib.util
 import inspect
+import json
 import re
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repkit import tv2d
-from repkit.cli import DEFAULT_FIG2_DISKS, DEFAULT_FIG2_Y, _max_iters
+from repkit.cli import DEFAULT_FIG2_DISKS, DEFAULT_FIG2_Y, _max_iters, main
 from repkit.errors import EmptyDisk, NonConvergence
 from repkit.linalg import lstsq, op_norm_estimate
 from repkit.tv2d import (RESTART_ARTIFICIAL, RESTART_NECESSARY,
@@ -898,3 +899,69 @@ class TestLevelSetReport:
         u = rng.standard_normal((12, 12))
         rep = level_set_report(u)
         assert sum(c for _, c in rep.levels) == u.size
+
+
+def _reference_flags(labels, count):
+    """Reference: the simple-set flags as :func:`level_set_report` computed
+    them eagerly, two labellings per level; returns ``(indecomposable,
+    saturated)``."""
+    indecomposable, saturated = [], []
+    for k in range(count):
+        mask = labels == k
+        indecomposable.append(_label(mask, 4)[1] <= 1)
+        supermask = labels >= k
+        saturated.append(_label(~supermask, 8)[1] <= 1)
+    return indecomposable, saturated
+
+
+class TestFlagsOnRead:
+    def _assert_reference_flags(self, u):
+        rep = level_set_report(u)
+        flags = _reference_flags(rep.labels, rep.level_count)
+        assert (rep.indecomposable, rep.saturated) == flags
+        return flags
+
+    def test_match_reference_on_staircases(self, monkeypatch):
+        seen = set()
+        for min_mass in (0.0, 0.001, tv2d.MIN_MASS):
+            monkeypatch.setattr(tv2d, "MIN_MASS", min_mass)
+            for u in _staircase_images(977, 30):
+                for flags in self._assert_reference_flags(u):
+                    seen.update(flags)
+        assert seen == {True, False}
+
+    def test_match_reference_on_fig2_64(self):
+        u, _ = chambolle_pock_tv_solve(_fig2_layout(64), DEFAULT_FIG2_Y,
+                                       (64, 64))
+        indecomposable, saturated = self._assert_reference_flags(u)
+        assert len(indecomposable) >= 2
+
+    def test_match_reference_on_a_flat_image(self):
+        assert self._assert_reference_flags(np.full((6, 5), 0.3)) == (
+            [True], [True])
+
+    def test_audit_never_labels_and_solve_labels_twice_per_level(
+            self, tmp_path, monkeypatch):
+        calls = []
+        label = tv2d._label
+
+        def spy(mask, connectivity):
+            calls.append(connectivity)
+            return label(mask, connectivity)
+
+        monkeypatch.setattr(tv2d, "_label", spy)
+        prob = tmp_path / "p.json"
+        prob.write_text(json.dumps({
+            "kind": "tv2d", "phi": {"disks": [[6, 6, 4], [14, 12, 3]]},
+            "y": [0.8, -0.5], "size": [20, 18]}))
+        out = tmp_path / "solved"
+        assert main(["solve", str(prob), "--out", str(out)]) == 0
+        levels = len(json.loads(
+            (out / "level_report.json").read_text())["levels"])
+        assert levels >= 2
+        assert sorted(calls) == [4] * levels + [8] * levels
+        calls.clear()
+        for command in ("audit", "decompose"):
+            assert main([command, str(out / "image.pgm"), "--problem",
+                         str(prob), "--out", str(tmp_path / command)]) == 0
+        assert calls == []
