@@ -22,6 +22,7 @@ from .simplex import solve_standard_form
 MEMBERSHIP_TOL = 1e-8
 DROP_TOL = 1e-12
 ZERO_TOL = 1e-9  # zero entries in the Birkhoff and l1-slice sweeps
+SLICE_BLOCK = 1024  # systems stacked per block of the l1-slice sweep
 
 
 @dataclass
@@ -274,10 +275,11 @@ def is_extreme_point(p, poly: HPolyhedron, tol: float = 1e-9) -> bool:
 def _perfect_matching(support):
     """Perfect matching on a boolean bipartite adjacency via augmenting paths."""
     n = support.shape[0]
+    columns = [np.flatnonzero(row).tolist() for row in support]
     match_col = [-1] * n  # column -> row
 
     def try_row(r, seen):
-        for c in np.flatnonzero(support[r]):
+        for c in columns[r]:
             if seen[c]:
                 continue
             seen[c] = True
@@ -333,64 +335,138 @@ def birkhoff_decompose(M) -> AtomicDecomposition:
     return AtomicDecomposition(point_atoms=atoms)
 
 
+def _lifted_slice(L):
+    """``{w : |L w|_1 <= 1}`` lifted to ``(w, t)`` as ``A (w, t) <= b``:
+    rows ``2i`` and ``2i + 1`` are ``+-(L w)_i <= t_i``, the last is
+    ``sum t <= 1``."""
+    p, n = L.shape
+    A = np.zeros((2 * p + 1, n + p))
+    A[0:2 * p:2, :n] = L
+    A[1:2 * p:2, :n] = -L
+    A[np.arange(2 * p), n + np.arange(2 * p) // 2] = -1.0
+    A[2 * p, n:] = 1.0
+    b = np.zeros(2 * p + 1)
+    b[2 * p] = 1.0
+    return A, b
+
+
+def _solve_stack(systems, rhs):
+    """Solutions of stacked square systems, and a mask of the solvable ones.
+
+    One batched solve; when a singular system makes it raise, the block is
+    solved one system at a time and the singular ones are masked out.
+    """
+    try:
+        return np.linalg.solve(systems, rhs), np.ones(len(systems), bool)
+    except np.linalg.LinAlgError:
+        w = np.zeros(systems.shape[:2])
+        solved = np.ones(len(systems), bool)
+        for i, system in enumerate(systems):
+            try:
+                w[i] = np.linalg.solve(system, rhs)
+            except np.linalg.LinAlgError:
+                solved[i] = False  # face parallel to the subspace
+        return w, solved
+
+
+def _is_vertex(A, b, x):
+    """Per row of ``x``: is it a vertex of ``{x : A x <= b}``?
+
+    :func:`minimal_face`'s rules, batched: a row of ``A`` is active when its
+    slack is at most ``1e-9`` times its row scale (a slightly violated row
+    counts as active), and the point is a vertex when the active rows have
+    full column rank, counting singular values above ``1e-9 * s_max``.
+    Inactive rows are zeroed rather than dropped, which leaves the singular
+    values unchanged and keeps one stack shape.
+    """
+    slack = b - np.matmul(A, x[:, :, None])[..., 0]
+    scale = 1.0 + np.abs(b) + np.matmul(np.abs(A),
+                                        np.abs(x)[:, :, None])[..., 0]
+    active = np.where((slack <= 1e-9 * scale)[:, :, None], A, 0.0)
+    s = np.linalg.svd(active, compute_uv=False)
+    return np.count_nonzero(s > 1e-9 * s[:, :1], axis=1) == A.shape[1]
+
+
+def _first_occurrences(points, budget):
+    """Mask of the rows of ``points`` farther than ``ZERO_TOL`` from every
+    earlier kept row.
+
+    The pairwise differences are taken in row blocks of at most ``budget``
+    entries (at least one row); only rows with a near earlier row are
+    visited one at a time.
+    """
+    m, p = points.shape
+    keep = np.ones(m, bool)
+    rows = max(1, budget // max(m * p, 1))
+    for a in range(0, m, rows):
+        b = min(a + rows, m)
+        dist = np.linalg.norm(points[a:b, None] - points[None, :b], axis=2)
+        near = np.tril(dist <= ZERO_TOL, k=a - 1)  # earlier rows only
+        for r in np.flatnonzero(near.any(axis=1)):
+            keep[a + r] = not keep[:b][near[r]].any()
+    return keep
+
+
 def enumerate_slice_extreme_points(L) -> list:
     """All extreme points of ``range(L)`` intersected with the unit l1 ball.
 
     ``L`` must be p-by-n with full column rank and in general position; each
     extreme point then lies on an l1-ball face of dimension ``p - n``, i.e.
-    has support ``p - n + 1``. The sweep solves, for every support and sign
-    pattern, the square system placing ``L w`` on that face, keeps candidates
-    whose signs close up, and confirms extremality on a lifted inequality
-    description of ``{w : |L w|_1 <= 1}``. Guards ``p <= 16`` and
-    ``p - n <= 8`` bound the combinatorics.
+    has support ``p - n + 1``. For every support (in ``combinations``
+    order) and sign pattern with first sign +1 (in ``product`` order), the
+    square system placing ``L w`` on that face is solved; candidates whose
+    off-support entries vanish, whose signs close up and whose l1 norm is 1
+    are kept. A candidate is extreme when the active rows of the lifted
+    description ``+-(L w)_i <= t_i, sum t <= 1`` at ``(w, |L w|)`` have
+    full column rank ``n + p`` (:func:`minimal_face`'s activity and rank
+    rules). Each extreme ``z`` is followed by ``-z``, and a point within
+    ``ZERO_TOL`` of an earlier one is dropped.
+
+    The sweep runs in stacked numpy over blocks of at most ``SLICE_BLOCK``
+    systems, so memory stays bounded at the guards. The stacked sign rows,
+    solves and products are the per-system operations batched, and give the
+    same points bit for bit, in the same order, as a loop over the systems.
+    Guards ``p <= 16`` and ``p - n <= 8`` bound the combinatorics; an
+    empty ``L`` or one without full column rank raises ``ValueError``.
     """
     L = np.atleast_2d(np.asarray(L, dtype=float))
     p, n = L.shape
+    if L.size == 0:
+        raise ValueError("L must have at least one row and one column")
     if rank(L) < n:
         raise ValueError("L must have full column rank")
     if p > 16 or p - n > 8:
         raise CombinatorialLimitExceeded(
             f"guards p <= 16 and p - n <= 8 violated for shape {L.shape}")
     k1 = p - n + 1  # face support size
+    supports = np.array(list(itertools.combinations(range(p), k1)),
+                        dtype=np.intp)
+    outside = np.ones((len(supports), p), bool)
+    outside[np.arange(len(supports))[:, None], supports] = False
+    offs = np.nonzero(outside)[1].reshape(len(supports), n - 1)
+    signs = np.array([(1.0, *s) for s in
+                      itertools.product((1.0, -1.0), repeat=k1 - 1)])
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    lift_A, lift_b = _lifted_slice(L)
 
-    # Lifted description in (w, t): +-(Lw)_i <= t_i, sum t <= 1.
-    lift_A = np.zeros((2 * p + 1, n + p))
-    for i in range(p):
-        lift_A[2 * i, :n] = L[i]
-        lift_A[2 * i, n + i] = -1.0
-        lift_A[2 * i + 1, :n] = -L[i]
-        lift_A[2 * i + 1, n + i] = -1.0
-    lift_A[2 * p, n:] = 1.0
-    lift_b = np.zeros(2 * p + 1)
-    lift_b[2 * p] = 1.0
-    lifted = HPolyhedron(A_ineq=lift_A, b_ineq=lift_b)
-
-    found = []
-    for support in itertools.combinations(range(p), k1):
-        off = [i for i in range(p) if i not in support]
-        for signs in itertools.product((1.0, -1.0), repeat=k1):
-            if signs[0] < 0:
-                continue  # antipode of a sweep already visited
-            system = np.vstack([L[off],
-                                np.asarray(signs) @ L[list(support)]])
-            rhs = np.zeros(n)
-            rhs[-1] = 1.0
-            try:
-                w = np.linalg.solve(system, rhs)
-            except np.linalg.LinAlgError:
-                continue  # face parallel to the subspace; not a vertex
-            z = L @ w
-            if np.abs(z[off]).max(initial=0.0) > ZERO_TOL:
-                continue
-            zs = z[list(support)] * np.asarray(signs)
-            if np.any(zs < -ZERO_TOL):
-                continue  # sign pattern does not close up
-            if abs(np.abs(z).sum() - 1.0) > 1e2 * ZERO_TOL:
-                continue
-            if not is_extreme_point(np.concatenate([w, np.abs(z)]), lifted):
-                continue
-            for cand in (z, -z):
-                if not found or np.linalg.norm(np.asarray(found) - cand,
-                                               axis=1).min() > ZERO_TOL:
-                    found.append(cand.copy())
-    return found
+    extreme = []
+    count = len(supports) * len(signs)
+    for start in range(0, count, SLICE_BLOCK):
+        block = np.arange(start, min(start + SLICE_BLOCK, count))
+        sup, sgn = np.divmod(block, len(signs))
+        on, off, sg = supports[sup], offs[sup], signs[sgn]
+        systems = np.empty((len(sup), n, n))
+        systems[:, :n - 1] = L[off]
+        systems[:, n - 1] = np.matmul(sg[:, None, :], L[on])[:, 0]
+        w, ok = _solve_stack(systems, rhs)
+        z = np.matmul(L, w[:, :, None])[..., 0]
+        ok &= (np.abs(np.take_along_axis(z, off, 1)) <= ZERO_TOL).all(axis=1)
+        ok &= (np.take_along_axis(z, on, 1) * sg >= -ZERO_TOL).all(axis=1)
+        ok &= np.abs(np.abs(z).sum(axis=1) - 1.0) <= 1e2 * ZERO_TOL
+        w, z = w[ok], z[ok]
+        extreme.append(z[_is_vertex(lift_A, lift_b,
+                                    np.concatenate([w, np.abs(z)], 1))])
+    z = np.concatenate(extreme)
+    cands = np.stack([z, -z], axis=1).reshape(-1, p)
+    return list(cands[_first_occurrences(cands, SLICE_BLOCK * n * n)])

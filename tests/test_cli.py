@@ -974,6 +974,18 @@ class TestEnumerateSlice:
         rows = (out / "extreme_points.csv").read_text().splitlines()
         assert len(rows) == 6
 
+    @pytest.mark.parametrize("text", ["", "\n \n"])
+    def test_empty_operator_exits_1(self, tmp_path, capsys, text):
+        # used to print "extreme_points 0" and write one blank line
+        op = tmp_path / "L.csv"
+        op.write_text(text)
+        out = tmp_path / "es"
+        assert run_cli("enumerate-slice", str(op), "--out", str(out)) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "enumeration failed"
+        assert "at least one row and one column" in err["detail"]
+        assert not out.exists()
+
 
 class TestCatalogRoundTrip:
     @pytest.mark.parametrize("kind", sorted(CATALOG))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repkit import geometry
 from repkit.errors import (CombinatorialLimitExceeded, InfeasiblePoint,
                            InvalidDecomposition, NotDoublyStochastic)
 from repkit.geometry import (AtomicDecomposition, HPolyhedron,
@@ -293,6 +294,46 @@ class TestBirkhoff:
             birkhoff_decompose([[bad, 0.5], [0.5, 0.5]])
 
 
+def _reference_perfect_matching(support):
+    """``geometry._perfect_matching`` as it shipped, looking up each row's
+    columns on every visit."""
+    n = support.shape[0]
+    match_col = [-1] * n
+
+    def try_row(r, seen):
+        for c in np.flatnonzero(support[r]):
+            if seen[c]:
+                continue
+            seen[c] = True
+            if match_col[c] < 0 or try_row(match_col[c], seen):
+                match_col[c] = r
+                return True
+        return False
+
+    for r in range(n):
+        if not try_row(r, [False] * n):
+            return None
+    perm = np.empty(n, dtype=int)
+    for c, r in enumerate(match_col):
+        perm[r] = c
+    return perm
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("density", [0.2, 0.5, 0.9])
+def test_perfect_matching_matches_reference(n, density):
+    # sparse supports often have no perfect matching; both must agree then
+    g = np.random.default_rng([31, n, int(10 * density)])
+    for _ in range(10):
+        support = g.random((n, n)) < density
+        support[np.arange(n), g.permutation(n)] |= g.random() < 0.5
+        got = geometry._perfect_matching(support)
+        want = _reference_perfect_matching(support)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got, want)
+
+
 def _random_doubly_stochastic(g, n, mixtures=None):
     """Exact convex combination of random permutation matrices."""
     if mixtures is None:
@@ -351,6 +392,40 @@ def _reference_enumerate_slice(L, tol=1e-9):
     return found
 
 
+def _slice_operator(g, shape, layout):
+    L = g.standard_normal(shape)
+    if layout == "integer":
+        return np.round(2.0 * L)
+    if layout == "repeated-rows":
+        n = shape[1]
+        L[n:] = L[n - 1]
+    return L
+
+
+# Condition number 5e7: at some candidates the sum row of the lifted
+# description is violated by more than minimal_face's tolerance, which made
+# the sweep raise InfeasiblePoint.
+ILL_CONDITIONED = np.array([[-2.4039878193196, -2.403987789125825],
+                            [0.8729159201580354, 0.87291599459282],
+                            [-0.5478012165981987, -0.5478012818287465],
+                            [-0.49834560415970836, -0.49834559118738664]])
+
+
+@pytest.fixture(scope="module")
+def qhull():
+    return pytest.importorskip("scipy.spatial")
+
+
+def _qhull_vertex_count(qhull, L):
+    """Vertices of ``{w : |L w|_1 <= 1}``, the slice in the coordinates of
+    ``ran(L)``: the intersection of the ``2^p`` halfspaces ``s^T L w <= 1``."""
+    p, n = L.shape
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=p)))
+    halfspaces = np.hstack([signs @ L, -np.ones((len(signs), 1))])
+    corners = qhull.HalfspaceIntersection(halfspaces, np.zeros(n))
+    return len(qhull.ConvexHull(corners.intersections).vertices)
+
+
 class TestSliceEnumeration:
     def test_identity_gives_signed_basis(self):
         pts = enumerate_slice_extreme_points(np.eye(3))
@@ -393,23 +468,69 @@ class TestSliceEnumeration:
         for z in pts:
             assert any(np.linalg.norm(z + q) < 1e-9 for q in pts)
 
-    @pytest.mark.parametrize("shape", [(7, 4), (8, 5)])
+    @pytest.mark.parametrize("shape", [(7, 4), (8, 5), (2, 1), (3, 2),
+                                       (4, 2), (5, 3), (6, 3), (9, 5)])
     @pytest.mark.parametrize("layout", ["gaussian", "integer",
                                         "repeated-rows"])
     def test_matches_pairwise_duplicate_check(self, shape, layout):
         # Integer entries and repeated rows reach the same point from many
-        # supports, so the duplicate check rejects most candidates there.
+        # supports, so the duplicate check rejects most candidates there;
+        # repeated rows also make some systems singular. At 6x3 a sign row
+        # summed in another order differs in the last bit.
         g = np.random.default_rng([2026, *shape])
         for _ in range(3):
-            L = g.standard_normal(shape)
-            if layout == "integer":
-                L = np.round(2.0 * L)
-            elif layout == "repeated-rows":
-                L[-3:] = L[-4]
-            got = enumerate_slice_extreme_points(L)
-            want = _reference_enumerate_slice(L)
-            assert len(got) == len(want)
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            L = _slice_operator(g, shape, layout)
+            self.assert_same_points(enumerate_slice_extreme_points(L),
+                                    _reference_enumerate_slice(L))
+
+    @pytest.mark.parametrize("layout", ["gaussian", "integer",
+                                        "repeated-rows"])
+    def test_blocks_split_mid_support(self, monkeypatch, layout):
+        # 8x5 has 8 sign patterns per support: blocks of 3 systems split
+        # supports, and the duplicate check then takes one row at a time.
+        g = np.random.default_rng([2027, 8, 5])
+        L = _slice_operator(g, (8, 5), layout)
+        want = _reference_enumerate_slice(L)
+        monkeypatch.setattr(geometry, "SLICE_BLOCK", 3)
+        self.assert_same_points(enumerate_slice_extreme_points(L), want)
+
+    def assert_same_points(self, got, want):
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_ill_conditioned_operator(self):
+        pts = enumerate_slice_extreme_points(ILL_CONDITIONED)
+        assert len(pts) == 8
+        for z in pts:
+            assert self.independent_extremality(ILL_CONDITIONED, z)
+
+    def test_ill_conditioned_operator_matches_qhull(self, qhull):
+        assert (len(enumerate_slice_extreme_points(ILL_CONDITIONED))
+                == _qhull_vertex_count(qhull, ILL_CONDITIONED))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 5),
+           st.integers(0, 3))
+    def test_slice_properties(self, seed, n, excess):
+        p = min(n + excess, 8)
+        L = np.random.default_rng(seed).standard_normal((p, n))
+        pts = enumerate_slice_extreme_points(L)
+        assert len(pts) >= 2
+        for z in pts:
+            assert abs(np.abs(z).sum() - 1.0) < 1e-8
+            w, *_ = np.linalg.lstsq(L, z, rcond=None)
+            assert np.linalg.norm(L @ w - z) < 1e-8
+            assert any(np.linalg.norm(z + q) < 1e-9 for q in pts)
+            assert self.independent_extremality(L, z)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 5),
+           st.integers(0, 3))
+    def test_count_matches_qhull(self, qhull, seed, n, excess):
+        p = min(n + excess, 8)
+        L = np.random.default_rng(seed).standard_normal((p, n))
+        assert (len(enumerate_slice_extreme_points(L))
+                == _qhull_vertex_count(qhull, L))
 
     def test_guards(self):
         with pytest.raises(CombinatorialLimitExceeded):
