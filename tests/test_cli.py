@@ -976,7 +976,6 @@ class TestEnumerateSlice:
 
     @pytest.mark.parametrize("text", ["", "\n \n"])
     def test_empty_operator_exits_1(self, tmp_path, capsys, text):
-        # used to print "extreme_points 0" and write one blank line
         op = tmp_path / "L.csv"
         op.write_text(text)
         out = tmp_path / "es"

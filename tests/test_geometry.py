@@ -403,8 +403,8 @@ def _slice_operator(g, shape, layout):
 
 
 # Condition number 5e7: at some candidates the sum row of the lifted
-# description is violated by more than minimal_face's tolerance, which made
-# the sweep raise InfeasiblePoint.
+# description is violated by more than minimal_face's tolerance, so the
+# sweep must count a slightly violated row as active rather than raise.
 ILL_CONDITIONED = np.array([[-2.4039878193196, -2.403987789125825],
                             [0.8729159201580354, 0.87291599459282],
                             [-0.5478012165981987, -0.5478012818287465],
