@@ -46,7 +46,7 @@ def sweep_l1(g, trials):
     for _ in range(trials):
         L = g.standard_normal((6, 10))
         Phi = g.standard_normal((3, 6)) @ L  # kernel invisible: d = 0
-        u, _ = l1_analysis_solve(Phi, Phi @ g.standard_normal(10), L)
+        u = l1_analysis_solve(Phi, Phi @ g.standard_normal(10), L)
         rows.append(audit(u, RegularizerSpec(kind="l1_analysis",
                                              params={"L": L}), Phi))
     return rows

@@ -5,10 +5,10 @@ __version__ = "0.1.0"
 
 from .audit import (LinealityReport, RegularizerSpec, RepresenterCertificate,
                     audit, decompose_solution, lineality_of)
-from .finite import (AnalysisReport, LpProblem, LpSolution, MatrixProblem,
-                     barvinok_bound, l1_analysis_solve, nnls_solve,
-                     nuclear_min_solve, psd_solve, rank1_atomic_decomposition,
-                     rank_reduce_psd, simplex_solve)
+from .finite import (LpProblem, LpSolution, MatrixProblem, barvinok_bound,
+                     l1_analysis_solve, nnls_solve, nuclear_min_solve,
+                     psd_solve, rank1_atomic_decomposition, rank_reduce_psd,
+                     simplex_solve)
 from .geometry import (AtomicDecomposition, FaceReport, HPolyhedron,
                        birkhoff_decompose, caratheodory_reduce,
                        enumerate_slice_extreme_points, is_extreme_point,

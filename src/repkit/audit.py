@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import KindMismatch, UnsupportedKind, is_integer
+from .errors import KindMismatch, NotSurjective, UnsupportedKind, is_integer
 from .finite import kernel_image_basis, rank1_atomic_decomposition
 from .geometry import AtomicDecomposition
 from .jsontext import dumps
@@ -172,7 +172,10 @@ def _measure_lineality(spec, Phi) -> LinealityReport:
 
 
 def _kernel_lineality(spec, Phi) -> LinealityReport:
-    basis = null_space_basis(_analysis_operator(spec))
+    L = _analysis_operator(spec)
+    basis = null_space_basis(L)
+    if basis.shape[1] != L.shape[1] - L.shape[0]:  # atoms +-t L^+ e_i need it
+        raise NotSurjective("analysis operator must have full row rank")
     d = kernel_image_basis(Phi, basis).shape[1]
     return LinealityReport(lineality_basis=basis, d=d)
 

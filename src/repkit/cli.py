@@ -289,7 +289,7 @@ def _analysis_problem(doc) -> Problem:
     phi, y = _phi(doc)
     L = _numbers(doc["L"], "L")
     return Problem(RegularizerSpec(kind="l1_analysis", params={"L": L}), phi,
-                   lambda: l1_analysis_solve(phi, y, L)[0])
+                   lambda: l1_analysis_solve(phi, y, L))
 
 
 def _nuclear_problem(doc) -> Problem:

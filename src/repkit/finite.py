@@ -24,7 +24,7 @@ from .linalg import lstsq, null_space_basis, pseudo_inverse, rank, svd
 from .simplex import LpProblem, LpSolution, row_compress, solve_standard_form
 
 __all__ = [
-    "LpProblem", "LpSolution", "MatrixProblem", "AnalysisReport",
+    "LpProblem", "LpSolution", "MatrixProblem",
     "simplex_solve", "nnls_solve", "l1_analysis_solve", "kernel_image_basis",
     "nuclear_min_solve", "psd_solve", "rank_reduce_psd",
     "rank1_atomic_decomposition", "barvinok_bound",
@@ -88,16 +88,6 @@ class MatrixProblem:
         return self._stacked
 
 
-@dataclass
-class AnalysisReport:
-    """Structure of an l1-analysis solution ``u = sum a_i Lpinv e_i + u_K``."""
-
-    support: list
-    kernel_component: np.ndarray
-    objective: float
-    image_constraint_dim: int  # dim Phi(ker L)
-
-
 def simplex_solve(prob: LpProblem) -> LpSolution:
     """Basic optimal solution of ``min c.u : Phi u = y, u >= 0``.
 
@@ -153,7 +143,7 @@ def nnls_solve(Phi, y) -> np.ndarray:
     return u
 
 
-def l1_analysis_solve(Phi, y, L):
+def l1_analysis_solve(Phi, y, L) -> np.ndarray:
     """Minimize ``|L u|_1`` subject to ``Phi u = y`` for surjective ``L``.
 
     The constraints are projected onto the orthogonal complement of
@@ -161,9 +151,8 @@ def l1_analysis_solve(Phi, y, L):
     coefficients ``z = L u`` solve a standard-form LP (positive/negative
     split). A basic LP solution therefore has at most
     ``m - dim(Phi ker L)`` nonzero coefficients; the kernel part is
-    recovered by least squares afterwards.
-
-    Returns ``(u, report)``.
+    recovered by least squares afterwards. The audit reports the
+    solution's support, ``d`` and decomposition.
     """
     Phi = np.atleast_2d(np.asarray(Phi, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -205,17 +194,7 @@ def l1_analysis_solve(Phi, y, L):
     u = Lpinv @ z + u_K
     if np.linalg.norm(Phi @ u - y) > 1e-6 * (1.0 + np.linalg.norm(y)):
         raise Infeasible("projected LP solution failed to lift")
-
-    coeffs = L @ u
-    support = [int(i) for i in np.flatnonzero(
-        np.abs(coeffs) > 1e-9 * (1.0 + np.abs(coeffs).max()))]
-    report = AnalysisReport(
-        support=support,
-        kernel_component=u - Lpinv @ (L @ u),
-        objective=float(np.abs(coeffs).sum()),
-        image_constraint_dim=int(d),
-    )
-    return u, report
+    return u
 
 
 def kernel_image_basis(Phi, N) -> np.ndarray:

@@ -387,23 +387,37 @@ def _is_vertex(A, b, x):
     return np.count_nonzero(s > 1e-9 * s[:, :1], axis=1) == A.shape[1]
 
 
-def _first_occurrences(points, budget):
+def _first_occurrences(points):
     """Mask of the rows of ``points`` farther than ``ZERO_TOL`` from every
     earlier kept row.
 
-    The pairwise differences are taken in row blocks of at most ``budget``
-    entries (at least one row); only rows with a near earlier row are
-    visited one at a time.
+    Rows within ``ZERO_TOL`` are within it along any unit vector. So each
+    block of ``SLICE_BLOCK // p`` rows, in order, is compared only with the
+    kept rows and its own whose projections on a generic unit vector lie
+    within ``2 * ZERO_TOL`` (a rounding margin included), found by binary
+    search; the Euclidean distance decides. Skipping the dropped rows keeps
+    a cluster of repeated points from costing the square of its size.
     """
     m, p = points.shape
-    keep = np.ones(m, bool)
-    rows = max(1, budget // max(m * p, 1))
-    for a in range(0, m, rows):
-        b = min(a + rows, m)
-        dist = np.linalg.norm(points[a:b, None] - points[None, :b], axis=2)
-        near = np.tril(dist <= ZERO_TOL, k=a - 1)  # earlier rows only
-        for r in np.flatnonzero(near.any(axis=1)):
-            keep[a + r] = not keep[:b][near[r]].any()
+    direction = np.sqrt(np.arange(2.0, p + 2.0))
+    key = points @ (direction / np.linalg.norm(direction))
+    order = np.argsort(key, kind="stable")
+    keep = np.zeros(m, bool)
+    rows = max(1, SLICE_BLOCK // p)
+    for start in range(0, m, rows):
+        block = np.arange(start, min(start + rows, m))
+        keep[block] = True
+        pool = order[keep[order]]  # the kept rows and the block, by key
+        reach = key[block, None] + [-2 * ZERO_TOL, 2 * ZERO_TOL]
+        lo, hi = np.searchsorted(key[pool], reach).T
+        row = np.repeat(block, hi - lo)
+        other = pool[np.arange(len(row))
+                     + np.repeat(hi - np.cumsum(hi - lo), hi - lo)]
+        near = (other < row) & (np.linalg.norm(points[row] - points[other],
+                                               axis=1) <= ZERO_TOL)
+        found, firsts = np.unique(row[near], return_index=True)
+        for r, earlier in zip(found, np.split(other[near], firsts[1:])):
+            keep[r] = not keep[earlier].any()
     return keep
 
 
@@ -420,12 +434,14 @@ def enumerate_slice_extreme_points(L) -> list:
     description ``+-(L w)_i <= t_i, sum t <= 1`` at ``(w, |L w|)`` have
     full column rank ``n + p`` (:func:`minimal_face`'s activity and rank
     rules). Each extreme ``z`` is followed by ``-z``, and a point within
-    ``ZERO_TOL`` of an earlier one is dropped.
+    ``ZERO_TOL`` of an earlier one is dropped (:func:`_first_occurrences`).
 
-    The sweep runs in stacked numpy over blocks of at most ``SLICE_BLOCK``
-    systems, so memory stays bounded at the guards. The stacked sign rows,
-    solves and products are the per-system operations batched, and give the
-    same points bit for bit, in the same order, as a loop over the systems.
+    The slice depends on ``ran(L)`` only, so the sweep runs over its
+    orthonormal basis ``np.linalg.qr(L)[0]``: an ill-conditioned ``L``
+    would leave residuals that the absolute ``ZERO_TOL`` tests reject. The
+    points agree with a sweep over ``L`` to about 1e-14. Blocks of at most
+    ``SLICE_BLOCK`` systems bound the memory; the batched operations give
+    the points of a loop over the systems bit for bit, in its order.
     Guards ``p <= 16`` and ``p - n <= 8`` bound the combinatorics; an
     empty ``L`` or one without full column rank raises ``ValueError``.
     """
@@ -438,6 +454,7 @@ def enumerate_slice_extreme_points(L) -> list:
     if p > 16 or p - n > 8:
         raise CombinatorialLimitExceeded(
             f"guards p <= 16 and p - n <= 8 violated for shape {L.shape}")
+    L = np.linalg.qr(L)[0]
     k1 = p - n + 1  # face support size
     supports = np.array(list(itertools.combinations(range(p), k1)),
                         dtype=np.intp)
@@ -469,4 +486,4 @@ def enumerate_slice_extreme_points(L) -> list:
                                     np.concatenate([w, np.abs(z)], 1))])
     z = np.concatenate(extreme)
     cands = np.stack([z, -z], axis=1).reshape(-1, p)
-    return list(cands[_first_occurrences(cands, SLICE_BLOCK * n * n)])
+    return list(cands[_first_occurrences(cands)])

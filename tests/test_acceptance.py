@@ -10,7 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from repkit.audit import RegularizerSpec, audit, decompose_solution
+from repkit.audit import (RegularizerSpec, audit, decompose_solution,
+                          lineality_of)
 from repkit.errors import NonConvergence
 from repkit.finite import (LpProblem, MatrixProblem, l1_analysis_solve,
                            nnls_solve, nuclear_min_solve, psd_solve,
@@ -108,11 +109,11 @@ def test_criterion_3_l1_analysis_support():
         else:
             Phi = g.standard_normal((m, n))
         y = Phi @ g.standard_normal(n)
-        u, rep = l1_analysis_solve(Phi, y, L)
+        u = l1_analysis_solve(Phi, y, L)
         assert np.linalg.norm(Phi @ u - y) <= 1e-6 * (1 + np.linalg.norm(y))
-        assert len(rep.support) <= m - rep.image_constraint_dim
         spec = RegularizerSpec(kind="l1_analysis", params={"L": L})
         dec = decompose_solution(u, spec)
+        assert len(dec.point_atoms) <= m - lineality_of(spec, Phi).d
         err = np.linalg.norm(dec.reconstruct() - u)
         assert err <= 1e-6 * max(np.linalg.norm(u), 1e-12)
         ok += 1

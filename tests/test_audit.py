@@ -5,7 +5,8 @@ import pytest
 
 from repkit.audit import (RegularizerSpec, audit, decompose_solution,
                           lineality_of)
-from repkit.errors import EmptyDisk, KindMismatch, UnsupportedKind
+from repkit.errors import (EmptyDisk, KindMismatch, NotSurjective,
+                           UnsupportedKind)
 from repkit.finite import (LpProblem, MatrixProblem, l1_analysis_solve,
                            nnls_solve, nuclear_min_solve, simplex_solve)
 from repkit.measure import (DiscreteMeasure, beurling_solve, moment_lp_solve,
@@ -48,9 +49,22 @@ class TestLineality:
                                            params={"L": L}), Phi)
         assert rep.d + rep.kernel_overlap == N.shape[1]
         assert rep.d <= 2
-        # the solver's support bound uses the same d
-        y = Phi @ np.random.default_rng(0).standard_normal(10)
-        assert l1_analysis_solve(Phi, y, L)[1].image_constraint_dim == rep.d
+
+    @pytest.mark.parametrize("L", [
+        [[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]],  # p > n
+        [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]],    # p <= n, rank 1
+    ], ids=["more-rows", "rank-deficient"])
+    def test_analysis_operator_must_be_surjective(self, L):
+        # The atoms +-t L^+ e_i of |L u|_1 need a surjective L: the audit
+        # rejects any other, as the solver does.
+        n = len(L[0])
+        u = np.eye(n)[0]
+        spec = RegularizerSpec(kind="l1_analysis", params={"L": L})
+        for check in (lambda: audit(u, spec, np.eye(n)),
+                      lambda: lineality_of(spec, np.eye(n)),
+                      lambda: l1_analysis_solve(np.eye(n), u, L)):
+            with pytest.raises(NotSurjective, match="full row rank"):
+                check()
 
     def test_tv2d_constants_seen_by_disks(self):
         disks = DiskSet([(8.0, 8.0, 4.0), (20.0, 20.0, 5.0)])
@@ -125,7 +139,7 @@ class TestDecompose:
         L = rng.standard_normal((5, 8))
         Phi = rng.standard_normal((3, 8))
         y = rng.standard_normal(3)
-        u, _ = l1_analysis_solve(Phi, y, L)
+        u = l1_analysis_solve(Phi, y, L)
         dec = decompose_solution(u, RegularizerSpec(kind="l1_analysis",
                                                     params={"L": L}))
         err = np.linalg.norm(dec.reconstruct() - u)
@@ -172,10 +186,9 @@ class TestAuditEndToEnd:
         L = g.standard_normal((6, 10))
         Phi = g.standard_normal((4, 10))
         y = g.standard_normal(4)
-        u, rep = l1_analysis_solve(Phi, y, L)
+        u = l1_analysis_solve(Phi, y, L)
         cert = audit(u, RegularizerSpec(kind="l1_analysis",
                                         params={"L": L}), Phi)
-        assert cert.d == rep.image_constraint_dim
         expected = 4 - cert.d + (1 if cert.at_infimum else 0)
         assert cert.bound == expected
         assert cert.passed

@@ -771,6 +771,36 @@ class TestAudit:
         assert cert["reconstruction_error"] == 0.0
         assert cert["pass"] is True
 
+    @pytest.mark.parametrize("phi,L", [
+        ([[1, 0], [0, 1]], [[1, 0], [2, 0], [0, 1]]),  # p > n
+        (np.eye(3).tolist(), [[1, 2, 0], [2, 4, 0]]),  # p <= n, rank 1
+    ], ids=["more-rows", "rank-deficient"])
+    def test_non_surjective_operator_exits_1(self, tmp_path, capsys, phi,
+                                             L):
+        # Solve rejected it, yet audit passed u = e_0 with 2 atoms against
+        # a bound of 2 for the first L, whose atoms have |L a|_1 = 1.8 and
+        # 3.6 at the level 3: off the level set's boundary, one outside it.
+        n = len(phi[0])
+        prob = write_json(tmp_path / "p.json", {
+            "kind": "l1_analysis", "phi": phi, "L": L,
+            "y": np.eye(n)[0].tolist()})
+        sol = tmp_path / "u.csv"
+        write_csv(sol, np.eye(n)[:, :1])
+        for argv, error in [
+                (["solve", prob], "solver failed"),
+                (["audit", str(sol), "--problem", prob], "audit failed"),
+                (["decompose", str(sol), "--problem", prob],
+                 "decompose failed")]:
+            out = tmp_path / argv[0]
+            assert run_cli(*argv, "--out", str(out)) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert json.loads(captured.err) == {
+                "error": error,
+                "detail": "analysis operator must have full row rank"}
+            if argv[0] != "solve":
+                assert not out.exists()
+
     def test_audit_failure_exits_2(self, tmp_path):
         # dense positive vector: too many atoms for one measurement
         sol = tmp_path / "u.csv"

@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from repkit.audit import RegularizerSpec, audit
+from repkit.audit import (RegularizerSpec, audit, decompose_solution,
+                          lineality_of)
 from repkit.errors import Infeasible, NonConvergence, NotSurjective
 from repkit.cli import _max_iters
-from repkit.finite import (EPS_FEAS, LpProblem, MatrixProblem,
+from repkit.finite import (EPS_FEAS, GAMMA, LpProblem, MatrixProblem,
                            barvinok_bound, l1_analysis_solve, nnls_solve,
                            nuclear_min_solve, psd_solve,
                            rank1_atomic_decomposition, rank_reduce_psd,
@@ -69,18 +70,23 @@ class TestNnls:
         assert np.linalg.norm(Phi @ u - y) <= np.linalg.norm(y) + 1e-12
 
 
+def _analysis_spec(L):
+    return RegularizerSpec(kind="l1_analysis", params={"L": L})
+
+
 class TestL1Analysis:
     def test_single_constraint(self):
-        u, rep = l1_analysis_solve([[1.0, 1.0]], [2.0], np.eye(2))
+        u = l1_analysis_solve([[1.0, 1.0]], [2.0], np.eye(2))
         assert abs(np.abs(u).sum() - 2.0) < 1e-9
-        assert len(rep.support) == 1
+        assert len(decompose_solution(u, _analysis_spec(np.eye(2)))
+                   .point_atoms) == 1
 
     def test_zero_rhs(self):
         L = rng.standard_normal((4, 6))
         Phi = rng.standard_normal((2, 6))
-        u, rep = l1_analysis_solve(Phi, np.zeros(2), L)
+        u = l1_analysis_solve(Phi, np.zeros(2), L)
         assert np.abs(L @ u).max() < 1e-9
-        assert rep.objective < 1e-9
+        assert np.abs(L @ u).sum() < 1e-9
 
     def test_not_surjective(self):
         with pytest.raises(NotSurjective):
@@ -98,11 +104,14 @@ class TestL1Analysis:
         L = g.standard_normal((6, 10))
         Phi = g.standard_normal((4, 10))
         y = g.standard_normal(4)
-        u, rep = l1_analysis_solve(Phi, y, L)
+        u = l1_analysis_solve(Phi, y, L)
         assert np.linalg.norm(Phi @ u - y) <= 1e-7 * (1 + np.linalg.norm(y))
-        assert len(rep.support) <= 4 - rep.image_constraint_dim
+        spec = _analysis_spec(L)
+        assert (len(decompose_solution(u, spec).point_atoms)
+                <= 4 - lineality_of(spec, Phi).d)
         # kernel part really lives in ker L
-        assert np.abs(L @ rep.kernel_component).max() < 1e-8
+        kernel_component = u - pseudo_inverse(L) @ (L @ u)
+        assert np.abs(L @ kernel_component).max() < 1e-8
 
     def test_optimality_against_vertex_enumeration(self):
         # Oracle: enumerate the vertices of the projected LP on a tiny
@@ -112,7 +121,7 @@ class TestL1Analysis:
         G = g.standard_normal((2, 3))
         Phi = G @ L
         y = g.standard_normal(2)
-        u, rep = l1_analysis_solve(Phi, y, L)
+        u = l1_analysis_solve(Phi, y, L)
         A = Phi @ np.linalg.pinv(L)
         cols = np.hstack([A, -A])
         best = np.inf
@@ -124,7 +133,7 @@ class TestL1Analysis:
             if xb.min() < -1e-9:
                 continue
             best = min(best, xb.sum())
-        assert rep.objective <= best + 1e-8
+        assert np.abs(L @ u).sum() <= best + 1e-8
 
 
 class TestMatrixProblem:
@@ -269,10 +278,10 @@ def _criterion4_draws(count):
         yield MatrixProblem(maps, [np.tensordot(a, M0) for a in maps], (6, 6))
 
 
-@pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan")])
-def test_splitting_config_rejects_nonpositive_gamma(gamma):
+@pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), GAMMA])
+def test_solver_object_may_not_set_gamma(gamma):
     # The step is the constant GAMMA: the solver object of a problem file
-    # may not set it.
+    # may not set it, not even to GAMMA.
     with pytest.raises(ValueError, match="gamma"):
         _max_iters({"solver": {"gamma": gamma}})
 

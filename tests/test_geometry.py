@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repkit import geometry
 from repkit.errors import (CombinatorialLimitExceeded, InfeasiblePoint,
@@ -11,6 +11,7 @@ from repkit.geometry import (AtomicDecomposition, HPolyhedron,
                              birkhoff_decompose, caratheodory_reduce,
                              enumerate_slice_extreme_points, is_extreme_point,
                              klee_atom_count, klee_reduce, minimal_face)
+from repkit.linalg import rank
 
 rng = np.random.default_rng(99)
 
@@ -392,6 +393,40 @@ def _reference_enumerate_slice(L, tol=1e-9):
     return found
 
 
+def _reference_first_occurrences(points):
+    keep = []
+    for i, z in enumerate(points):
+        keep.append(all(np.linalg.norm(z - points[j]) > geometry.ZERO_TOL
+                        for j in range(i) if keep[j]))
+    return np.array(keep, bool)
+
+
+@pytest.mark.parametrize("block", [1, geometry.SLICE_BLOCK])
+@pytest.mark.parametrize("seed", range(20))
+def test_first_occurrences_matches_pairwise(monkeypatch, seed, block):
+    # Copies of a few mostly-zero rows, as slice points are, moved by 0,
+    # half, twice, or just inside or just outside ZERO_TOL: pairs on both
+    # sides of the tolerance, and chains whose middle row is dropped.
+    # Blocks of one row compare each row with the kept rows alone.
+    monkeypatch.setattr(geometry, "SLICE_BLOCK", block)
+    g = np.random.default_rng([2028, seed])
+    p = int(g.integers(1, 9))
+    base = g.standard_normal((int(g.integers(1, 40)), p))
+    base[g.random(base.shape) < 0.7] = 0.0
+    points = base[g.integers(0, len(base), 200)]
+    step = g.standard_normal(points.shape)
+    step /= np.linalg.norm(step, axis=1, keepdims=True)
+    scale = g.choice([0.0, 0.5, 1.0 - 1e-5, 1.0 + 1e-5, 2.0], len(points))
+    points = points + step * (scale * geometry.ZERO_TOL)[:, None]
+    keep = geometry._first_occurrences(points)
+    assert np.array_equal(keep, _reference_first_occurrences(points))
+    assert 0 < np.count_nonzero(keep) < len(points)
+
+
+def test_first_occurrences_of_no_points():
+    assert geometry._first_occurrences(np.zeros((0, 3))).shape == (0,)
+
+
 def _slice_operator(g, shape, layout):
     L = g.standard_normal(shape)
     if layout == "integer":
@@ -476,21 +511,23 @@ class TestSliceEnumeration:
         # Integer entries and repeated rows reach the same point from many
         # supports, so the duplicate check rejects most candidates there;
         # repeated rows also make some systems singular. At 6x3 a sign row
-        # summed in another order differs in the last bit.
+        # summed in another order differs in the last bit. The sweep runs
+        # over the orthonormal basis of ran(L), and so does the reference.
         g = np.random.default_rng([2026, *shape])
         for _ in range(3):
             L = _slice_operator(g, shape, layout)
-            self.assert_same_points(enumerate_slice_extreme_points(L),
-                                    _reference_enumerate_slice(L))
+            self.assert_same_points(
+                enumerate_slice_extreme_points(L),
+                _reference_enumerate_slice(np.linalg.qr(L)[0]))
 
     @pytest.mark.parametrize("layout", ["gaussian", "integer",
                                         "repeated-rows"])
     def test_blocks_split_mid_support(self, monkeypatch, layout):
         # 8x5 has 8 sign patterns per support: blocks of 3 systems split
-        # supports, and the duplicate check then takes one row at a time.
+        # supports, and the duplicate check takes one row at a time.
         g = np.random.default_rng([2027, 8, 5])
         L = _slice_operator(g, (8, 5), layout)
-        want = _reference_enumerate_slice(L)
+        want = _reference_enumerate_slice(np.linalg.qr(L)[0])
         monkeypatch.setattr(geometry, "SLICE_BLOCK", 3)
         self.assert_same_points(enumerate_slice_extreme_points(L), want)
 
@@ -531,6 +568,22 @@ class TestSliceEnumeration:
         L = np.random.default_rng(seed).standard_normal((p, n))
         assert (len(enumerate_slice_extreme_points(L))
                 == _qhull_vertex_count(qhull, L))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 3),
+           st.integers(1, 3), st.floats(-9.0, -5.0))
+    def test_near_dependent_columns_match_qhull(self, qhull, seed, n,
+                                                excess, log_noise):
+        # The last column is the first plus noise of 1e-9 to 1e-5, so the
+        # condition number reaches the rank guard. A sweep over L itself
+        # lost vertices above about 1e7; the count is qhull's on the
+        # orthonormal basis of ran(L), which has the same slice.
+        g = np.random.default_rng(seed)
+        L = g.standard_normal((n + excess, n))
+        L[:, -1] = L[:, 0] + 10.0 ** log_noise * g.standard_normal(n + excess)
+        assume(rank(L) == n)
+        assert (len(enumerate_slice_extreme_points(L))
+                == _qhull_vertex_count(qhull, np.linalg.qr(L)[0]))
 
     def test_guards(self):
         with pytest.raises(CombinatorialLimitExceeded):
