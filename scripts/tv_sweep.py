@@ -42,8 +42,7 @@ def random_layout(seed):
 def replay(u, disks, size, path):
     """The certificate of ``u`` written to ``path`` and read back."""
     write_pgm(path, u)
-    spec = RegularizerSpec(kind="tv2d", params={"disks": disks,
-                                                "size": size})
+    spec = RegularizerSpec(kind="tv2d", params={"size": size})
     return audit(read_pgm(path), spec, disks)
 
 

@@ -3,8 +3,8 @@ inverse problems."""
 
 __version__ = "0.1.0"
 
-from .audit import (LinealityReport, RegularizerSpec, RepresenterCertificate,
-                    audit, decompose_solution, lineality_of)
+from .audit import (RegularizerSpec, RepresenterCertificate, audit,
+                    decompose_solution, lineality_of)
 from .finite import (LpProblem, LpSolution, MatrixProblem, barvinok_bound,
                      l1_analysis_solve, nnls_solve, nuclear_min_solve,
                      psd_solve, rank1_atomic_decomposition, rank_reduce_psd,

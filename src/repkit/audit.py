@@ -38,10 +38,11 @@ class RegularizerSpec:
     """A regularizer of the closed catalog :data:`KINDS` plus its parameters.
 
     ``params`` carries the kind-specific data: ``L`` (analysis operator)
-    for ``l1_analysis``; ``disks`` and ``size`` for ``tv2d``, optionally
-    with ``masks`` (the disk masks on the image grid, drawn instead if
-    absent) and ``level_report`` (a :class:`~repkit.tv2d.LevelSetReport`
-    of the solution, used instead of computing one).
+    for ``l1_analysis``; ``size`` for ``tv2d``, optionally with ``masks``
+    (the masks of the disks in ``Phi`` on the image grid, drawn from
+    ``Phi`` if absent) and ``level_report`` (a
+    :class:`~repkit.tv2d.LevelSetReport` of the solution, used instead of
+    computing one).
     """
 
     kind: str
@@ -50,19 +51,6 @@ class RegularizerSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise UnsupportedKind(f"unknown regularizer kind {self.kind!r}")
-
-
-@dataclass
-class LinealityReport:
-    """Invariant directions of the level set and how the measurements see them."""
-
-    lineality_basis: np.ndarray  # columns span lin C
-    d: int                       # dim Phi(lin C)
-
-    @property
-    def kernel_overlap(self) -> int:
-        """dim(lin C  intersect  ker Phi)."""
-        return self.lineality_basis.shape[1] - self.d
 
 
 @dataclass
@@ -161,41 +149,30 @@ def _moment_count(spec, Phi) -> int:
     return int(m)
 
 
-def _line_free(spec, Phi) -> LinealityReport:
-    # Matrix kinds pass a list of maps: the ambient space is a flattened map.
-    n = int(np.prod(_as_matrix_phi(Phi).shape[1:]))
-    return LinealityReport(lineality_basis=np.zeros((n, 0)), d=0)
+def _line_free(spec, Phi) -> int:
+    _as_matrix_phi(Phi)  # raises if Phi holds no measurement
+    return 0
 
 
-def _measure_lineality(spec, Phi) -> LinealityReport:
-    return LinealityReport(lineality_basis=np.zeros((0, 0)), d=0)
-
-
-def _kernel_lineality(spec, Phi) -> LinealityReport:
+def _kernel_lineality(spec, Phi) -> int:
     L = _analysis_operator(spec)
     basis = null_space_basis(L)
     if basis.shape[1] != L.shape[1] - L.shape[0]:  # atoms +-t L^+ e_i need it
         raise NotSurjective("analysis operator must have full row rank")
-    d = kernel_image_basis(Phi, basis).shape[1]
-    return LinealityReport(lineality_basis=basis, d=d)
+    return kernel_image_basis(Phi, basis).shape[1]
 
 
-def _constant_lineality(spec, Phi) -> LinealityReport:
+def _constant_lineality(spec, Phi) -> int:
     """Constant images. Their mean over a disk that covers a pixel center
     is the constant, so the measurements see them (``d = 1``) unless there
     is no disk. The masks in ``spec.params["masks"]`` show that every disk
-    covers a pixel center; a spec without them has them drawn here, which
-    raises :class:`~repkit.errors.EmptyDisk` for a disk that covers none."""
-    w, h = spec.params["size"]
-    masks = spec.params.get("masks")
-    if masks is None:
-        disks = spec.params["disks"]
-        if not isinstance(disks, DiskSet):
-            disks = DiskSet(disks)
-        masks = disks.masks((h, w))
-    ones = np.ones(h * w) / np.sqrt(h * w)
-    d = 1 if len(masks) else 0
-    return LinealityReport(lineality_basis=ones.reshape(-1, 1), d=d)
+    covers a pixel center; a spec without them has the masks of ``Phi``
+    drawn here, which raises :class:`~repkit.errors.EmptyDisk` for a disk
+    that covers none."""
+    if "masks" not in spec.params:
+        w, h = spec.params["size"]
+        (Phi if isinstance(Phi, DiskSet) else DiskSet(Phi)).masks((h, w))
+    return 1 if len(Phi) else 0
 
 
 def _coordinate_rays(u, spec) -> AtomicDecomposition:
@@ -347,6 +324,8 @@ def _nuclear_value(u, spec) -> float:
 class RegularizerKind:
     """What the audit needs to know about one regularizer kind.
 
+    ``m(spec, Phi)`` and ``d(spec, Phi)`` are the two numbers of the bound
+    ``m + j - d``: the measurement count and :func:`lineality_of`.
     ``value(u, spec)`` is R at the solution, to detect ``inf R``; cones
     (indicators, ``inf R = 0``) and the LP epigraph lift (``inf R = -inf``,
     one more measurement row) need none. ``quantize(u, spec)`` returns the
@@ -356,7 +335,7 @@ class RegularizerKind:
 
     decompose: Callable
     m: Callable = _row_count
-    lineality: Callable = _line_free
+    d: Callable = _line_free
     error: Callable = _vector_error
     value: Callable | None = None
     cone: bool = False
@@ -364,14 +343,14 @@ class RegularizerKind:
     quantize: Callable | None = None
 
 
-_MEASURES = dict(m=_moment_count, lineality=_measure_lineality,
+_MEASURES = dict(m=_moment_count, d=lambda spec, Phi: 0,
                  error=_measure_error)
 
 KINDS = {
     "nonneg_cone": RegularizerKind(_coordinate_rays, cone=True),
     "lp_epigraph": RegularizerKind(_coordinate_rays, epigraph=True),
     "l1_analysis": RegularizerKind(_analysis_atoms,
-                                   lineality=_kernel_lineality,
+                                   d=_kernel_lineality,
                                    value=_analysis_value),
     "nuclear": RegularizerKind(_rank_one_atoms, value=_nuclear_value),
     "psd_cone": RegularizerKind(_spectral_rays, cone=True),
@@ -379,21 +358,21 @@ KINDS = {
                                   value=lambda u, spec: u.total_variation),
     "measure_nonneg": RegularizerKind(_dirac_rays, cone=True, **_MEASURES),
     "tv2d": RegularizerKind(
-        _staircase, m=lambda spec, Phi: len(spec.params["disks"]),
-        lineality=_constant_lineality, value=lambda u, spec: discrete_tv(u),
+        _staircase, m=lambda spec, Phi: len(Phi), d=_constant_lineality,
+        value=lambda u, spec: discrete_tv(u),
         quantize=_tv2d_quantize),
 }
 
 
-def lineality_of(spec: RegularizerSpec, Phi) -> LinealityReport:
-    """Invariant directions of the level set and their measured dimension.
+def lineality_of(spec: RegularizerSpec, Phi) -> int:
+    """``d = dim Phi(lin C)``: the dimension of the image, under the
+    measurements, of the directions along which the level set is invariant.
 
-    Cones and norm balls are line-free; the l1-analysis ball is invariant
-    along ``ker L``; the TV seminorm is invariant along constant images.
-    The measure kinds have no finite-dimensional lineality and report the
-    trivial space.
+    Cones and norm balls are line-free (``d = 0``); the l1-analysis ball is
+    invariant along ``ker L``; the TV seminorm is invariant along constant
+    images. The measure kinds have no finite-dimensional lineality.
     """
-    return KINDS[spec.kind].lineality(spec, Phi)
+    return KINDS[spec.kind].d(spec, Phi)
 
 
 def decompose_solution(u, spec: RegularizerSpec) -> AtomicDecomposition:
@@ -410,9 +389,11 @@ def decompose_solution(u, spec: RegularizerSpec) -> AtomicDecomposition:
 def audit(u, spec: RegularizerSpec, Phi) -> RepresenterCertificate:
     """Assemble a certificate for a solution of the given regularizer kind.
 
-    ``Phi`` is the measurement matrix for vector/matrix kinds, the number
-    of moments (or the moment vector) for measure kinds, and the
-    :class:`DiskSet` for images. ``at_infimum`` is detected: always true
+    ``Phi`` is the measurement matrix for vector kinds, the list of
+    measurement maps for matrix kinds, the number of moments (or the
+    moment vector) for measure kinds, and the :class:`DiskSet` (or its
+    ``(cx, cy, r)`` triples) for images; ``m`` and ``d`` are read from it
+    and ``spec`` alone. ``at_infimum`` is detected: always true
     on cones, never on the LP epigraph, and true for norms only when the
     achieved value is zero. The reconstruction tolerance is 1e-6, or the
     quantization residual plus 1e-9 for kinds that quantize. For ``tv2d``
@@ -426,7 +407,7 @@ def audit(u, spec: RegularizerSpec, Phi) -> RepresenterCertificate:
     kind = KINDS[spec.kind]
     notes = []
     m = kind.m(spec, Phi)
-    d = lineality_of(spec, Phi).d
+    d = lineality_of(spec, Phi)
 
     at_infimum = kind.cone or (not kind.epigraph
                                and kind.value(u, spec) <= 1e-12)

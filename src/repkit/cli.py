@@ -178,9 +178,9 @@ def _max_iters(doc) -> dict:
     return solver
 
 
-def _write_tv2d(out_dir, u, trace, outputs, image) -> None:
+def _write_tv2d(out_dir, u, trace, outputs, image) -> np.ndarray:
     """Writes ``trace.csv``, then the image, which raises ``ValueError``
-    (writing nothing) if no PGM can hold it."""
+    (writing nothing) if no PGM can hold it; returns the image written."""
     trace_path = os.path.join(out_dir, "trace.csv")
     write_csv(trace_path, zip(trace.iterations, trace.tv_values,
                               trace.constraint_residuals, trace.lower_bounds),
@@ -188,8 +188,9 @@ def _write_tv2d(out_dir, u, trace, outputs, image) -> None:
                       "lower_bound"])
     outputs.append(trace_path)
     img_path = os.path.join(out_dir, image)
-    write_pgm(img_path, u)
+    written = write_pgm(img_path, u)
     outputs.append(img_path)
+    return written
 
 
 def _write_level_report(out_dir, u, trace, outputs):
@@ -343,8 +344,7 @@ def _image_problem(doc) -> Problem:
     size = check_shape(doc["size"], "size")
     masks = disks.masks(size[::-1])
     solver = _max_iters(doc)
-    spec = RegularizerSpec(kind="tv2d", params={"disks": disks, "size": size,
-                                                "masks": masks})
+    spec = RegularizerSpec(kind="tv2d", params={"size": size, "masks": masks})
     return Problem(spec, disks,
                    lambda: chambolle_pock_tv_solve(disks, y, size, **solver))
 
@@ -406,10 +406,10 @@ CLI_KINDS = {
 
 
 def _write_payload(kind: CliKind, out_dir, payload, outputs, image):
-    """Writes a solver's payload; returns what :func:`audit` takes of it."""
+    """Writes a solver's payload; returns what :func:`audit` takes of it,
+    as the file holds it."""
     if kind.payload.write is None:
-        _write_tv2d(out_dir, *payload, outputs, image)
-        return payload[0]
+        return _write_tv2d(out_dir, *payload, outputs, image)
     path = os.path.join(out_dir, "solution.csv")
     kind.payload.write(path, payload)
     outputs.append(path)
@@ -420,13 +420,15 @@ def _solve(problem: Problem, out_dir, t0, source, config, outputs=(),
            image="image.pgm") -> int:
     """Solves ``problem``, writes the outputs of ``solve`` into ``out_dir``
     (the image of a tv2d payload as ``image``) and a manifest listing them
-    after ``outputs``, and returns the exit code."""
+    after ``outputs``, and returns the exit code. ``out_dir`` is created
+    only when there is something to write."""
     kind = CLI_KINDS[problem.spec.kind]
     outputs = list(outputs)
     try:
         payload = problem.solve()
     except NonConvergence as exc:
         detail = str(exc)
+        os.makedirs(out_dir, exist_ok=True)
         if exc.payload is not None:
             try:
                 _write_payload(kind, out_dir, exc.payload, outputs, image)
@@ -436,6 +438,7 @@ def _solve(problem: Problem, out_dir, t0, source, config, outputs=(),
         return _error_exit("solver did not converge", detail, code=3)
     except Unbounded as exc:
         ray = getattr(exc.ray, "atoms", exc.ray)  # a measure or a vector
+        os.makedirs(out_dir, exist_ok=True)
         _write_json(os.path.join(out_dir, "certificate.json"),
                     {"error": "unbounded",
                      "ray": None if ray is None else np.asarray(ray).tolist()})
@@ -443,13 +446,14 @@ def _solve(problem: Problem, out_dir, t0, source, config, outputs=(),
     except (RepkitError, ValueError, KeyError) as exc:
         return _error_exit("solver failed", str(exc))
 
+    os.makedirs(out_dir, exist_ok=True)
+    written = _write_payload(kind, out_dir, payload, outputs, image)
     spec = problem.spec
     if kind.payload.write is None:  # a tv2d (image, trace)
-        report = _write_level_report(out_dir, *payload, outputs)
+        report = _write_level_report(out_dir, written, payload[1], outputs)
         spec = dataclasses.replace(
             spec, params={**spec.params, "level_report": report})
-    payload = _write_payload(kind, out_dir, payload, outputs, image)
-    cert = audit(payload, spec, problem.phi)
+    cert = audit(written, spec, problem.phi)
     cert_path = os.path.join(out_dir, "certificate.json")
     _write_json(cert_path, cert.to_json_dict(
         include_atoms=kind.payload is not IMAGE_FILE))
@@ -470,9 +474,8 @@ def cmd_solve(args) -> int:
         problem = CLI_KINDS[doc["kind"]].problem(doc)
     except (RepkitError, ValueError, KeyError) as exc:
         return _error_exit("solver failed", str(exc))
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
-    return _solve(problem, out_dir, t0, args.problem, doc.get("solver", {}))
+    return _solve(problem, args.out or ".", t0, args.problem,
+                  doc.get("solver", {}))
 
 
 def _atoms_rows(decomp):

@@ -353,19 +353,17 @@ def _lifted_slice(L):
 def _solve_stack(systems, rhs):
     """Solutions of stacked square systems, and a mask of the solvable ones.
 
-    One batched solve; when a singular system makes it raise, the block is
-    solved one system at a time and the singular ones are masked out.
+    One batched solve; when a singular system makes it raise, the singular
+    ones are those whose LU factorization meets an exact zero pivot, the
+    test that makes ``solve`` raise, and the others are solved in a second
+    batched call.
     """
     try:
         return np.linalg.solve(systems, rhs), np.ones(len(systems), bool)
     except np.linalg.LinAlgError:
+        solved = np.linalg.slogdet(systems)[0] != 0  # else parallel faces
         w = np.zeros(systems.shape[:2])
-        solved = np.ones(len(systems), bool)
-        for i, system in enumerate(systems):
-            try:
-                w[i] = np.linalg.solve(system, rhs)
-            except np.linalg.LinAlgError:
-                solved[i] = False  # face parallel to the subspace
+        w[solved] = np.linalg.solve(systems[solved], rhs)
         return w, solved
 
 

@@ -18,8 +18,9 @@ from .jsontext import write_text
 MAXVAL = 65535
 
 
-def write_pgm(path, image) -> None:
-    """Write a real-valued image as ASCII PGM with a scale comment.
+def write_pgm(path, image) -> np.ndarray:
+    """Write a real-valued image as ASCII PGM with a scale comment; return
+    the image the file holds, bit for bit what :func:`read_pgm` reads.
 
     ``ValueError``, writing nothing, if the image holds a NaN or an
     infinity, or its values span more than a float holds: no finite
@@ -47,6 +48,7 @@ def write_pgm(path, image) -> None:
     lines.append(str(MAXVAL))
     lines.extend(" ".join(map(str, row)) for row in stored.tolist())
     write_text(path, "\n".join(lines) + "\n")
+    return stored.astype(float) * scale + offset
 
 
 def _header_int(token, name, high=None) -> int:

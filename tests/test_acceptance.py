@@ -113,7 +113,7 @@ def test_criterion_3_l1_analysis_support():
         assert np.linalg.norm(Phi @ u - y) <= 1e-6 * (1 + np.linalg.norm(y))
         spec = RegularizerSpec(kind="l1_analysis", params={"L": L})
         dec = decompose_solution(u, spec)
-        assert len(dec.point_atoms) <= m - lineality_of(spec, Phi).d
+        assert len(dec.point_atoms) <= m - lineality_of(spec, Phi)
         err = np.linalg.norm(dec.reconstruct() - u)
         assert err <= 1e-6 * max(np.linalg.norm(u), 1e-12)
         ok += 1
@@ -265,7 +265,7 @@ def test_criterion_8_fig2_full_200():
     residual = np.abs(disk_average_apply(u, disks) - FIG2_Y).max()
     rep = level_set_report(u)
     cert = audit(u, RegularizerSpec(
-        kind="tv2d", params={"disks": disks, "size": (200, 200),
+        kind="tv2d", params={"size": (200, 200),
                              "level_report": rep}), disks)
     ok = (residual <= 1e-4 * np.abs(FIG2_Y).max()
           and rep.level_count <= 4 and rep.all_simple()

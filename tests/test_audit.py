@@ -9,6 +9,7 @@ from repkit.errors import (EmptyDisk, KindMismatch, NotSurjective,
                            UnsupportedKind)
 from repkit.finite import (LpProblem, MatrixProblem, l1_analysis_solve,
                            nnls_solve, nuclear_min_solve, simplex_solve)
+from repkit.linalg import null_space_basis
 from repkit.measure import (DiscreteMeasure, beurling_solve, moment_lp_solve,
                             moments_of, trigonometric_system)
 from repkit.tv2d import DiskSet
@@ -18,11 +19,8 @@ rng = np.random.default_rng(202)
 
 class TestLineality:
     def test_nonneg_cone_is_salient(self):
-        rep = lineality_of(RegularizerSpec(kind="nonneg_cone"),
-                           rng.standard_normal((3, 7)))
-        assert rep.d == 0
-        assert rep.lineality_basis.shape[1] == 0
-        assert rep.kernel_overlap == 0
+        assert lineality_of(RegularizerSpec(kind="nonneg_cone"),
+                            rng.standard_normal((3, 7))) == 0
 
     def test_analysis_kernel_with_mean_row(self):
         # 1-d discrete gradient: kernel is the constants; a mean row in Phi
@@ -33,22 +31,23 @@ class TestLineality:
             L[i, i] = -1.0
             L[i, i + 1] = 1.0
         Phi = np.vstack([np.full(n, 1.0 / n), rng.standard_normal(n)])
-        rep = lineality_of(RegularizerSpec(kind="l1_analysis",
-                                           params={"L": L}), Phi)
-        assert rep.lineality_basis.shape[1] == 1
-        assert rep.d == 1
-        assert rep.kernel_overlap == 0
+        assert lineality_of(RegularizerSpec(kind="l1_analysis",
+                                            params={"L": L}), Phi) == 1
+        # a zero-mean row does not
+        assert lineality_of(RegularizerSpec(kind="l1_analysis",
+                                            params={"L": L}),
+                            Phi[1:] - Phi[1:].mean()) == 0
 
     def test_rank_nullity_is_exact(self):
-        # enlarge the kernel so part of it hides inside ker Phi
-        L = rng.standard_normal((4, 10))
-        from repkit.linalg import null_space_basis
-        N = null_space_basis(L)  # dim 6
-        Phi = rng.standard_normal((2, 10))
-        rep = lineality_of(RegularizerSpec(kind="l1_analysis",
-                                           params={"L": L}), Phi)
-        assert rep.d + rep.kernel_overlap == N.shape[1]
-        assert rep.d <= 2
+        # d is the rank of Phi on ker L; the rest of ker L hides in ker Phi
+        for p, m in [(4, 2), (4, 8), (8, 3)]:
+            L = rng.standard_normal((p, 10))
+            N = null_space_basis(L)
+            Phi = rng.standard_normal((m, 10))
+            d = lineality_of(RegularizerSpec(kind="l1_analysis",
+                                             params={"L": L}), Phi)
+            assert d == np.linalg.matrix_rank(Phi @ N) == min(m, 10 - p)
+            assert d + null_space_basis(Phi @ N).shape[1] == N.shape[1]
 
     @pytest.mark.parametrize("L", [
         [[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]],  # p > n
@@ -68,31 +67,30 @@ class TestLineality:
 
     def test_tv2d_constants_seen_by_disks(self):
         disks = DiskSet([(8.0, 8.0, 4.0), (20.0, 20.0, 5.0)])
-        rep = lineality_of(RegularizerSpec(kind="tv2d",
-                                           params={"disks": disks,
-                                                   "size": (28, 28)}),
-                           disks)
-        assert rep.d == 1
-        # the masks a problem reader drew, or raw triples drawn here
-        for params in ({"disks": disks, "masks": disks.masks((28, 28))},
-                       {"disks": [(8.0, 8.0, 4.0)]}):
+        # the masks a problem reader drew, or those of Phi drawn here, from
+        # a DiskSet or from raw triples
+        for params, phi in [({"masks": disks.masks((28, 28))}, disks),
+                            ({}, disks), ({}, disks.disks)]:
             spec = RegularizerSpec(kind="tv2d",
                                    params={**params, "size": (28, 28)})
-            assert lineality_of(spec, disks).d == 1
-        spec = RegularizerSpec(kind="tv2d", params={
-            "disks": [(8.0, 8.0, 4.0), (40.0, 40.0, 1.0)], "size": (28, 28)})
-        with pytest.raises(EmptyDisk):
-            lineality_of(spec, disks)
+            assert lineality_of(spec, phi) == 1
+            assert audit(np.ones((28, 28)), spec, phi).m == 2
+        spec = RegularizerSpec(kind="tv2d", params={"size": (28, 28)})
+        assert lineality_of(spec, DiskSet([])) == 0
+        for phi in (DiskSet([(8.0, 8.0, 4.0), (40.0, 40.0, 1.0)]),
+                    [(8.0, 8.0, 4.0), (40.0, 40.0, 1.0)]):
+            with pytest.raises(EmptyDisk, match="disk 1"):
+                lineality_of(spec, phi)
 
     @pytest.mark.parametrize("kind", ["nuclear", "psd_cone"])
     def test_matrix_kinds_live_in_the_flattened_space(self, kind):
-        rep = lineality_of(RegularizerSpec(kind), [np.eye(3)] * 2)
-        assert rep.lineality_basis.shape == (9, 0)
-        assert rep.d == 0
+        # line-free, whatever the shape of the maps
+        for maps in ([np.eye(3)] * 2, [np.ones((2, 5))]):
+            assert lineality_of(RegularizerSpec(kind), maps) == 0
 
     def test_measure_kinds_trivial(self):
-        rep = lineality_of(RegularizerSpec(kind="measure_tv"), 4)
-        assert rep.d == 0
+        for kind in ("measure_tv", "measure_nonneg"):
+            assert lineality_of(RegularizerSpec(kind=kind), 4) == 0
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(UnsupportedKind):
@@ -150,8 +148,7 @@ class TestDecompose:
         u[5:15, 5:15] = 1.0
         u[22:32, 22:32] = 2.0
         dec = decompose_solution(u, RegularizerSpec(
-            kind="tv2d", params={"disks": DiskSet([(10, 10, 5)]),
-                                 "size": (40, 40)}))
+            kind="tv2d", params={"size": (40, 40)}))
         assert len(dec.point_atoms) == 2  # two jumps above the base level
         rec = dec.reconstruct().reshape(40, 40)
         assert np.abs(rec - u).max() < 1e-9

@@ -798,8 +798,7 @@ class TestAudit:
             assert json.loads(captured.err) == {
                 "error": error,
                 "detail": "analysis operator must have full row rank"}
-            if argv[0] != "solve":
-                assert not out.exists()
+            assert not out.exists()
 
     def test_audit_failure_exits_2(self, tmp_path):
         # dense positive vector: too many atoms for one measurement
@@ -1036,14 +1035,34 @@ class TestCatalogRoundTrip:
         assert c_solve["pass"] and c_audit["pass"]
         assert c_solve["m"] == c_audit["m"] == len(CATALOG[kind]["y"])
         if kind == "tv2d":
-            # The replay reads a 16-bit PGM, so its staircase residual is
-            # the declared quantization tolerance, not roundoff.
+            # A 16-bit image's staircase residual is the declared
+            # quantization tolerance, not roundoff.
             assert err <= c_audit["reconstruction_tol"]
         else:
-            for key in ("pass", "atom_count", "bound"):
-                assert c_solve[key] == c_audit[key]
             assert err <= 1e-6
         assert (tmp_path / "d" / "atoms.csv").exists()
+
+    @pytest.mark.parametrize("kind", [*sorted(CATALOG), "fig2"])
+    def test_solve_certifies_the_file_it_wrote(self, tmp_path, kind):
+        # the certificate of solve (and fig2) is the one audit gives for
+        # the solution file: for tv2d, the image rounded to 16 bits
+        if kind == "fig2":
+            scale = 24 / 200.0
+            doc = {"kind": "tv2d", "y": DEFAULT_FIG2_Y, "size": [24, 24],
+                   "phi": {"disks": [[cx * scale, cy * scale, r * scale]
+                                     for cx, cy, r in DEFAULT_FIG2_DISKS]}}
+            argv, sol = ["fig2", "--size", "24"], "result.pgm"
+        else:
+            doc = {"kind": kind, **CATALOG[kind]}
+            argv = ["solve", write_json(tmp_path / "p.json", doc)]
+            sol = "image.pgm" if kind == "tv2d" else "solution.csv"
+        solved, audited = tmp_path / "s", tmp_path / "a"
+        assert run_cli(*argv, "--out", str(solved)) == 0
+        assert run_cli("audit", str(solved / sol), "--problem",
+                       write_json(tmp_path / "q.json", doc),
+                       "--out", str(audited)) == 0
+        assert ((solved / "certificate.json").read_bytes()
+                == (audited / "certificate.json").read_bytes())
 
     @pytest.mark.parametrize("kind", sorted(CATALOG))
     def test_out_holds_what_the_manifest_lists(self, tmp_path, capsys, kind):

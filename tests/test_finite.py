@@ -108,7 +108,7 @@ class TestL1Analysis:
         assert np.linalg.norm(Phi @ u - y) <= 1e-7 * (1 + np.linalg.norm(y))
         spec = _analysis_spec(L)
         assert (len(decompose_solution(u, spec).point_atoms)
-                <= 4 - lineality_of(spec, Phi).d)
+                <= 4 - lineality_of(spec, Phi))
         # kernel part really lives in ker L
         kernel_component = u - pseudo_inverse(L) @ (L @ u)
         assert np.abs(L @ kernel_component).max() < 1e-8

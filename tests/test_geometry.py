@@ -531,6 +531,43 @@ class TestSliceEnumeration:
         monkeypatch.setattr(geometry, "SLICE_BLOCK", 3)
         self.assert_same_points(enumerate_slice_extreme_points(L), want)
 
+    @pytest.mark.parametrize("block", [64, geometry.SLICE_BLOCK])
+    def test_singular_systems_solved_in_one_more_call(self, monkeypatch,
+                                                      block):
+        # Repeated rows make most blocks hold a singular system: the
+        # others are solved in a second batched call, to the bits of one
+        # solve per system.
+        def one_at_a_time(systems, rhs):
+            w = np.zeros(systems.shape[:2])
+            solved = np.ones(len(systems), bool)
+            for i, system in enumerate(systems):
+                try:
+                    w[i] = np.linalg.solve(system, rhs)
+                except np.linalg.LinAlgError:
+                    solved[i] = False
+            return w, solved
+
+        L = _slice_operator(np.random.default_rng([2029, 10, 5]), (10, 5),
+                            "repeated-rows")
+        monkeypatch.setattr(geometry, "SLICE_BLOCK", block)
+        with monkeypatch.context() as patch:
+            patch.setattr(geometry, "_solve_stack", one_at_a_time)
+            want = enumerate_slice_extreme_points(L)
+        calls = {"blocks": 0, "solves": 0}
+
+        def counted(fn, key):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(geometry, "_solve_stack",
+                            counted(geometry._solve_stack, "blocks"))
+        monkeypatch.setattr(np.linalg, "solve",
+                            counted(np.linalg.solve, "solves"))
+        self.assert_same_points(enumerate_slice_extreme_points(L), want)
+        assert calls["blocks"] < calls["solves"] <= 2 * calls["blocks"]
+
     def assert_same_points(self, got, want):
         assert len(got) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
