@@ -340,6 +340,8 @@ def _image_problem(doc) -> Problem:
     if not isinstance(phi, dict) or "disks" not in phi:
         raise ValueError("'phi' must be an object with a 'disks' key")
     disks = DiskSet(phi["disks"])
+    if not len(disks):
+        raise ValueError("at least one disk required")
     y = _measurements(doc, len(disks), "disk")
     size = check_shape(doc["size"], "size")
     masks = disks.masks(size[::-1])

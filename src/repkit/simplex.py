@@ -72,54 +72,75 @@ def _simplex_phase(c, A, b, basis, allow_enter):
     enter (used to keep artificial variables out in phase 2). Returns
     ``(status, x, duals, ray, pivots)``.
 
+    What does not change between pivots is computed once per phase: the
+    ``1 + |c|`` part of the entering tolerance and the column scales. The
+    basis matrix, its costs and the mask of columns that may enter are
+    updated in place where a pivot swaps a column. Every number that
+    decides a pivot (the tolerance, the eligible set, the entering column
+    and the ratio test) comes from the same floating-point operations as in
+    a loop that rebuilds everything each pivot, so the pivots and the
+    returned bits are that loop's.
+
     Termination: every nondegenerate pivot strictly lowers the objective, so
     no basis repeats across them, and a degenerate stretch longer than
     ``DEGENERATE_RUN`` is finished by Bland's rule, which cannot cycle.
     """
     m, n = A.shape
-    in_basis = np.zeros(n, dtype=bool)
-    in_basis[basis] = True
+    enterable = allow_enter.copy()
+    enterable[basis] = False
     colscale = np.abs(A).max(axis=0, initial=0.0)
+    base = 1.0 + np.abs(c)
+    neg_tol = np.empty(n)
+    below = np.empty(n, dtype=bool)
+    B = A[:, basis]
+    cb = c[basis]
     pivots = 0
     degenerate = 0
     while True:
-        B = A[:, basis]
         xb = np.linalg.solve(B, b)
-        lam = np.linalg.solve(B.T, c[basis])
+        lam = np.linalg.solve(B.T, cb)
         reduced = c - A.T @ lam
         # Entering tolerance scales with the multipliers: on an
         # ill-conditioned basis the roundoff in `reduced` grows with |lam|,
         # and an absolute cutoff lets noise pivot forever between
-        # near-parallel columns.
-        tol = PIVOT_TOL * (1.0 + np.abs(c)
-                           + colscale * np.abs(lam).max(initial=0.0))
-        eligible = np.flatnonzero((reduced < -tol) & allow_enter & ~in_basis)
-        if eligible.size == 0:
+        # near-parallel columns. `neg_tol` holds
+        # -(PIVOT_TOL * (1 + |c| + colscale * max|lam|)); negation is exact.
+        np.multiply(colscale, np.abs(lam).max(initial=0.0), out=neg_tol)
+        neg_tol += base
+        neg_tol *= -PIVOT_TOL
+        np.less(reduced, neg_tol, out=below)
+        below &= enterable
+        if not below.any():
             x = np.zeros(n)
             x[basis] = xb
             return "optimal", x, lam, None, pivots
         if degenerate < DEGENERATE_RUN:
             # Dantzig: most negative reduced cost; argmin keeps the lowest
             # index among ties.
-            j = int(eligible[np.argmin(reduced[eligible])])
+            j = int(np.where(below, reduced, np.inf).argmin())
         else:
-            j = int(eligible[0])  # Bland: lowest eligible index enters
+            j = int(below.argmax())  # Bland: lowest eligible index enters
         d = np.linalg.solve(B, A[:, j])
-        pos = np.flatnonzero(d > PIVOT_TOL)
-        if pos.size == 0:
+        # The ratio test runs over at most m entries, so Python floats beat
+        # numpy's per-call cost; the division and comparisons are the same
+        # IEEE operations.
+        ratios = [(x_i / d_i, i) for i, (x_i, d_i)
+                  in enumerate(zip(xb.tolist(), d.tolist())) if d_i > PIVOT_TOL]
+        if not ratios:
             ray = np.zeros(n)
             ray[j] = 1.0
             ray[basis] = -d
             return "unbounded", None, None, ray, pivots
-        ratios = xb[pos] / d[pos]
-        rmin = ratios.min()
+        rmin = min(r for r, _ in ratios)
         degenerate = degenerate + 1 if rmin <= PIVOT_TOL else 0
-        tied = pos[ratios <= rmin + PIVOT_TOL]
         # Bland again: among ties, the basic variable with lowest index leaves.
-        leave_pos = int(tied[np.argmin([basis[i] for i in tied])])
-        in_basis[basis[leave_pos]] = False
-        in_basis[j] = True
+        leave_pos = min((i for r, i in ratios if r <= rmin + PIVOT_TOL),
+                        key=basis.__getitem__)
+        enterable[basis[leave_pos]] = allow_enter[basis[leave_pos]]
+        enterable[j] = False
         basis[leave_pos] = j
+        B[:, leave_pos] = A[:, j]
+        cb[leave_pos] = c[j]
         pivots += 1
 
 
@@ -181,8 +202,9 @@ def solve_standard_form(c, A, b, feas_tol: float | None = None) -> LpSolution:
     # Phase 2 on the original columns only.
     allow[n:] = False
     c2 = np.concatenate([c, np.zeros(m)])
-    status, x2, lam, ray, phase2 = _simplex_phase(c2, A1[kept], b[kept],
-                                                  basis, allow)
+    if len(kept) < m:
+        A1, b = A1[kept], b[kept]
+    status, x2, lam, ray, phase2 = _simplex_phase(c2, A1, b, basis, allow)
     pivots += phase2
     if status == "unbounded":
         return LpSolution(status="unbounded", ray=ray[:n], pivots=pivots)

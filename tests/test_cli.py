@@ -140,6 +140,9 @@ UNREADABLE = {
     "disk-covers-no-pixel": ({**PRIMAL_DUAL_DOC,
                               "phi": {"disks": [[4, 4, 0.3]]}},
                              "covers no pixel"),
+    # no disk, which solve and audit passed after a numpy RuntimeWarning
+    "no-disk": ({**PRIMAL_DUAL_DOC, "phi": {"disks": []}, "y": []},
+                "at least one disk"),
     # values of the wrong JSON type, which raised TypeError
     "psi-coefficients-a-number": (
         {"kind": "measure_nonneg", "y": [1.0, 0.5, 0.2],

@@ -3,8 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from repkit import simplex
+from repkit import measure, simplex
 from repkit.errors import Infeasible, NumericalFailure
+from repkit.measure import (beurling_solve, moment_lp_solve,
+                            trigonometric_system)
 from repkit.simplex import LpProblem, row_compress, solve_standard_form
 
 rng = np.random.default_rng(7)
@@ -155,3 +157,205 @@ def test_row_compress_inconsistent():
     A = np.array([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(Infeasible):
         row_compress(A, np.array([1.0, 2.0]))
+
+
+def _reference_phase(c, A, b, basis, allow_enter, bland=None):
+    """``_simplex_phase`` rebuilding every quantity at every pivot.
+
+    The tolerance, the eligible set and the ratio test are recomputed in
+    numpy from scratch; the kernel keeps per-phase constants instead and
+    must take the same pivots to the same bits. The entering columns chosen
+    by Bland's rule are appended to ``bland``.
+    """
+    m, n = A.shape
+    in_basis = np.zeros(n, dtype=bool)
+    in_basis[basis] = True
+    colscale = np.abs(A).max(axis=0, initial=0.0)
+    pivots = 0
+    degenerate = 0
+    while True:
+        B = A[:, basis]
+        xb = np.linalg.solve(B, b)
+        lam = np.linalg.solve(B.T, c[basis])
+        reduced = c - A.T @ lam
+        tol = simplex.PIVOT_TOL * (1.0 + np.abs(c)
+                                   + colscale * np.abs(lam).max(initial=0.0))
+        eligible = np.flatnonzero((reduced < -tol) & allow_enter & ~in_basis)
+        if eligible.size == 0:
+            x = np.zeros(n)
+            x[basis] = xb
+            return "optimal", x, lam, None, pivots
+        if degenerate < simplex.DEGENERATE_RUN:
+            j = int(eligible[np.argmin(reduced[eligible])])
+        else:
+            j = int(eligible[0])
+            if bland is not None:
+                bland.append(j)
+        d = np.linalg.solve(B, A[:, j])
+        pos = np.flatnonzero(d > simplex.PIVOT_TOL)
+        if pos.size == 0:
+            ray = np.zeros(n)
+            ray[j] = 1.0
+            ray[basis] = -d
+            return "unbounded", None, None, ray, pivots
+        ratios = xb[pos] / d[pos]
+        rmin = ratios.min()
+        degenerate = degenerate + 1 if rmin <= simplex.PIVOT_TOL else 0
+        tied = pos[ratios <= rmin + simplex.PIVOT_TOL]
+        leave_pos = int(tied[np.argmin([basis[i] for i in tied])])
+        in_basis[basis[leave_pos]] = False
+        in_basis[j] = True
+        basis[leave_pos] = j
+        pivots += 1
+
+
+def _assert_identical(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, np.ndarray):
+            assert np.array_equal(g, w)
+        else:
+            assert type(g) is type(w) and g == w
+
+
+def _counted_solve(monkeypatch, phase, c, A, b):
+    """Solve through ``phase``; return the outcome, the ``np.linalg.solve``
+    call count and the row count each phase ran on."""
+    calls = []
+    rows = []
+    solve = np.linalg.solve
+
+    def counted(*args):
+        calls.append(None)
+        return solve(*args)
+
+    def spied(c, A, b, basis, allow_enter):
+        rows.append(A.shape[0])
+        return phase(c, A, b, basis, allow_enter)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np.linalg, "solve", counted)
+        mp.setattr(simplex, "_simplex_phase", spied)
+        sol = solve_standard_form(c, A, b)
+    return ((sol.status, sol.x, sol.duals, sol.ray, sol.basis, sol.pivots),
+            len(calls), rows)
+
+
+def _assert_matches_reference(monkeypatch, c, A, b):
+    """The kernel and the reference agree bit for bit and solve as often.
+
+    Returns the reference's Bland pivots and the phases' row counts."""
+    bland = []
+    got, got_calls, rows = _counted_solve(monkeypatch, simplex._simplex_phase,
+                                          c, A, b)
+    want, want_calls, _ = _counted_solve(
+        monkeypatch,
+        lambda *args: _reference_phase(*args, bland=bland), c, A, b)
+    _assert_identical(got, want)
+    assert got_calls == want_calls
+    return got[0], bland, rows
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_kernel_matches_reference_on_gaussian_lps(monkeypatch, seed):
+    g = np.random.default_rng([seed, 24])
+    m = int(g.integers(2, 7))
+    n = int(g.integers(m + 2, 30))
+    A = g.standard_normal((m, n))
+    x0 = np.abs(g.standard_normal(n))
+    x0[g.permutation(n)[m:]] = 0.0
+    status, _, rows = _assert_matches_reference(
+        monkeypatch, g.uniform(0.1, 1.0, n), A, A @ x0)
+    assert status == "optimal"
+    assert rows == [m, m]  # phase 2 runs on phase 1's rows, none dropped
+
+
+# Integer entries, each column three times, and a 2-sparse planted point:
+# degenerate vertices (zero basic variables) and rank 12 < m, so a row is
+# dropped before phase 2. These seeds run past DEGENERATE_RUN into Bland's
+# rule.
+@pytest.mark.parametrize("seed", [0, 2, 5, 11])
+def test_kernel_matches_reference_through_bland(monkeypatch, seed):
+    g = np.random.default_rng(seed)
+    G = np.round(g.standard_normal((14, 12)), 0)
+    A = np.hstack([G, G, G[:, ::-1]])
+    x0 = np.zeros(A.shape[1])
+    x0[g.choice(A.shape[1], 2, replace=False)] = 1.0
+    b = A @ x0
+    c = g.uniform(-1.0, 1.0, A.shape[1])
+    assert np.count_nonzero(b == 0.0) > 0
+    status, bland, rows = _assert_matches_reference(monkeypatch, c, A, b)
+    assert status == "optimal"
+    assert bland
+    assert rows[1] < 14
+
+
+def test_kernel_matches_reference_on_beale_cycle():
+    allow = np.ones(7, dtype=bool)
+    basis, ref_basis, bland = [0, 1, 2], [0, 1, 2], []
+    got = simplex._simplex_phase(BEALE_C, BEALE_A, BEALE_B, basis, allow)
+    want = _reference_phase(BEALE_C, BEALE_A, BEALE_B, ref_basis, allow,
+                            bland=bland)
+    _assert_identical(got, want)
+    assert basis == ref_basis
+    assert bland  # the degenerate cycle is broken by Bland's rule
+
+
+@pytest.mark.parametrize("c,A,b,status,rows", [
+    ([-1.0, 0.0], [[1.0, -1.0]], [0.0], "unbounded", [1, 1]),
+    ([-1.0, 2.0, -3.0, 0.5], [[1.0, -1.0, 0.0, 1.0], [0.0, 1.0, -1.0, 0.0]],
+     [1.0, 2.0], "unbounded", [2, 2]),
+    ([0.0, 0.0], [[1.0, 1.0]], [-1.0], "infeasible", [1]),
+    ([1.0, 1.0, 1.0], [[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [1.0, 3.0, 1.0]],
+     [1.0, 1.0, 3.0], "infeasible", [3]),
+    ([1.0, 2.0, 0.0], [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]], [1.0, 2.0],
+     "optimal", [2, 1]),
+    ([1.0, -1.0, 2.0, 0.5], [[1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 1.0, 1.0],
+                             [1.0, 3.0, 1.0, 2.0]], [2.0, 1.0, 3.0],
+     "optimal", [3, 2]),
+    # Phase 2 starts at x = (1, 0) with a reduced cost of 1 - c_1 on column
+    # 1, against an entering tolerance of about 3e-10: these two sit on
+    # either side of it.
+    ([1.0, 1.0 - 4.5e-10], [[1.0, 1.0]], [1.0], "optimal", [1, 1]),
+    ([1.0, 1.0 - 1.5e-10], [[1.0, 1.0]], [1.0], "optimal", [1, 1]),
+], ids=["unbounded-1", "unbounded-2", "infeasible-sign", "infeasible-sum",
+        "redundant-1", "redundant-2", "tolerance-passed", "tolerance-kept"])
+def test_kernel_matches_reference_on_edge_cases(monkeypatch, c, A, b, status,
+                                                rows):
+    got_status, _, got_rows = _assert_matches_reference(
+        monkeypatch, np.array(c), np.array(A), np.array(b))
+    assert got_status == status
+    assert got_rows == rows
+
+
+def _grid_lp(kind, m, seed):
+    """The LP that ``beurling_solve`` or ``moment_lp_solve`` hands the
+    kernel on the 512-point grid."""
+    lps = []
+
+    def record(c, A, b, feas_tol=None):
+        lps.append((c, A, b))
+        return solve_standard_form(c, A, b, feas_tol)
+
+    g = np.random.default_rng([seed, m])
+    sys = trigonometric_system(m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measure, "solve_standard_form", record)
+        if kind == "measure_tv":
+            beurling_solve(sys, g.standard_normal(m), grid_n=512)
+        else:
+            k = int(g.integers(1, m + 1))
+            nodes = g.choice(512, size=k, replace=False) / 512
+            y = sys.design(nodes) @ g.uniform(0.2, 1.0, k)
+            a, s = g.uniform(0.0, 1.0), g.uniform(-1.0, 1.0)
+            moment_lp_solve(lambda x: a + s * x, sys, y, grid_n=512)
+    (lp,) = lps
+    return lp
+
+
+@pytest.mark.parametrize("kind", ["measure_tv", "measure_nonneg"])
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_kernel_matches_reference_on_grid_lps(monkeypatch, kind, m):
+    c, A, b = _grid_lp(kind, m, seed=3)
+    status, _, _ = _assert_matches_reference(monkeypatch, c, A, b)
+    assert status == "optimal"
