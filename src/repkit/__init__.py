@@ -10,9 +10,9 @@ from .finite import (LpProblem, LpSolution, MatrixProblem, barvinok_bound,
                      psd_solve, rank1_atomic_decomposition, rank_reduce_psd,
                      simplex_solve)
 from .geometry import (AtomicDecomposition, FaceReport, HPolyhedron,
-                       birkhoff_decompose, caratheodory_reduce,
-                       enumerate_slice_extreme_points, is_extreme_point,
-                       klee_atom_count, klee_reduce, minimal_face)
+                       birkhoff_decompose, enumerate_slice_extreme_points,
+                       is_extreme_point, klee_atom_count, klee_reduce,
+                       minimal_face)
 from .linalg import (SvdResult, lstsq, null_space_basis, op_norm_estimate,
                      pseudo_inverse, rank, svd)
 from .measure import (DiscreteMeasure, MomentSystem, beurling_solve,

@@ -289,6 +289,8 @@ def _lp_problem(doc) -> Problem:
 def _analysis_problem(doc) -> Problem:
     phi, y = _phi(doc)
     L = _numbers(doc["L"], "L")
+    if np.atleast_2d(L).shape[1:] != phi.shape[1:]:
+        raise ValueError("'L' must have one column per column of 'phi'")
     return Problem(RegularizerSpec(kind="l1_analysis", params={"L": L}), phi,
                    lambda: l1_analysis_solve(phi, y, L))
 
@@ -317,18 +319,19 @@ def _psd_problem(doc) -> Problem:
 def _beurling_problem(doc) -> Problem:
     y = _y(doc)
     grid_n = _grid_n(doc, y)
+    system = trigonometric_system(len(y))
     return Problem(RegularizerSpec(kind="measure_tv"), len(y),
-                   lambda: beurling_solve(trigonometric_system(len(y)), y,
-                                          grid_n=grid_n)[0])
+                   lambda: beurling_solve(system, y, grid_n=grid_n)[0])
 
 
 def _moment_lp_problem(doc) -> Problem:
     y = _y(doc)
     grid_n = _grid_n(doc, y)
     psi = _psi_from_spec(doc.get("psi"))
+    system = trigonometric_system(len(y))
     return Problem(RegularizerSpec(kind="measure_nonneg"), len(y),
-                   lambda: moment_lp_solve(psi, trigonometric_system(len(y)),
-                                           y, grid_n=grid_n)[0])
+                   lambda: moment_lp_solve(psi, system, y,
+                                           grid_n=grid_n)[0])
 
 
 def _image_problem(doc) -> Problem:

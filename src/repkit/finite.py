@@ -359,7 +359,7 @@ def rank_reduce_psd(M, prob: MatrixProblem, cost=None) -> np.ndarray:
             B = W.T @ (0.5 * (A + A.T)) @ W
             scale = np.where(iu[0] == iu[1], 1.0, 2.0)
             rows.append(B[iu] * scale)
-        null = null_space_basis(np.vstack(rows), tol=1e-9)
+        null = null_space_basis(np.vstack(rows))
         if null.shape[1] == 0:
             return M
         D = np.zeros((r, r))

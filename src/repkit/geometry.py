@@ -16,10 +16,12 @@ import numpy as np
 
 from .errors import (CombinatorialLimitExceeded, InfeasiblePoint,
                      InvalidDecomposition, NotDoublyStochastic)
-from .linalg import null_space_basis, rank
+from .linalg import rank
 from .simplex import solve_standard_form
 
-MEMBERSHIP_TOL = 1e-8
+# Unused here; kept importable because profiling hooks patch this name.
+from .linalg import null_space_basis  # noqa: F401
+
 DROP_TOL = 1e-12
 ZERO_TOL = 1e-9  # zero entries in the Birkhoff and l1-slice sweeps
 SLICE_BLOCK = 1024  # systems stacked per block of the l1-slice sweep
@@ -116,105 +118,33 @@ class FaceReport:
     active_inequalities: list
 
 
-def _membership_weights(columns, target, tol):
-    """Nonnegative combination of ``columns`` equal to ``target`` via phase 1.
-
-    Returns basic weights or None when no combination exists within ``tol``.
-    """
-    sol = solve_standard_form(np.zeros(columns.shape[1]), columns, target,
-                              feas_tol=tol * (1.0 + np.abs(target).max(initial=0.0)))
-    if sol.status != "optimal":
-        return None
-    return sol.x
-
-
-def _eliminate_affine(points, weights, max_support):
-    """Shrink a convex combination until its support has ``max_support`` atoms.
-
-    Classical Caratheodory step: find an affine dependence among the support
-    atoms, shift weights along it until one hits zero, drop it. Weight ties
-    are broken toward the lowest index so runs are deterministic.
-    """
-    weights = weights.copy()
-    support = [i for i, w in enumerate(weights) if w > DROP_TOL]
-    while len(support) > max_support:
-        atoms = np.column_stack([points[i] for i in support])
-        homog = np.vstack([atoms, np.ones(len(support))])
-        null = null_space_basis(homog, tol=1e-12)
-        if null.shape[1] == 0:
-            break  # affinely independent; cannot shrink further
-        delta = null[:, 0]
-        if delta.max() <= 0:
-            delta = -delta
-        pos = np.flatnonzero(delta > DROP_TOL)
-        ratios = weights[np.array(support)][pos] / delta[pos]
-        step = ratios.min()
-        first = pos[np.flatnonzero(ratios <= step + DROP_TOL).min()]
-        for k, i in enumerate(support):
-            weights[i] -= step * delta[k]
-        weights[support[first]] = 0.0
-        weights[weights < DROP_TOL] = 0.0
-        support = [i for i, w in enumerate(weights) if w > DROP_TOL]
-    return weights, support
-
-
-def caratheodory_reduce(p, vertices, initial_weights=None) -> AtomicDecomposition:
-    """Express ``p`` as a convex combination of at most ``dim + 1`` vertices.
-
-    When ``initial_weights`` is omitted, membership of ``p`` in the convex
-    hull is established by a phase-1 LP (raising :class:`InfeasiblePoint`
-    otherwise); the basic weights it returns are already short and the
-    affine-dependence elimination only has to polish them.
-    """
-    p = np.asarray(p, dtype=float)
-    points = [np.asarray(v, dtype=float) for v in vertices]
-    if not points:
-        raise InfeasiblePoint("no vertices given")
-    dim = p.shape[0]
-    scale = 1.0 + np.linalg.norm(p)
-    if initial_weights is None:
-        columns = np.vstack([np.column_stack(points), np.ones(len(points))])
-        weights = _membership_weights(columns, np.append(p, 1.0),
-                                      MEMBERSHIP_TOL)
-        if weights is None:
-            raise InfeasiblePoint("point is not in the convex hull")
-    else:
-        weights = np.asarray(initial_weights, dtype=float)
-        if weights.shape != (len(points),):
-            raise ValueError("one weight per vertex required")
-        recon = np.column_stack(points) @ weights
-        if (np.any(weights < -MEMBERSHIP_TOL)
-                or abs(weights.sum() - 1.0) > MEMBERSHIP_TOL
-                or np.linalg.norm(recon - p) > MEMBERSHIP_TOL * scale):
-            raise InfeasiblePoint("initial weights are not a valid "
-                                  "convex combination of p")
-    weights, support = _eliminate_affine(points, weights, dim + 1)
-    return AtomicDecomposition(
-        point_atoms=[(points[i], float(weights[i])) for i in support])
-
-
 def klee_reduce(p, vertices, rays) -> AtomicDecomposition:
     """Express ``p in conv(vertices) + cone(rays)`` over few generators.
 
-    Rays are homogenized at lift coordinate 0 and vertices at lift 1, and a
-    single Caratheodory pass runs in dimension + 1, so at most ``dim + 1``
-    generators carry weight. Counting in the Klee sense (a used ray rides on
-    a vertex atom it extends), decompositions that use a ray involve at most
-    ``dim`` points, each an extreme point or a point in an extreme ray.
+    Vertices are lifted to ``(v, 1)`` and rays to ``(r, 0)``, and one
+    phase-1 LP finds a nonnegative combination of the lifted generators
+    equal to ``(p, 1)``, raising :class:`InfeasiblePoint` when none exists.
+    Its ``dim + 1`` rows make the basic solution it returns a
+    Caratheodory/Klee reduction already: the generators whose weight
+    exceeds ``DROP_TOL`` number at most ``dim + 1``. With no rays this is
+    Caratheodory's theorem for ``conv(vertices)``. Counting in the Klee
+    sense (a used ray rides on a vertex atom it extends), decompositions
+    that use a ray involve at most ``dim`` points, each an extreme point or
+    a point in an extreme ray.
     """
     p = np.asarray(p, dtype=float)
     points = [np.asarray(v, dtype=float) for v in vertices]
     dirs = [np.asarray(r, dtype=float) for r in rays]
     if not points:
         raise InfeasiblePoint("at least one vertex is required")
-    dim = p.shape[0]
-    lifted = [np.append(v, 1.0) for v in points] + \
-             [np.append(r, 0.0) for r in dirs]
-    columns = np.column_stack(lifted)
-    weights = _membership_weights(columns, np.append(p, 1.0), MEMBERSHIP_TOL)
-    if weights is None:
+    columns = np.column_stack([np.append(v, 1.0) for v in points]
+                              + [np.append(r, 0.0) for r in dirs])
+    sol = solve_standard_form(np.zeros(columns.shape[1]), columns,
+                              np.append(p, 1.0))
+    if sol.status != "optimal":
         raise InfeasiblePoint("point is not in conv(V) + cone(R)")
-    weights, support = _eliminate_affine(lifted, weights, dim + 1)
+    weights = sol.x
+    support = np.flatnonzero(weights > DROP_TOL)
     nv = len(points)
     return AtomicDecomposition(
         point_atoms=[(points[i], float(weights[i]))
@@ -262,7 +192,7 @@ def minimal_face(p, poly: HPolyhedron, tol: float = 1e-9) -> FaceReport:
     if stacked.shape[0] == 0:
         dimension = poly.dim
     else:
-        dimension = poly.dim - rank(stacked, tol=1e-9)
+        dimension = poly.dim - rank(stacked)
     return FaceReport(dimension=int(dimension),
                       active_inequalities=[int(i) for i in active])
 

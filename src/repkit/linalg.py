@@ -43,24 +43,22 @@ def svd(mat) -> SvdResult:
     return SvdResult(u=u, singular_values=s, v=vh.T)
 
 
-def rank(mat, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Numerical rank: number of singular values above ``tol * s_max``."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def rank(mat) -> int:
+    """Numerical rank: number of singular values above
+    ``DEFAULT_RANK_TOL * s_max``."""
     s = svd(mat).singular_values
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0]))
 
 
-def null_space_basis(mat, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def null_space_basis(mat) -> np.ndarray:
     """Orthonormal basis of the (numerical) null space, as columns.
 
-    Returns an ``(n, n - rank)`` array; zero columns for full-rank square
-    input.
+    The rank is :func:`rank`'s: singular values above ``DEFAULT_RANK_TOL *
+    s_max``. Returns an ``(n, n - rank)`` array; zero columns for full-rank
+    square input.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {mat.shape}")
@@ -69,7 +67,7 @@ def null_space_basis(mat, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
         return np.eye(n)
     _, s, vh = np.linalg.svd(mat, full_matrices=True)
     smax = s[0] if s.size else 0.0
-    r = int(np.count_nonzero(s > tol * smax)) if smax > 0 else 0
+    r = int(np.count_nonzero(s > DEFAULT_RANK_TOL * smax)) if smax > 0 else 0
     return vh[r:].T.copy()
 
 

@@ -144,19 +144,20 @@ def _simplex_phase(c, A, b, basis, allow_enter):
         pivots += 1
 
 
-def solve_standard_form(c, A, b, feas_tol: float | None = None) -> LpSolution:
+def solve_standard_form(c, A, b) -> LpSolution:
     """Two-phase simplex on ``min c.x : A x = b, x >= 0``.
 
     ``A`` must have full row rank (redundant rows raise once phase 1 cannot
     pivot an artificial variable out; use :func:`row_compress` first when in
-    doubt). The returned basic solution satisfies ``|A x - b| <= feas_tol``
-    and has at most ``m`` nonzeros.
+    doubt). Phase 1 declares the problem infeasible when its optimum, the
+    sum of the artificial variables, exceeds ``feas_tol = 1e-8 * (1 +
+    |b|_inf)``. The returned basic solution satisfies ``|A x - b| <=
+    feas_tol`` and has at most ``m`` nonzeros.
     """
     prob = LpProblem(c=c, A=A, b=b)
     c, A, b = prob.c, prob.A.copy(), prob.b.copy()
     m, n = A.shape
-    if feas_tol is None:
-        feas_tol = 1e-8 * (1.0 + np.abs(b).max(initial=0.0))
+    feas_tol = 1e-8 * (1.0 + np.abs(b).max(initial=0.0))
 
     # Phase 1: flip rows so b >= 0, append artificial identity columns.
     neg = b < 0

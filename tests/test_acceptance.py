@@ -17,8 +17,7 @@ from repkit.finite import (LpProblem, MatrixProblem, l1_analysis_solve,
                            nnls_solve, nuclear_min_solve, psd_solve,
                            rank1_atomic_decomposition, simplex_solve)
 from repkit.geometry import (HPolyhedron, birkhoff_decompose,
-                             caratheodory_reduce, klee_atom_count,
-                             klee_reduce, minimal_face)
+                             klee_atom_count, klee_reduce, minimal_face)
 from repkit.linalg import null_space_basis
 from repkit.measure import beurling_solve, trigonometric_system
 from repkit.tv2d import (DiskSet, chambolle_pock_tv_solve, disk_average_apply,
@@ -339,7 +338,7 @@ def test_criterion_9_geometry_oracle_equivalence():
             p = np.column_stack(verts) @ _simplex_weights(g, nv)
         oracle = _hull_oracle_exact_size(p, verts)
         try:
-            dec = caratheodory_reduce(p, verts)
+            dec = klee_reduce(p, verts, [])
             dec.validate(p)
             assert len(dec.point_atoms) <= dim + 1
             mine = True

@@ -172,6 +172,15 @@ UNREADABLE = {
                   "measurement maps"),
     "disks-nan": ({**PRIMAL_DUAL_DOC,
                    "phi": {"disks": [[4, float("nan"), 3]]}}, "disks"),
+    # no moment, which solve rejected and audit and decompose passed
+    "measure-tv-no-moment": ({"kind": "measure_tv", "y": []}, "moment"),
+    "measure-nonneg-no-moment": ({"kind": "measure_nonneg", "y": [],
+                                  "psi": "zero"}, "moment"),
+    # an L of another column count than phi, which failed in numpy with a
+    # different text in solve and in audit
+    "L-columns-of-phi": ({"kind": "l1_analysis", "y": [1.0, 0.0],
+                          "phi": [[1, 0, 1], [0, 1, 1]],
+                          "L": [[1, 0], [0, 1]]}, "one column per column"),
 }
 
 # A problem of each kind whose solutions have a fixed shape, a solution of

@@ -8,7 +8,7 @@ from repkit import geometry
 from repkit.errors import (CombinatorialLimitExceeded, InfeasiblePoint,
                            InvalidDecomposition, NotDoublyStochastic)
 from repkit.geometry import (AtomicDecomposition, HPolyhedron,
-                             birkhoff_decompose, caratheodory_reduce,
+                             birkhoff_decompose,
                              enumerate_slice_extreme_points, is_extreme_point,
                              klee_atom_count, klee_reduce, minimal_face)
 from repkit.linalg import rank
@@ -38,20 +38,21 @@ def test_validate_raises(dec, target, message):
         dec.validate()  # only the reconstruction is wrong
 
 
-def hull_membership_oracle(p, vertices, tol=1e-8):
-    """Brute force: does some subset of size <= dim+1 contain p?
+def hull_membership_oracle(p, vertices, rays=(), tol=1e-8):
+    """Brute force: is p in the hull of some <= dim+1 generators?
 
-    Solves the barycentric system for every candidate subset and checks the
-    weights; independent of the simplex-based membership path.
+    Lifts vertices to ``(v, 1)`` and rays to ``(r, 0)``, solves the
+    barycentric system ``H w = (p, 1)`` for every candidate subset and
+    checks the weights; independent of the simplex-based membership path.
     """
     p = np.asarray(p, dtype=float)
     d = p.shape[0]
-    verts = [np.asarray(v, dtype=float) for v in vertices]
-    size = min(d + 1, len(verts))
+    gens = ([np.append(np.asarray(v, dtype=float), 1.0) for v in vertices]
+            + [np.append(np.asarray(r, dtype=float), 0.0) for r in rays])
+    size = min(d + 1, len(gens))
     for k in range(1, size + 1):
-        for comb in itertools.combinations(range(len(verts)), k):
-            V = np.column_stack([verts[i] for i in comb])
-            H = np.vstack([V, np.ones(k)])
+        for comb in itertools.combinations(range(len(gens)), k):
+            H = np.column_stack([gens[i] for i in comb])
             t = np.append(p, 1.0)
             w, *_ = np.linalg.lstsq(H, t, rcond=None)
             if np.linalg.norm(H @ w - t) < tol * (1 + np.linalg.norm(p)) \
@@ -63,7 +64,7 @@ def hull_membership_oracle(p, vertices, tol=1e-8):
 class TestCaratheodory:
     def test_square_midpoint(self):
         verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
-        dec = caratheodory_reduce([0.5, 0.5], verts)
+        dec = klee_reduce([0.5, 0.5], verts, [])
         assert len(dec.point_atoms) <= 3
         dec.validate([0.5, 0.5])
         # oracle confirms a decomposition with <= 3 atoms exists
@@ -71,36 +72,21 @@ class TestCaratheodory:
 
     def test_vertex_is_single_atom(self):
         verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
-        dec = caratheodory_reduce([1.0, 0.0], verts)
+        dec = klee_reduce([1.0, 0.0], verts, [])
         assert len(dec.point_atoms) == 1
         assert abs(dec.point_atoms[0][1] - 1.0) < 1e-9
 
     def test_simplex_barycenter_keeps_five_atoms(self):
         verts = list(np.vstack([np.zeros(4), np.eye(4)]))
         p = np.mean(verts, axis=0)
-        dec = caratheodory_reduce(p, verts)
+        dec = klee_reduce(p, verts, [])
         assert len(dec.point_atoms) == 5  # already <= dim + 1
         assert np.allclose([w for _, w in dec.point_atoms], 0.2, atol=1e-9)
 
     def test_infeasible_point_raises(self):
         with pytest.raises(InfeasiblePoint):
-            caratheodory_reduce([2.0, 2.0],
-                                [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-
-    def test_given_weights_are_reduced(self):
-        verts = [np.array([np.cos(t), np.sin(t)])
-                 for t in 2 * np.pi * np.arange(8) / 8]
-        w0 = np.full(8, 1.0 / 8)
-        p = np.column_stack(verts) @ w0
-        dec = caratheodory_reduce(p, verts, initial_weights=w0)
-        assert len(dec.point_atoms) <= 3
-        dec.validate(p)
-
-    def test_bad_initial_weights_raise(self):
-        with pytest.raises(InfeasiblePoint):
-            caratheodory_reduce([0.5, 0.5],
-                                [[0.0, 0.0], [1.0, 1.0]],
-                                initial_weights=[0.9, 0.9])
+            klee_reduce([2.0, 2.0], [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                        [])
 
     @pytest.mark.parametrize("seed", range(15))
     def test_random_agrees_with_subset_oracle(self, seed):
@@ -111,7 +97,7 @@ class TestCaratheodory:
         w = g.uniform(0, 1, nv)
         w /= w.sum()
         p = np.column_stack(verts) @ w
-        dec = caratheodory_reduce(p, verts)
+        dec = klee_reduce(p, verts, [])
         assert len(dec.point_atoms) <= dim + 1
         dec.validate(p)
         assert hull_membership_oracle(p, verts)
@@ -126,7 +112,7 @@ class TestCaratheodory:
         far = 10.0 * np.ones(3) + g.standard_normal(3)
         assert not hull_membership_oracle(far, verts)
         with pytest.raises(InfeasiblePoint):
-            caratheodory_reduce(far, verts)
+            klee_reduce(far, verts, [])
 
 
 class TestKlee:
@@ -179,6 +165,66 @@ class TestKlee:
         with pytest.raises(InfeasiblePoint):
             klee_reduce([-1.0, -1.0], [[0.0, 0.0]],
                         [[1.0, 0.0], [0.0, 1.0]])
+
+
+DEGENERATE = ["repeated-vertices", "edge-midpoints", "at-a-vertex",
+              "on-a-facet", "parallel-rays", "ray-along-an-edge"]
+
+
+def _degenerate_hull(case, seed):
+    """Seeded ``(p, vertices, rays)`` with ``p in conv(V) + cone(R)``, where
+    the generators are dependent or ``p`` lies on the boundary.
+
+    ``V`` is a random simplex, for most cases with copies of its vertices
+    or midpoints of its edges added, so that more than ``dim + 1`` vertices
+    span the same hull.
+    """
+    g = np.random.default_rng(seed)
+    dim = int(g.integers(2, 5))
+    simplex = g.standard_normal((dim + 1, dim))
+    mids = np.array([(a + b) / 2
+                     for a, b in itertools.combinations(simplex, 2)])
+    w = g.dirichlet(np.ones(dim + 1))
+    verts, rays = np.vstack([simplex, mids]), np.zeros((0, dim))
+    if case == "repeated-vertices":
+        verts = np.vstack([simplex, simplex[g.integers(0, dim + 1, dim)]])
+    elif case == "at-a-vertex":
+        k = g.integers(dim + 1)
+        verts = np.vstack([simplex, mids, simplex[k]])
+        w = np.eye(dim + 1)[k]
+    elif case == "on-a-facet":
+        w[g.integers(dim + 1)] = 0.0
+        w /= w.sum()
+    elif case == "parallel-rays":
+        r = g.standard_normal(dim)
+        rays = np.array([r, 3.0 * r, g.standard_normal(dim)])
+    elif case == "ray-along-an-edge":
+        rays = np.array([simplex[1] - simplex[0]])
+    p = w @ simplex + g.uniform(0.5, 1.0, len(rays)) @ rays
+    return p, list(verts), list(rays)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("case", DEGENERATE)
+def test_basic_solution_needs_no_elimination(case, seed):
+    # The LP's basic solution is a reduction on dependent generators and
+    # on boundary points alike.
+    p, verts, rays = _degenerate_hull(case, seed)
+    dim = len(p)
+    dec = klee_reduce(p, verts, rays)
+    dec.validate(p)
+    assert dec.atom_count <= dim + 1
+    if dec.ray_atoms:
+        assert klee_atom_count(dec) <= dim
+    if case == "at-a-vertex":
+        assert dec.atom_count == 1
+    assert hull_membership_oracle(p, verts, rays)
+    if case in ("at-a-vertex", "on-a-facet"):
+        # pushed out of the hull, away from an interior point
+        out = p + 1e-2 * (p - np.mean(verts, axis=0))
+        assert not hull_membership_oracle(out, verts)
+        with pytest.raises(InfeasiblePoint):
+            klee_reduce(out, verts, [])
 
 
 class TestMinimalFace:
@@ -638,6 +684,6 @@ def test_caratheodory_random_property(seed, dim):
     w = g.uniform(0, 1, dim + 3)
     w /= w.sum()
     p = np.column_stack(verts) @ w
-    dec = caratheodory_reduce(p, verts, initial_weights=w)
+    dec = klee_reduce(p, verts, [])
     assert len(dec.point_atoms) <= dim + 1
     dec.validate(p)

@@ -333,9 +333,9 @@ def _grid_lp(kind, m, seed):
     kernel on the 512-point grid."""
     lps = []
 
-    def record(c, A, b, feas_tol=None):
+    def record(c, A, b):
         lps.append((c, A, b))
-        return solve_standard_form(c, A, b, feas_tol)
+        return solve_standard_form(c, A, b)
 
     g = np.random.default_rng([seed, m])
     sys = trigonometric_system(m)

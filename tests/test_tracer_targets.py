@@ -5,9 +5,11 @@ attr)`` in ``perfbench/tracer.py``'s ``WRAPPED`` list, so dropping one of
 those imports from repkit would break traced runs without failing an
 untraced one. This checks that every target still resolves, and that the
 commands still call each one where the tracer wraps it: a call moved to
-another module would leave its per-layer metric reading 0.
+another module would leave its per-layer metric reading 0. Conversely, an
+import that a module never uses is there only for the tracer.
 """
 
+import ast
 import functools
 import importlib
 import importlib.util
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 
 _HERE = os.path.dirname(__file__)
+SRC = os.path.join(_HERE, os.pardir, "src", "repkit")
 
 
 def _load(name, path):
@@ -38,8 +41,8 @@ def test_traced_target_resolves(module, attr, span):
 
 
 # Targets that no command reaches: dead imports kept importable for the
-# tracer, and the simplex and null-space calls of geometry's Caratheodory
-# and Klee reductions, which only library callers use.
+# tracer, and the simplex call of geometry's Klee reduction, which only
+# library callers use.
 UNREACHED = {("repkit.cli", "disk_average_apply"),
              ("repkit.tv2d", "op_norm_estimate"),
              ("repkit.geometry", "solve_standard_form"),
@@ -92,3 +95,54 @@ def test_commands_reach_every_live_target(tmp_path):
         for mod, attr, fn in reversed(originals):
             setattr(mod, attr, fn)
     assert set(wrapped) - called == UNREACHED
+
+
+def _unused_imports(tree):
+    """Names bound by the top-level imports of ``tree`` that the module
+    never reads and does not list in ``__all__``."""
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported |= {(alias.asname or alias.name).split(".")[0]
+                         for alias in node.names}
+        elif (isinstance(node, ast.ImportFrom)
+              and node.module != "__future__"):
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            exported |= set(ast.literal_eval(node.value))
+    return imported - read - exported
+
+
+@pytest.mark.parametrize("source,found", [
+    # a planted unused import
+    ("import os\nfrom .linalg import rank\nos.sep", {"rank"}),
+    ("import os.path\nos.path.join()", set()),
+    ("import os.path", {"os"}),
+    ("from .linalg import rank as r\nr()", set()),
+    ("from .linalg import rank as r\nrank()", {"r"}),
+    ("from .linalg import rank\n__all__ = ['rank']", set()),
+    ("from __future__ import annotations", set()),
+    ("def f():\n    from .linalg import rank", set()),
+])
+def test_scan_finds_unused_imports(source, found):
+    assert _unused_imports(ast.parse(source)) == found
+
+
+def test_unused_imports_are_tracer_targets():
+    # Each one is kept only so that a traced run can patch it.
+    found = set()
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py") and name != "__init__.py":
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            found |= {(f"repkit.{name[:-3]}", attr)
+                      for attr in _unused_imports(tree)}
+    assert found
+    wrapped = {(module, attr) for module, attr, _ in _wrapped()}
+    assert found - wrapped == set()
