@@ -306,6 +306,8 @@ def _nuclear_problem(doc) -> Problem:
 def _psd_problem(doc) -> Problem:
     prob = MatrixProblem(measurement_maps=doc["measurement_maps"],
                          y=_y(doc), shape=doc["shape"])
+    if prob.shape[0] != prob.shape[1]:
+        raise ValueError("PSD problems require square shape")
     solver = _max_iters(doc)
     cost = doc.get("cost")
     if cost is not None:

@@ -130,13 +130,21 @@ def klee_reduce(p, vertices, rays) -> AtomicDecomposition:
     Caratheodory's theorem for ``conv(vertices)``. Counting in the Klee
     sense (a used ray rides on a vertex atom it extends), decompositions
     that use a ray involve at most ``dim`` points, each an extreme point or
-    a point in an extreme ray.
+    a point in an extreme ray. ``p`` must be a vector and every vertex and
+    ray of its shape; ``ValueError`` names the first that is not.
     """
     p = np.asarray(p, dtype=float)
+    if p.ndim != 1:
+        raise ValueError(f"p must be a vector, not of shape {p.shape}")
     points = [np.asarray(v, dtype=float) for v in vertices]
     dirs = [np.asarray(r, dtype=float) for r in rays]
     if not points:
         raise InfeasiblePoint("at least one vertex is required")
+    for name, generators in (("vertex", points), ("ray", dirs)):
+        for g in generators:
+            if g.shape != p.shape:
+                raise ValueError(f"a {name} of shape {g.shape} for a point "
+                                 f"of shape {p.shape}")
     columns = np.column_stack([np.append(v, 1.0) for v in points]
                               + [np.append(r, 0.0) for r in dirs])
     sol = solve_standard_form(np.zeros(columns.shape[1]), columns,

@@ -1,9 +1,9 @@
 """Measure recovery on the periodic interval [0, 1) via grid discretization.
 
 The continuous problems (minimal total variation subject to generalized
-moments, and the nonnegative moment linear program) are discretized on a
-uniform grid; the simplex kernel then returns basic solutions whose
-sparsity exhibits the Dirac structure directly. Atoms split across
+moments, and the nonnegative moment linear program) are one grid LP,
+``_grid_lp``, on a uniform grid: the simplex kernel returns basic solutions
+whose sparsity exhibits the Dirac structure directly. Atoms split across
 neighboring grid nodes are coalesced by :func:`merge_atoms` within two
 grid spacings, ``2 / grid_n``.
 """
@@ -128,10 +128,6 @@ def merge_atoms(mu: DiscreteMeasure, radius: float) -> DiscreteMeasure:
     return DiscreteMeasure(atoms=merged)
 
 
-def _grid(grid_n: int) -> np.ndarray:
-    return np.arange(grid_n, dtype=float) / grid_n
-
-
 @dataclass
 class MeasureSolveInfo:
     """Diagnostics attached to a grid solve.
@@ -148,6 +144,41 @@ class MeasureSolveInfo:
     pre_merge: DiscreteMeasure
 
 
+def _grid_lp(sys: MomentSystem, y, grid_n: int, cost, signed: bool):
+    """The grid LP of both solvers: minimal ``c.a`` over amplitudes ``a`` on
+    the nodes with ``design a = y``, where ``c = cost(nodes)`` (a scalar is
+    broadcast). ``signed`` splits ``a = a+ - a-`` at cost ``c.(a+ + a-)``;
+    otherwise ``a >= 0``. Atoms sit where ``|a| > 0`` (signed) or ``a > 0``.
+    """
+    y = np.asarray(y, dtype=float)
+    if grid_n < sys.m:
+        raise ValueError("grid must be at least as fine as the moment count")
+    nodes = np.arange(grid_n, dtype=float) / grid_n
+    c = np.asarray(cost(nodes), dtype=float)
+    if c.shape != nodes.shape:
+        c = np.full(grid_n, float(c))
+    A, b, basis = row_compress(sys.design(nodes), y)
+    if signed:
+        c, A = np.concatenate([c, c]), np.hstack([A, -A])
+    sol = solve_standard_form(c, A, b)
+    if sol.status == "infeasible":
+        raise Infeasible("no grid measure matches the moments")
+    # the grid measure of the basic solution, or of the ray of descent
+    x = sol.ray if sol.status == "unbounded" else sol.x
+    amps = x[:grid_n] - x[grid_n:] if signed else x
+    keep = np.abs(amps) > 0 if signed else amps > 0
+    raw = DiscreteMeasure(atoms=[(nodes[j], amps[j])
+                                 for j in np.flatnonzero(keep)])
+    if sol.status == "unbounded":
+        raise Unbounded("moment LP is unbounded", ray=raw)
+    residual = float(np.linalg.norm(moments_of(raw, sys) - y))
+    if residual > 1e-8 * (1.0 + np.linalg.norm(y)):
+        raise Infeasible(f"grid moments off by {residual:.3e}")
+    info = MeasureSolveInfo(objective=sol.objective, lp_residual=residual,
+                            duals=basis @ sol.duals, pre_merge=raw)
+    return merge_atoms(raw, 2.0 / grid_n), info
+
+
 def beurling_solve(sys: MomentSystem, y, grid_n: int = DEFAULT_GRID):
     """Minimal total variation measure matching the moments, on a grid.
 
@@ -155,25 +186,7 @@ def beurling_solve(sys: MomentSystem, y, grid_n: int = DEFAULT_GRID):
     simplex, so the solution is basic with at most m nonzero grid
     amplitudes. Returns ``(measure, info)``.
     """
-    y = np.asarray(y, dtype=float)
-    if grid_n < sys.m:
-        raise ValueError("grid must be at least as fine as the moment count")
-    nodes = _grid(grid_n)
-    design = sys.design(nodes)
-    A, b, basis = row_compress(design, y)
-    cols = np.hstack([A, -A])
-    sol = solve_standard_form(np.ones(2 * grid_n), cols, b)
-    if sol.status != "optimal":
-        raise Infeasible(f"grid problem returned status {sol.status}")
-    amps = sol.x[:grid_n] - sol.x[grid_n:]
-    raw = DiscreteMeasure(atoms=[(nodes[j], amps[j])
-                                 for j in np.flatnonzero(np.abs(amps) > 0)])
-    residual = float(np.linalg.norm(moments_of(raw, sys) - y))
-    if residual > 1e-8 * (1.0 + np.linalg.norm(y)):
-        raise Infeasible(f"grid moments off by {residual:.3e}")
-    info = MeasureSolveInfo(objective=sol.objective, lp_residual=residual,
-                            duals=basis @ sol.duals, pre_merge=raw)
-    return merge_atoms(raw, 2.0 / grid_n), info
+    return _grid_lp(sys, y, grid_n, np.ones_like, signed=True)
 
 
 def moment_lp_solve(psi, sys: MomentSystem, y, grid_n: int = DEFAULT_GRID):
@@ -184,27 +197,4 @@ def moment_lp_solve(psi, sys: MomentSystem, y, grid_n: int = DEFAULT_GRID):
     unbounded problem raises :class:`Unbounded` whose ``ray`` field holds a
     certified grid direction of descent.
     """
-    y = np.asarray(y, dtype=float)
-    if grid_n < sys.m:
-        raise ValueError("grid must be at least as fine as the moment count")
-    nodes = _grid(grid_n)
-    design = sys.design(nodes)
-    cost = np.asarray(psi(nodes), dtype=float)
-    if cost.shape != nodes.shape:
-        cost = np.full(grid_n, float(cost))
-    A, b, basis = row_compress(design, y)
-    sol = solve_standard_form(cost, A, b)
-    if sol.status == "infeasible":
-        raise Infeasible("no nonnegative grid measure matches the moments")
-    if sol.status == "unbounded":
-        ray = DiscreteMeasure(atoms=[(nodes[j], sol.ray[j])
-                                     for j in np.flatnonzero(sol.ray > 0)])
-        raise Unbounded("moment LP is unbounded", ray=ray)
-    amps = sol.x
-    raw = DiscreteMeasure(atoms=[(nodes[j], amps[j])
-                                 for j in np.flatnonzero(amps > 0)])
-    info = MeasureSolveInfo(
-        objective=sol.objective,
-        lp_residual=float(np.linalg.norm(moments_of(raw, sys) - y)),
-        duals=basis @ sol.duals, pre_merge=raw)
-    return merge_atoms(raw, 2.0 / grid_n), info
+    return _grid_lp(sys, y, grid_n, psi, signed=False)

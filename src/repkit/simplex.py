@@ -147,12 +147,12 @@ def _simplex_phase(c, A, b, basis, allow_enter):
 def solve_standard_form(c, A, b) -> LpSolution:
     """Two-phase simplex on ``min c.x : A x = b, x >= 0``.
 
-    ``A`` must have full row rank (redundant rows raise once phase 1 cannot
-    pivot an artificial variable out; use :func:`row_compress` first when in
-    doubt). Phase 1 declares the problem infeasible when its optimum, the
-    sum of the artificial variables, exceeds ``feas_tol = 1e-8 * (1 +
-    |b|_inf)``. The returned basic solution satisfies ``|A x - b| <=
-    feas_tol`` and has at most ``m`` nonzeros.
+    ``A`` may have redundant rows: an artificial variable that phase 1
+    cannot pivot out exposes one, which is dropped, with dual 0 (or use
+    :func:`row_compress` first). Phase 1 declares the problem infeasible
+    when its optimum, the sum of the artificial variables, exceeds
+    ``feas_tol = 1e-8 * (1 + |b|_inf)``. The returned basic solution
+    satisfies ``|A x - b| <= feas_tol`` and has at most ``m`` nonzeros.
     """
     prob = LpProblem(c=c, A=A, b=b)
     c, A, b = prob.c, prob.A.copy(), prob.b.copy()

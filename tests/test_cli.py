@@ -159,6 +159,13 @@ UNREADABLE = {
     "disks-a-number": ({**PRIMAL_DUAL_DOC, "phi": {"disks": 5}}, "disks"),
     # a PSD cost of another shape than the matrix
     "psd-cost-shape": ({**PSD_DOC, "cost": np.eye(3).tolist()}, "'cost'"),
+    # a non-square PSD shape, which solve and audit rejected with two
+    # different details
+    "psd-shape-not-square": ({**PSD_DOC, "shape": [2, 3],
+                              "measurement_maps": [[[1, 0, 0], [0, 0, 0]]]},
+                             "square shape"),
+    "maps-not-of-shape": ({**SPLITTING_DOC, "shape": [3, 3]},
+                          "shape mismatch"),
     # a null, NaN or infinity where a number belongs, which was solved as
     # NaN: a null in y gave u = 0 and a passing certificate
     "y-null": ({"kind": "nonneg_cone", "y": [None, 1.0],
@@ -421,6 +428,17 @@ class TestSolve:
         assert r.min() >= 0.0
         assert c @ r < 0.0
 
+    def test_infeasible_lp_exits_1(self, tmp_path, capsys):
+        # x0 + x1 = -1 has no nonnegative solution
+        path = write_json(tmp_path / "p.json", {
+            "kind": "lp_epigraph", "phi": [[1, 1]], "y": [-1],
+            "cost": [1, 1]})
+        assert run_cli("solve", path, "--out", str(tmp_path / "o")) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "solver failed",
+                       "detail": "LP status: infeasible"}
+        assert not (tmp_path / "o").exists()
+
     def test_byte_identical_reruns(self, tmp_path, lp_problem):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert run_cli("solve", lp_problem, "--out", str(out1)) == 0
@@ -462,6 +480,22 @@ class TestProblemReading:
             assert not (tmp_path / "o").exists()
         assert word in details[0]
         assert details == [details[0]] * 3
+
+    @pytest.mark.parametrize("doc,detail", [
+        ([1, 2], "problem file must be an object with a 'kind' key"),
+        ({"kind": "foo", "y": []}, "unknown kind 'foo'")])
+    def test_no_known_kind_exits_1(self, tmp_path, capsys, doc, detail):
+        path = write_json(tmp_path / "p.json", doc)
+        sol = str(tmp_path / "s.csv")
+        for argv, error in [
+                (["solve", path], "failed to parse problem file"),
+                (["audit", sol, "--problem", path], "audit failed"),
+                (["decompose", sol, "--problem", path],
+                 "decompose failed")]:
+            assert run_cli(*argv, "--out", str(tmp_path / "o")) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err == {"error": error, "detail": detail}
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("name", sorted(WRONG_SHAPE))
     def test_solution_of_another_shape(self, tmp_path, capsys, name):
@@ -662,7 +696,8 @@ class TestDecompose:
 # a word of the detail. A measure row must hold two fields (one field was
 # an IndexError traceback, a third field was dropped), a first row is
 # numbers or the header ``location,amplitude``, and no CSV may hold a NaN
-# or an infinity (audit exited 2 on them, decompose 0).
+# or an infinity (audit exited 2 on them, decompose 0). A PSD solution
+# must be positive semidefinite, and a nonnegative measure nonnegative.
 MALFORMED_CSV = {
     "measure-one-field": ("measure_tv", "location,amplitude\n0.5\n",
                           "location and an amplitude"),
@@ -679,6 +714,10 @@ MALFORMED_CSV = {
     "vector-inf": ("nonneg_cone", "1\n-inf\n0\n", "finite"),
     "matrix-nan": ("nuclear", "1,0\n0,NaN\n", "finite"),
     "matrix-inf": ("psd_cone", "Infinity,0\n0,1\n", "finite"),
+    "matrix-not-psd": ("psd_cone", "1,0\n0,-1\n",
+                       "matrix is not positive semidefinite"),
+    "measure-negative": ("measure_nonneg", "0.5,-1.0\n",
+                         "nonnegative measure expected"),
 }
 
 MALFORMED_CSV_PROBLEMS = {

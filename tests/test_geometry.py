@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,22 @@ rng = np.random.default_rng(99)
 def test_klee_reduce_lists():
     dec = klee_reduce([0.5, 2.0], [[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0]])
     dec.validate([0.5, 2.0])
+
+
+@pytest.mark.parametrize("p,vertices,rays,message", [
+    # the first three raised numpy's or the simplex's text, which named
+    # neither shape, and a 1x2 p was flattened
+    ([0.5, 0.5, 0.5], [[0.0, 0.0], [1.0, 0.0]], [],
+     "a vertex of shape (2,) for a point of shape (3,)"),
+    ([0.5, 0.5], [[0.0, 0.0], [1.0, 0.0, 0.0]], [],
+     "a vertex of shape (3,) for a point of shape (2,)"),
+    ([0.5, 0.5], [[0.0, 0.0]], [[1.0, 0.0, 0.0]],
+     "a ray of shape (3,) for a point of shape (2,)"),
+    ([[0.5, 0.5]], [[0.0, 0.0]], [], "p must be a vector"),
+])
+def test_klee_reduce_checks_dimensions(p, vertices, rays, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        klee_reduce(p, vertices, rays)
 
 
 @pytest.mark.parametrize("dec,target,message", [

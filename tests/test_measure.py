@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repkit import measure
-from repkit.errors import Unbounded
+from repkit.errors import Infeasible, Unbounded
 from repkit.measure import (DiscreteMeasure, MomentSystem, beurling_solve,
                             merge_atoms, moment_lp_solve, moments_of,
                             monomial_system, trigonometric_system)
@@ -234,6 +234,43 @@ class TestMomentLp:
                 continue
             best = min(best, float(cost[list(comb)] @ a))
         assert info.objective <= best + 1e-8
+
+
+SOLVERS = {
+    "beurling": beurling_solve,
+    "moment_lp": lambda sys_, y, grid_n: moment_lp_solve(np.cos, sys_, y,
+                                                         grid_n),
+}
+
+
+class TestGridLp:
+    """The checks of the one grid LP behind both solvers."""
+
+    def test_negative_mass_is_infeasible(self):
+        with pytest.raises(Infeasible, match="matches the moments"):
+            moment_lp_solve(np.cos, trigonometric_system(3), [-1.0, 0, 0],
+                            grid_n=8)
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_grid_below_moment_count(self, solver):
+        with pytest.raises(ValueError, match="as fine as the moment count"):
+            SOLVERS[solver](trigonometric_system(5), np.ones(5), 4)
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_moments_of_the_basic_solution_checked(self, monkeypatch,
+                                                   solver):
+        # an optimal status over an amplitude moved by 1e-3
+        def nudged(c, A, b):
+            sol = solve_standard_form(c, A, b)
+            sol.x[np.flatnonzero(sol.x)[0]] += 1e-3
+            return sol
+
+        monkeypatch.setattr(measure, "solve_standard_form", nudged)
+        sys_ = trigonometric_system(3)
+        y = moments_of(DiscreteMeasure(atoms=[(0.25, 1.0), (0.5, 0.5)]),
+                       sys_)
+        with pytest.raises(Infeasible, match="grid moments off by"):
+            SOLVERS[solver](sys_, y, 64)
 
 
 @settings(max_examples=20, deadline=None)
