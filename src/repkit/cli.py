@@ -130,7 +130,7 @@ def load_problem(path) -> dict:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("problem file must be an object with a 'kind' key")
     kind = doc["kind"]
-    if kind not in CLI_KINDS:
+    if not isinstance(kind, str) or kind not in CLI_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     allowed = COMMON_KEYS | CLI_KINDS[kind].keys
     unknown = set(doc) - allowed
@@ -427,8 +427,10 @@ def _solve(problem: Problem, out_dir, t0, source, config, outputs=(),
            image="image.pgm") -> int:
     """Solves ``problem``, writes the outputs of ``solve`` into ``out_dir``
     (the image of a tv2d payload as ``image``) and a manifest listing them
-    after ``outputs``, and returns the exit code. ``out_dir`` is created
-    only when there is something to write."""
+    after ``outputs``, and returns the exit code. Non-convergence (exit 3)
+    and unboundedness (exit 1) write their partial outputs; any other
+    failure raises. ``out_dir`` is created only when there is something to
+    write."""
     kind = CLI_KINDS[problem.spec.kind]
     outputs = list(outputs)
     try:
@@ -446,12 +448,12 @@ def _solve(problem: Problem, out_dir, t0, source, config, outputs=(),
     except Unbounded as exc:
         ray = getattr(exc.ray, "atoms", exc.ray)  # a measure or a vector
         os.makedirs(out_dir, exist_ok=True)
-        _write_json(os.path.join(out_dir, "certificate.json"),
-                    {"error": "unbounded",
-                     "ray": None if ray is None else np.asarray(ray).tolist()})
+        cert_path = os.path.join(out_dir, "certificate.json")
+        _write_json(cert_path, {
+            "error": "unbounded",
+            "ray": None if ray is None else np.asarray(ray).tolist()})
+        _manifest(out_dir, source, config, t0, [*outputs, cert_path])
         return _error_exit("problem is unbounded")
-    except (RepkitError, ValueError, KeyError) as exc:
-        return _error_exit("solver failed", str(exc))
 
     os.makedirs(out_dir, exist_ok=True)
     written = _write_payload(kind, out_dir, payload, outputs, image)
@@ -475,14 +477,10 @@ def cmd_solve(args) -> int:
     t0 = time.monotonic()
     try:
         doc = load_problem(args.problem)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         return _error_exit("failed to parse problem file", str(exc))
-    try:
-        problem = CLI_KINDS[doc["kind"]].problem(doc)
-    except (RepkitError, ValueError, KeyError) as exc:
-        return _error_exit("solver failed", str(exc))
-    return _solve(problem, args.out or ".", t0, args.problem,
-                  doc.get("solver", {}))
+    return _solve(CLI_KINDS[doc["kind"]].problem(doc), args.out or ".", t0,
+                  args.problem, doc.get("solver", {}))
 
 
 def _atoms_rows(decomp):
@@ -511,34 +509,27 @@ def _audit_solution(args):
 
 
 def cmd_decompose(args) -> int:
-    try:
-        if args.kind == "birkhoff":
-            M = read_matrix_csv(args.solution)
-            decomp = birkhoff_decompose(M)
-            name = "permutations.csv"
-            rec = decomp.reconstruct().reshape(M.shape)
-            err = float(np.abs(rec - M).max())
-        else:
-            if args.problem is None:
-                raise ValueError("--problem is required unless --kind "
-                                 "birkhoff")
-            cert = _audit_solution(args)[1]
-            decomp, err = cert.decomposition, cert.reconstruction_error
-            name = "atoms.csv"
-        out_dir = args.out or "."
-        os.makedirs(out_dir, exist_ok=True)
-        write_csv(os.path.join(out_dir, name), _atoms_rows(decomp))
-    except (RepkitError, ValueError, KeyError, OSError) as exc:
-        return _error_exit("decompose failed", str(exc))
+    if args.kind == "birkhoff":
+        M = read_matrix_csv(args.solution)
+        decomp = birkhoff_decompose(M)
+        name = "permutations.csv"
+        rec = decomp.reconstruct().reshape(M.shape)
+        err = float(np.abs(rec - M).max())
+    else:
+        if args.problem is None:
+            raise ValueError("--problem is required unless --kind birkhoff")
+        cert = _audit_solution(args)[1]
+        decomp, err = cert.decomposition, cert.reconstruction_error
+        name = "atoms.csv"
+    out_dir = args.out or "."
+    os.makedirs(out_dir, exist_ok=True)
+    write_csv(os.path.join(out_dir, name), _atoms_rows(decomp))
     print(f"reconstruction_error {_fmt(err)}")
     return 0
 
 
 def cmd_audit(args) -> int:
-    try:
-        kind, cert = _audit_solution(args)
-    except (RepkitError, ValueError, KeyError, OSError) as exc:
-        return _error_exit("audit failed", str(exc))
+    kind, cert = _audit_solution(args)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "certificate.json"), cert.to_json_dict(
@@ -572,11 +563,7 @@ def cmd_fig2(args) -> int:
 
 
 def cmd_enumerate_slice(args) -> int:
-    try:
-        L = read_matrix_csv(args.operator)
-        points = enumerate_slice_extreme_points(L)
-    except (RepkitError, ValueError, OSError) as exc:
-        return _error_exit("enumeration failed", str(exc))
+    points = enumerate_slice_extreme_points(read_matrix_csv(args.operator))
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "extreme_points.csv")
@@ -604,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve a problem file and audit it")
     p.add_argument("problem")
     p.add_argument("--out", default=None)
-    p.set_defaults(func="cmd_solve")
+    p.set_defaults(func="cmd_solve", failed="solver failed")
 
     p = sub.add_parser("decompose", help="decompose a solution into atoms")
     p.add_argument("solution")
@@ -613,26 +600,26 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'birkhoff' for doubly stochastic matrices; "
                         "otherwise taken from --problem")
     p.add_argument("--out", default=None)
-    p.set_defaults(func="cmd_decompose")
+    p.set_defaults(func="cmd_decompose", failed="decompose failed")
 
     p = sub.add_parser("audit", help="audit an existing solution file")
     p.add_argument("solution")
     p.add_argument("--problem", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func="cmd_audit")
+    p.set_defaults(func="cmd_audit", failed="audit failed")
 
     p = sub.add_parser("fig2", help="disk-average TV reconstruction "
                                     "experiment")
     p.add_argument("--size", type=int, default=200)
     p.add_argument("--iters", type=int, default=200_000)
     p.add_argument("--out", default=None)
-    p.set_defaults(func="cmd_fig2")
+    p.set_defaults(func="cmd_fig2", failed="solver failed")
 
     p = sub.add_parser("enumerate-slice",
                        help="extreme points of range(L) inside the l1 ball")
     p.add_argument("operator", help="CSV file holding L")
     p.add_argument("--out", default=None)
-    p.set_defaults(func="cmd_enumerate_slice")
+    p.set_defaults(func="cmd_enumerate_slice", failed="enumeration failed")
     return parser
 
 
@@ -641,11 +628,15 @@ def _parser() -> argparse.ArgumentParser:
     """The parser, built on the first :func:`main` call and kept for the
     process. It names each subcommand's function, which :func:`main`
     looks up when the call runs, so a wrapper installed on
-    ``repkit.cli.cmd_*`` after the parser was built still sees the call."""
+    ``repkit.cli.cmd_*`` after the parser was built still sees the call,
+    and the ``error`` label that :func:`main` reports if the call raises."""
     return build_parser()
 
 
 def main(argv=None) -> int:
+    """Runs one command and returns its exit code. A command that raises
+    a repkit, value, key or OS error exits 1 here, with its label and the
+    error's text as JSON on stderr."""
     _setup_logging()
     try:
         args = _parser().parse_args(argv)
@@ -655,8 +646,8 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return globals()[args.func](args)
-    except RepkitError as exc:
-        return _error_exit(type(exc).__name__, str(exc))
+    except (RepkitError, ValueError, KeyError, OSError) as exc:
+        return _error_exit(args.failed, str(exc))
 
 
 if __name__ == "__main__":

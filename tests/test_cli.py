@@ -3,6 +3,8 @@ import importlib
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -427,6 +429,11 @@ class TestSolve:
         assert np.allclose(A @ r, 0.0)
         assert r.min() >= 0.0
         assert c @ r < 0.0
+        # a finished run: the manifest lists every other file written
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(os.listdir(out)) == sorted(
+            [os.path.basename(p) for p in manifest["outputs"]]
+            + ["manifest.json"])
 
     def test_infeasible_lp_exits_1(self, tmp_path, capsys):
         # x0 + x1 = -1 has no nonnegative solution
@@ -483,7 +490,10 @@ class TestProblemReading:
 
     @pytest.mark.parametrize("doc,detail", [
         ([1, 2], "problem file must be an object with a 'kind' key"),
-        ({"kind": "foo", "y": []}, "unknown kind 'foo'")])
+        ({"kind": "foo", "y": []}, "unknown kind 'foo'"),
+        ({"kind": ["nonneg_cone"], "y": [1]},
+         "unknown kind ['nonneg_cone']"),
+        ({"kind": {}, "y": []}, "unknown kind {}")])
     def test_no_known_kind_exits_1(self, tmp_path, capsys, doc, detail):
         path = write_json(tmp_path / "p.json", doc)
         sol = str(tmp_path / "s.csv")
@@ -562,6 +572,56 @@ class TestUsageErrors:
     def test_help_exits_0(self, capsys):
         assert run_cli("solve", "--help") == 0
         assert "usage" in capsys.readouterr().out
+
+
+class TestOutIsAFile:
+    """Every command whose ``--out`` names an existing regular file exits 1
+    with its own label as JSON on stderr, and leaves the file as it was."""
+
+    LABELS = {"solve": "solver failed", "audit": "audit failed",
+              "decompose": "decompose failed", "fig2": "solver failed",
+              "enumerate-slice": "enumeration failed"}
+
+    @pytest.fixture
+    def runs(self, tmp_path):
+        """Arguments that each command accepts, and the file."""
+        prob = write_json(tmp_path / "p.json",
+                          {"kind": "nonneg_cone", **CATALOG["nonneg_cone"]})
+        assert run_cli("solve", prob, "--out", str(tmp_path / "solved")) == 0
+        sol = str(tmp_path / "solved" / "solution.csv")
+        op = tmp_path / "L.csv"
+        write_csv(op, np.eye(2))
+        out = tmp_path / "taken"
+        out.write_bytes(b"not a directory\n")
+        return {"solve": ["solve", prob],
+                "audit": ["audit", sol, "--problem", prob],
+                "decompose": ["decompose", sol, "--problem", prob],
+                "fig2": ["fig2", "--size", "24"],
+                "enumerate-slice": ["enumerate-slice", str(op)]}, out
+
+    @pytest.mark.parametrize("command", sorted(LABELS))
+    def test_exits_1_with_its_label(self, capsys, runs, command):
+        argvs, out = runs
+        capsys.readouterr()
+        assert run_cli(*argvs[command], "--out", str(out)) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == self.LABELS[command]
+        assert str(out) in err["detail"]
+        assert out.read_bytes() == b"not a directory\n"
+
+    def test_module_prints_one_json_line(self, runs):
+        argvs, out = runs
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run(
+            [sys.executable, "-m", "repkit.cli", *argvs["solve"],
+             "--out", str(out)], capture_output=True, text=True, env=env)
+        assert run.returncode == 1
+        assert "Traceback" not in run.stderr
+        line, = run.stderr.splitlines()
+        assert json.loads(line)["error"] == "solver failed"
+        assert out.read_bytes() == b"not a directory\n"
 
 
 class TestParserReuse:
