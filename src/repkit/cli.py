@@ -248,9 +248,18 @@ def _measurements(doc, count, per) -> np.ndarray:
     return y
 
 
+def _phi_matrix(doc) -> np.ndarray:
+    """A vector kind's ``phi``, a matrix or a list of numbers (one row), as
+    a matrix."""
+    phi = _numbers(doc["phi"], "phi")
+    if phi.ndim not in (1, 2):
+        raise ValueError("'phi' must be a matrix or a list of numbers")
+    return np.atleast_2d(phi)
+
+
 def _phi(doc):
     """A vector kind's ``phi`` as a matrix, and ``y``, one entry per row."""
-    phi = np.atleast_2d(_numbers(doc["phi"], "phi"))
+    phi = _phi_matrix(doc)
     return phi, _measurements(doc, phi.shape[0], "row of 'phi'")
 
 
@@ -273,7 +282,7 @@ def _nnls_problem(doc) -> Problem:
 
 def _lp_problem(doc) -> Problem:
     lp = LpProblem(c=_numbers(doc["cost"], "cost"),
-                   A=_numbers(doc["phi"], "phi"), b=_y(doc))
+                   A=_phi_matrix(doc), b=_y(doc))
 
     def solve():
         sol = simplex_solve(lp)

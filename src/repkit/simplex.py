@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import Infeasible, NumericalFailure
 
@@ -22,6 +23,21 @@ PIVOT_TOL = 1e-10
 # Consecutive degenerate pivots (min-ratio <= PIVOT_TOL) after which the
 # entering rule falls back from Dantzig to Bland until the objective moves.
 DEGENERATE_RUN = 10
+
+# LAPACK ``gesv`` on one right-hand side: the gufunc that ``np.linalg.solve``
+# calls, with ``signature="dd->d"``, for a float matrix and a float vector.
+_gesv = _umath_linalg.solve1
+
+
+def _raise_singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+# The error state that ``np.linalg.solve`` enters around every call: ``gesv``
+# flags a singular matrix as an invalid operation, which raises
+# ``LinAlgError``; overflow, division by zero and underflow pass silently.
+_GESV_ERRSTATE = dict(call=_raise_singular, invalid="call", over="ignore",
+                      divide="ignore", under="ignore")
 
 
 @dataclass
@@ -75,11 +91,22 @@ def _simplex_phase(c, A, b, basis, allow_enter):
     What does not change between pivots is computed once per phase: the
     ``1 + |c|`` part of the entering tolerance and the column scales. The
     basis matrix, its costs and the mask of columns that may enter are
-    updated in place where a pivot swaps a column. Every number that
+    updated in place where a pivot swaps a column, and the reduced costs
+    are priced into buffers allocated once. Every number that
     decides a pivot (the tolerance, the eligible set, the entering column
     and the ratio test) comes from the same floating-point operations as in
     a loop that rebuilds everything each pivot, so the pivots and the
     returned bits are that loop's.
+
+    The three solves of a pivot (``xb``, ``lam`` and ``d``) call ``_gesv``,
+    the gufunc behind ``np.linalg.solve``, on the operands that
+    ``np.linalg.solve`` would hand it, so they return its bits. At m <= 6
+    numpy's wrapper (array conversion, type promotion and an ``errstate``
+    per call) costs about three times the LAPACK call, so the phase runs
+    once inside the wrapper's error state instead: a singular basis still
+    raises ``LinAlgError("Singular matrix")``, and so does any other
+    invalid operation in the phase, while overflow, division by zero and
+    underflow pass without a warning.
 
     Termination: every nondegenerate pivot strictly lowers the objective, so
     no basis repeats across them, and a degenerate stretch longer than
@@ -91,57 +118,65 @@ def _simplex_phase(c, A, b, basis, allow_enter):
     colscale = np.abs(A).max(axis=0, initial=0.0)
     base = 1.0 + np.abs(c)
     neg_tol = np.empty(n)
+    priced = np.empty(n)
+    reduced = np.empty(n)
     below = np.empty(n, dtype=bool)
     B = A[:, basis]
     cb = c[basis]
     pivots = 0
     degenerate = 0
-    while True:
-        xb = np.linalg.solve(B, b)
-        lam = np.linalg.solve(B.T, cb)
-        reduced = c - A.T @ lam
-        # Entering tolerance scales with the multipliers: on an
-        # ill-conditioned basis the roundoff in `reduced` grows with |lam|,
-        # and an absolute cutoff lets noise pivot forever between
-        # near-parallel columns. `neg_tol` holds
-        # -(PIVOT_TOL * (1 + |c| + colscale * max|lam|)); negation is exact.
-        np.multiply(colscale, np.abs(lam).max(initial=0.0), out=neg_tol)
-        neg_tol += base
-        neg_tol *= -PIVOT_TOL
-        np.less(reduced, neg_tol, out=below)
-        below &= enterable
-        if not below.any():
-            x = np.zeros(n)
-            x[basis] = xb
-            return "optimal", x, lam, None, pivots
-        if degenerate < DEGENERATE_RUN:
-            # Dantzig: most negative reduced cost; argmin keeps the lowest
-            # index among ties.
-            j = int(np.where(below, reduced, np.inf).argmin())
-        else:
-            j = int(below.argmax())  # Bland: lowest eligible index enters
-        d = np.linalg.solve(B, A[:, j])
-        # The ratio test runs over at most m entries, so Python floats beat
-        # numpy's per-call cost; the division and comparisons are the same
-        # IEEE operations.
-        ratios = [(x_i / d_i, i) for i, (x_i, d_i)
-                  in enumerate(zip(xb.tolist(), d.tolist())) if d_i > PIVOT_TOL]
-        if not ratios:
-            ray = np.zeros(n)
-            ray[j] = 1.0
-            ray[basis] = -d
-            return "unbounded", None, None, ray, pivots
-        rmin = min(r for r, _ in ratios)
-        degenerate = degenerate + 1 if rmin <= PIVOT_TOL else 0
-        # Bland again: among ties, the basic variable with lowest index leaves.
-        leave_pos = min((i for r, i in ratios if r <= rmin + PIVOT_TOL),
-                        key=basis.__getitem__)
-        enterable[basis[leave_pos]] = allow_enter[basis[leave_pos]]
-        enterable[j] = False
-        basis[leave_pos] = j
-        B[:, leave_pos] = A[:, j]
-        cb[leave_pos] = c[j]
-        pivots += 1
+    with np.errstate(**_GESV_ERRSTATE):
+        while True:
+            xb = _gesv(B, b, signature="dd->d")
+            lam = _gesv(B.T, cb, signature="dd->d")
+            np.matmul(A.T, lam, out=priced)
+            np.subtract(c, priced, out=reduced)
+            # Entering tolerance scales with the multipliers: on an
+            # ill-conditioned basis the roundoff in `reduced` grows with
+            # |lam|, and an absolute cutoff lets noise pivot forever between
+            # near-parallel columns. `neg_tol` holds
+            # -(PIVOT_TOL * (1 + |c| + colscale * max|lam|)); negation is
+            # exact.
+            np.multiply(colscale, max(map(abs, lam.tolist()), default=0.0),
+                        out=neg_tol)
+            neg_tol += base
+            neg_tol *= -PIVOT_TOL
+            np.less(reduced, neg_tol, out=below)
+            below &= enterable
+            if not below.any():
+                x = np.zeros(n)
+                x[basis] = xb
+                return "optimal", x, lam, None, pivots
+            if degenerate < DEGENERATE_RUN:
+                # Dantzig: most negative reduced cost; argmin keeps the
+                # lowest index among ties.
+                j = int(np.where(below, reduced, np.inf).argmin())
+            else:
+                j = int(below.argmax())  # Bland: lowest eligible index enters
+            d = _gesv(B, A[:, j], signature="dd->d")
+            # The ratio test runs over at most m entries, so Python floats
+            # beat numpy's per-call cost; the division and comparisons are
+            # the same IEEE operations.
+            ratios = [(x_i / d_i, i) for i, (x_i, d_i)
+                      in enumerate(zip(xb.tolist(), d.tolist()))
+                      if d_i > PIVOT_TOL]
+            if not ratios:
+                ray = np.zeros(n)
+                ray[j] = 1.0
+                ray[basis] = -d
+                return "unbounded", None, None, ray, pivots
+            rmin = min(r for r, _ in ratios)
+            degenerate = degenerate + 1 if rmin <= PIVOT_TOL else 0
+            # Bland again: among ties, the basic variable with lowest index
+            # leaves.
+            leave_pos = min((i for r, i in ratios if r <= rmin + PIVOT_TOL),
+                            key=basis.__getitem__)
+            enterable[basis[leave_pos]] = allow_enter[basis[leave_pos]]
+            enterable[j] = False
+            basis[leave_pos] = j
+            B[:, leave_pos] = A[:, j]
+            cb[leave_pos] = c[j]
+            pivots += 1
 
 
 def solve_standard_form(c, A, b) -> LpSolution:

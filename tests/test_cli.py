@@ -190,6 +190,13 @@ UNREADABLE = {
     "L-columns-of-phi": ({"kind": "l1_analysis", "y": [1.0, 0.0],
                           "phi": [[1, 0, 1], [0, 1, 1]],
                           "L": [[1, 0], [0, 1]]}, "one column per column"),
+    # a 3-d phi, which failed in numpy or blamed the solution or L
+    "phi-3d-nonneg": ({"kind": "nonneg_cone", "y": [1.0], "phi": [[[1]]]},
+                      "'phi' must be"),
+    "phi-3d-lp": ({"kind": "lp_epigraph", "y": [1.0], "phi": [[[1]]],
+                   "cost": [1.0]}, "'phi' must be"),
+    "phi-3d-analysis": ({"kind": "l1_analysis", "y": [1.0], "phi": [[[1]]],
+                         "L": [[1]]}, "'phi' must be"),
 }
 
 # A problem of each kind whose solutions have a fixed shape, a solution of

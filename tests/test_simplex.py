@@ -159,6 +159,57 @@ def test_row_compress_inconsistent():
         row_compress(A, np.array([1.0, 2.0]))
 
 
+def _gesv(B, rhs):
+    """``simplex._gesv`` inside the error state the kernel runs it in."""
+    with np.errstate(**simplex._GESV_ERRSTATE):
+        return simplex._gesv(B, rhs, signature="dd->d")
+
+
+def _ill_conditioned(g, m, cond):
+    """A seeded ``m x m`` matrix with singular values from 1 to ``1/cond``."""
+    U = np.linalg.qr(g.standard_normal((m, m)))[0]
+    V = np.linalg.qr(g.standard_normal((m, m)))[0]
+    return (U * np.geomspace(1.0, 1.0 / cond, m)) @ V.T
+
+
+def _bases():
+    """``(B, A)`` pairs: a basis and a matrix whose columns serve as
+    right-hand sides, as ``A[:, j]`` does in the kernel."""
+    for seed in range(8):
+        g = np.random.default_rng([seed, 28])
+        m = int(g.integers(1, 9))
+        yield g.standard_normal((m, m)), g.standard_normal((m, 3 * m))
+    for seed, cond in itertools.product(range(4), [1e11, 1e13, 1e15]):
+        g = np.random.default_rng([seed, 10])
+        m = int(g.integers(2, 7))
+        B = _ill_conditioned(g, m, cond)
+        assert np.linalg.cond(B) >= 1e10
+        yield B, g.standard_normal((m, 2 * m))
+    yield np.array([[3.0]]), np.array([[1.0, -7.0, 0.0]])
+    yield np.empty((0, 0)), np.empty((0, 4))
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["B", "B.T"])
+def test_direct_gesv_gives_linalg_solve_bits(transpose):
+    for B, A in _bases():
+        B = B.T if transpose else B
+        # Strided column views, as A[:, j] is, and a contiguous copy.
+        for rhs in [*A.T, A[:, 0].copy()]:
+            got = _gesv(B, rhs)
+            assert got.shape == rhs.shape
+            assert np.array_equal(got, np.linalg.solve(B, rhs))
+
+
+def test_singular_basis_raises_linalg_error():
+    # Column 1 repeats column 0, and both start in the basis.
+    A = np.array([[1.0, 1.0, 0.0, 2.0], [2.0, 2.0, 1.0, 0.0]])
+    state = np.geterr()
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        simplex._simplex_phase(np.ones(4), A, np.array([1.0, 1.0]), [0, 1],
+                               np.ones(4, dtype=bool))
+    assert np.geterr() == state
+
+
 def _reference_phase(c, A, b, basis, allow_enter, bland=None):
     """``_simplex_phase`` rebuilding every quantity at every pivot.
 
@@ -219,22 +270,28 @@ def _assert_identical(got, want):
 
 
 def _counted_solve(monkeypatch, phase, c, A, b):
-    """Solve through ``phase``; return the outcome, the ``np.linalg.solve``
-    call count and the row count each phase ran on."""
+    """Solve through ``phase``; return the outcome, the count of linear
+    solves and the row count each phase ran on.
+
+    A linear solve is a call of ``np.linalg.solve`` (the reference's pivots
+    and the drive-out loop) or of ``simplex._gesv``, the gufunc that the
+    kernel's pivots call directly."""
     calls = []
     rows = []
-    solve = np.linalg.solve
 
-    def counted(*args):
-        calls.append(None)
-        return solve(*args)
+    def counted(fn):
+        def call(*args, **kwargs):
+            calls.append(None)
+            return fn(*args, **kwargs)
+        return call
 
     def spied(c, A, b, basis, allow_enter):
         rows.append(A.shape[0])
         return phase(c, A, b, basis, allow_enter)
 
     with monkeypatch.context() as mp:
-        mp.setattr(np.linalg, "solve", counted)
+        mp.setattr(np.linalg, "solve", counted(np.linalg.solve))
+        mp.setattr(simplex, "_gesv", counted(simplex._gesv))
         mp.setattr(simplex, "_simplex_phase", spied)
         sol = solve_standard_form(c, A, b)
     return ((sol.status, sol.x, sol.duals, sol.ray, sol.basis, sol.pivots),
