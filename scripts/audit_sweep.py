@@ -83,7 +83,7 @@ def sweep_measures(g, trials):
         m = int(g.integers(2, 6))
         sys_ = trigonometric_system(m)
         mu, _ = beurling_solve(sys_, g.standard_normal(m), grid_n=256)
-        rows.append(audit(mu, RegularizerSpec(kind="measure_tv"), m))
+        rows.append(audit(mu, RegularizerSpec(kind="measure_tv"), sys_))
         # on-grid truth atoms keep the nonnegative grid problem feasible
         nodes = g.integers(0, 256, 2) / 256.0
         truth = DiscreteMeasure(atoms=[(float(x), float(a)) for x, a in
@@ -91,7 +91,7 @@ def sweep_measures(g, trials):
         y = moments_of(truth, sys_)
         mu2, _ = moment_lp_solve(lambda x: np.cos(3 * x), sys_, y,
                                  grid_n=256)
-        rows.append(audit(mu2, RegularizerSpec(kind="measure_nonneg"), m))
+        rows.append(audit(mu2, RegularizerSpec(kind="measure_nonneg"), sys_))
     return rows
 
 

@@ -2,14 +2,15 @@
 """Random-layout sweep of the disk-average TV solver.
 
 Draws one random disk layout per seed (:func:`random_layout`, the generator
-the tests use too), solves it with ``chambolle_pock_tv_solve`` at its
-default ``max_iters``, and prints one line per seed: iterations, TV, the
-final gap ``(TV - lower bound) / max(TV, |y|_inf)`` that the stop tests,
-the largest logged constraint residual, the level count and simple-set
-flag of the level-set report, the atom count and ``pass`` flag of the
-certificate of the image replayed through ``write_pgm``, ``read_pgm`` and
-``audit`` (the path of ``repkit audit`` on a written image), and the solve
-time in seconds. Run it at two commits to compare a change of the solver,
+the tests use too) and its masks on the image grid, once; solves it with
+``chambolle_pock_tv_solve`` at its default ``max_iters``; and prints one
+line per seed: iterations, TV, the final gap ``(TV - lower bound) /
+max(TV, |y|_inf)`` that the stop tests, the largest logged constraint
+residual, the level count and simple-set flag of the level-set report,
+the atom count and ``pass`` flag of the certificate of the image replayed
+through ``write_pgm``, ``read_pgm`` and ``audit`` on the same masks (the
+path of ``repkit audit`` on a written image), and the solve time in
+seconds. Run it at two commits to compare a change of the solver,
 or of the replay, on the same layouts:
 
     PYTHONPATH=src python scripts/tv_sweep.py --seeds 40
@@ -39,11 +40,11 @@ def random_layout(seed):
     return disks, g.uniform(-1.0, 1.0, size=m), (size, size)
 
 
-def replay(u, disks, size, path):
-    """The certificate of ``u`` written to ``path`` and read back."""
+def replay(u, masks, path):
+    """The certificate of ``u`` written to ``path`` and read back, audited
+    against the disk ``masks``."""
     write_pgm(path, u)
-    spec = RegularizerSpec(kind="tv2d", params={"size": size})
-    return audit(read_pgm(path), spec, disks)
+    return audit(read_pgm(path), RegularizerSpec(kind="tv2d"), masks)
 
 
 def main():
@@ -59,13 +60,14 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "image.pgm")
         for seed in range(args.seeds):
-            disks, y, size = random_layout(seed)
+            disks, y, (w, h) = random_layout(seed)
+            masks = disks.masks((h, w))
             t0 = time.perf_counter()
-            u, trace = chambolle_pock_tv_solve(disks, y, size)
+            u, trace = chambolle_pock_tv_solve(masks, y)
             elapsed = time.perf_counter() - t0
             total += elapsed
             rep = level_set_report(u)
-            cert = replay(u, disks, size, path)
+            cert = replay(u, masks, path)
             tv = discrete_tv(u)
             gap = (tv - trace.lower_bounds[-1]) / max(tv, np.abs(y).max())
             print(f"{seed:>4} {trace.iterations[-1]:>6} {tv:>12.6f}"

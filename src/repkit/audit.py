@@ -8,11 +8,13 @@ and compares the count against the structural bound
     point atoms:          m + j - d      (+1 when the optimum sits at inf R)
     atoms counted w/ rays: m + j - d - 1  (+1 likewise)
 
-where ``m`` is the measurement count, ``d`` the dimension of the image of
-the invariant directions under the measurements, and ``j`` the dimension
-of the solution's face inside the solution set. ``j`` is not computed yet:
-the bounds take ``j = 0``, right for solvers that return vertices, and the
-certificate records it as ``j_assumed``. Linear programs are audited
+where ``m = len(Phi)`` is the measurement count (``Phi`` being the
+measurement operator that the solver took), ``d`` the dimension of the
+image of the invariant directions under the measurements, and ``j`` the
+dimension of the solution's face inside the solution set. ``j`` is not
+computed yet: the bounds take ``j = 0``, right for solvers that return
+vertices, and the certificate records it as ``j_assumed``. Linear
+programs are audited
 through their epigraph lifting, which adds the objective row to ``m``;
 the two conventions give the same ray-counted bound ``m + j - d``.
 """
@@ -24,13 +26,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import KindMismatch, NotSurjective, UnsupportedKind, is_integer
+from .errors import KindMismatch, NotSurjective, UnsupportedKind
 from .finite import kernel_image_basis, rank1_atomic_decomposition
 from .geometry import AtomicDecomposition
 from .jsontext import dumps
 from .linalg import null_space_basis, pseudo_inverse, svd
 from .measure import DiscreteMeasure
-from .tv2d import DiskSet, discrete_tv, level_set_report
+from .tv2d import discrete_tv, level_set_report
 
 
 @dataclass
@@ -38,9 +40,7 @@ class RegularizerSpec:
     """A regularizer of the closed catalog :data:`KINDS` plus its parameters.
 
     ``params`` carries the kind-specific data: ``L`` (analysis operator)
-    for ``l1_analysis``; ``size`` for ``tv2d``, optionally with ``masks``
-    (the masks of the disks in ``Phi`` on the image grid, drawn from
-    ``Phi`` if absent) and ``level_report`` (a
+    for ``l1_analysis``; optionally ``level_report`` for ``tv2d`` (a
     :class:`~repkit.tv2d.LevelSetReport` of the solution, used instead of
     computing one).
     """
@@ -119,15 +119,6 @@ class RepresenterCertificate:
         return dumps(self.to_json_dict(include_atoms))
 
 
-def _as_matrix_phi(Phi):
-    """A matrix, or a list of measurement maps, as an array with one
-    measurement per leading index; ``ValueError`` if it holds none."""
-    Phi = np.asarray(Phi, dtype=float)
-    if Phi.size == 0:
-        raise ValueError("Phi is empty: at least one measurement required")
-    return np.atleast_2d(Phi)
-
-
 def _analysis_operator(spec: RegularizerSpec) -> np.ndarray:
     return np.atleast_2d(np.asarray(spec.params["L"], dtype=float))
 
@@ -136,43 +127,12 @@ def _atom_threshold(values) -> float:
     return 1e-9 * (1.0 + np.abs(values).max(initial=0.0))
 
 
-def _row_count(spec, Phi) -> int:
-    return _as_matrix_phi(Phi).shape[0]
-
-
-def _moment_count(spec, Phi) -> int:
-    """``Phi`` is the number of moments (not a boolean) or the moments."""
-    # any other scalar, a boolean among them, counts as -1 and is rejected
-    m = Phi if is_integer(Phi) else (np.shape(Phi) or (-1,))[0]
-    if m < 0:
-        raise ValueError("Phi must be a number of moments or a moment vector")
-    return int(m)
-
-
-def _line_free(spec, Phi) -> int:
-    _as_matrix_phi(Phi)  # raises if Phi holds no measurement
-    return 0
-
-
 def _kernel_lineality(spec, Phi) -> int:
     L = _analysis_operator(spec)
     basis = null_space_basis(L)
     if basis.shape[1] != L.shape[1] - L.shape[0]:  # atoms +-t L^+ e_i need it
         raise NotSurjective("analysis operator must have full row rank")
     return kernel_image_basis(Phi, basis).shape[1]
-
-
-def _constant_lineality(spec, Phi) -> int:
-    """Constant images. Their mean over a disk that covers a pixel center
-    is the constant, so the measurements see them (``d = 1``) unless there
-    is no disk. The masks in ``spec.params["masks"]`` show that every disk
-    covers a pixel center; a spec without them has the masks of ``Phi``
-    drawn here, which raises :class:`~repkit.errors.EmptyDisk` for a disk
-    that covers none."""
-    if "masks" not in spec.params:
-        w, h = spec.params["size"]
-        (Phi if isinstance(Phi, DiskSet) else DiskSet(Phi)).masks((h, w))
-    return 1 if len(Phi) else 0
 
 
 def _coordinate_rays(u, spec) -> AtomicDecomposition:
@@ -324,8 +284,8 @@ def _nuclear_value(u, spec) -> float:
 class RegularizerKind:
     """What the audit needs to know about one regularizer kind.
 
-    ``m(spec, Phi)`` and ``d(spec, Phi)`` are the two numbers of the bound
-    ``m + j - d``: the measurement count and :func:`lineality_of`.
+    ``d(spec, Phi)`` is :func:`lineality_of`, the ``d`` of the bound ``m +
+    j - d``; ``m = len(Phi)`` is the same for every kind.
     ``value(u, spec)`` is R at the solution, to detect ``inf R``; cones
     (indicators, ``inf R = 0``) and the LP epigraph lift (``inf R = -inf``,
     one more measurement row) need none. ``quantize(u, spec)`` returns the
@@ -334,17 +294,13 @@ class RegularizerKind:
     """
 
     decompose: Callable
-    m: Callable = _row_count
-    d: Callable = _line_free
+    d: Callable = lambda spec, Phi: 0
     error: Callable = _vector_error
     value: Callable | None = None
     cone: bool = False
     epigraph: bool = False
     quantize: Callable | None = None
 
-
-_MEASURES = dict(m=_moment_count, d=lambda spec, Phi: 0,
-                 error=_measure_error)
 
 KINDS = {
     "nonneg_cone": RegularizerKind(_coordinate_rays, cone=True),
@@ -354,11 +310,13 @@ KINDS = {
                                    value=_analysis_value),
     "nuclear": RegularizerKind(_rank_one_atoms, value=_nuclear_value),
     "psd_cone": RegularizerKind(_spectral_rays, cone=True),
-    "measure_tv": RegularizerKind(_signed_diracs, **_MEASURES,
+    "measure_tv": RegularizerKind(_signed_diracs, error=_measure_error,
                                   value=lambda u, spec: u.total_variation),
-    "measure_nonneg": RegularizerKind(_dirac_rays, cone=True, **_MEASURES),
+    "measure_nonneg": RegularizerKind(_dirac_rays, error=_measure_error,
+                                      cone=True),
+    # a disk's mean of a constant image is the constant
     "tv2d": RegularizerKind(
-        _staircase, m=lambda spec, Phi: len(Phi), d=_constant_lineality,
+        _staircase, d=lambda spec, Phi: 1,
         value=lambda u, spec: discrete_tv(u),
         quantize=_tv2d_quantize),
 }
@@ -370,8 +328,14 @@ def lineality_of(spec: RegularizerSpec, Phi) -> int:
 
     Cones and norm balls are line-free (``d = 0``); the l1-analysis ball is
     invariant along ``ker L``; the TV seminorm is invariant along constant
-    images. The measure kinds have no finite-dimensional lineality.
+    images, which every disk mean sees (``d = 1``). The measure kinds have
+    no finite-dimensional lineality. ``ValueError`` unless ``Phi`` holds
+    one or more measurements, one per leading index: a 1-d ``Phi`` is one
+    row, to be passed as a ``1 x n`` matrix.
     """
+    if np.ndim(Phi) == 1 or not hasattr(Phi, "__len__") or not len(Phi):
+        raise ValueError("Phi must hold at least one measurement, one per "
+                         "leading index (a single row as a 1 x n matrix)")
     return KINDS[spec.kind].d(spec, Phi)
 
 
@@ -389,11 +353,12 @@ def decompose_solution(u, spec: RegularizerSpec) -> AtomicDecomposition:
 def audit(u, spec: RegularizerSpec, Phi) -> RepresenterCertificate:
     """Assemble a certificate for a solution of the given regularizer kind.
 
-    ``Phi`` is the measurement matrix for vector kinds, the list of
-    measurement maps for matrix kinds, the number of moments (or the
-    moment vector) for measure kinds, and the :class:`DiskSet` (or its
-    ``(cx, cy, r)`` triples) for images; ``m`` and ``d`` are read from it
-    and ``spec`` alone. ``at_infimum`` is detected: always true
+    ``Phi`` is the measurement operator the kind's solver takes: the ``(m,
+    n)`` matrix for vector kinds, the list of measurement maps for matrix
+    kinds, the :class:`~repkit.measure.MomentSystem` for measure kinds, and
+    the ``(m, h, w)`` boolean stack of disk masks for images. ``m =
+    len(Phi)``, and ``d`` is read from ``spec`` and ``Phi`` alone (see
+    :func:`lineality_of`). ``at_infimum`` is detected: always true
     on cones, never on the LP epigraph, and true for norms only when the
     achieved value is zero. The reconstruction tolerance is 1e-6, or the
     quantization residual plus 1e-9 for kinds that quantize. For ``tv2d``
@@ -406,8 +371,8 @@ def audit(u, spec: RegularizerSpec, Phi) -> RepresenterCertificate:
     """
     kind = KINDS[spec.kind]
     notes = []
-    m = kind.m(spec, Phi)
     d = lineality_of(spec, Phi)
+    m = len(Phi)
 
     at_infimum = kind.cone or (not kind.epigraph
                                and kind.value(u, spec) <= 1e-12)

@@ -212,9 +212,9 @@ def _write_level_report(out_dir, u, trace, outputs):
 
 
 class Problem(NamedTuple):
-    """A checked problem file: its regularizer, what :func:`audit` takes as
-    ``Phi``, and the solver call on the same inputs, which returns the
-    payload."""
+    """A checked problem file: its regularizer, its measurement operator
+    ``phi`` (the one the solver takes, and :func:`audit`'s ``Phi``), and
+    the solver call on the same inputs, which returns the payload."""
 
     spec: RegularizerSpec
     phi: object
@@ -250,10 +250,12 @@ def _measurements(doc, count, per) -> np.ndarray:
 
 def _phi_matrix(doc) -> np.ndarray:
     """A vector kind's ``phi``, a matrix or a list of numbers (one row), as
-    a matrix."""
+    a matrix; ``ValueError`` if it holds no number."""
     phi = _numbers(doc["phi"], "phi")
     if phi.ndim not in (1, 2):
         raise ValueError("'phi' must be a matrix or a list of numbers")
+    if phi.size == 0:
+        raise ValueError("'phi' must hold at least one number")
     return np.atleast_2d(phi)
 
 
@@ -331,7 +333,7 @@ def _beurling_problem(doc) -> Problem:
     y = _y(doc)
     grid_n = _grid_n(doc, y)
     system = trigonometric_system(len(y))
-    return Problem(RegularizerSpec(kind="measure_tv"), len(y),
+    return Problem(RegularizerSpec(kind="measure_tv"), system,
                    lambda: beurling_solve(system, y, grid_n=grid_n)[0])
 
 
@@ -340,37 +342,36 @@ def _moment_lp_problem(doc) -> Problem:
     grid_n = _grid_n(doc, y)
     psi = _psi_from_spec(doc.get("psi"))
     system = trigonometric_system(len(y))
-    return Problem(RegularizerSpec(kind="measure_nonneg"), len(y),
+    return Problem(RegularizerSpec(kind="measure_nonneg"), system,
                    lambda: moment_lp_solve(psi, system, y,
                                            grid_n=grid_n)[0])
 
 
 def _image_problem(doc) -> Problem:
-    """The solver returns an ``(image, trace)`` pair. The disk masks on the
-    image grid travel in the spec's ``masks``; drawing them raises
+    """``phi`` is the ``(m, h, w)`` boolean stack of the disk masks on the
+    ``size = [w, h]`` grid, drawn once here; drawing them raises
     :class:`~repkit.errors.EmptyDisk` for a disk that covers no pixel
-    center."""
+    center. The solver returns an ``(image, trace)`` pair."""
     phi = doc.get("phi")
     if not isinstance(phi, dict) or "disks" not in phi:
         raise ValueError("'phi' must be an object with a 'disks' key")
+    size = check_shape(doc["size"], "size")
     disks = DiskSet(phi["disks"])
     if not len(disks):
         raise ValueError("at least one disk required")
     y = _measurements(doc, len(disks), "disk")
-    size = check_shape(doc["size"], "size")
     masks = disks.masks(size[::-1])
     solver = _max_iters(doc)
-    spec = RegularizerSpec(kind="tv2d", params={"size": size, "masks": masks})
-    return Problem(spec, disks,
-                   lambda: chambolle_pock_tv_solve(disks, y, size, **solver))
+    return Problem(RegularizerSpec(kind="tv2d"), masks,
+                   lambda: chambolle_pock_tv_solve(masks, y, **solver))
 
 
 class PayloadFile(NamedTuple):
     """Reads and writes ``solution.csv``, looking the I/O functions up by
     name at call time, where perfbench's tracer wraps them.
     ``shape(problem)`` is the shape of ``problem``'s solutions (by default
-    one entry per column of ``phi``, or the shape of a measurement map),
-    or None for any shape."""
+    that of one measurement of ``phi``: a row, a map or a disk mask), or
+    None for any shape."""
 
     read: Callable
     write: Callable | None  # None: the payload is a tv2d (image, trace)
@@ -387,8 +388,7 @@ MEASURE_FILE = PayloadFile(  # any number of atoms
     lambda path, mu: write_csv(path, mu.atoms,
                                header=["location", "amplitude"]),
     lambda problem: None)
-IMAGE_FILE = PayloadFile(lambda path: read_pgm(path), None,
-                         lambda problem: problem.spec.params["size"][::-1])
+IMAGE_FILE = PayloadFile(lambda path: read_pgm(path), None)
 
 
 @dataclass(frozen=True)
@@ -563,7 +563,7 @@ def cmd_fig2(args) -> int:
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     mask_img = np.zeros((args.size, args.size))
-    for k, m in enumerate(problem.spec.params["masks"]):
+    for k, m in enumerate(problem.phi):
         mask_img[m] = k + 1.0
     disks_path = os.path.join(out_dir, "disks.pgm")
     write_pgm(disks_path, mask_img)

@@ -62,6 +62,9 @@ class MomentSystem:
         if self.m < 1:
             raise ValueError("at least one moment required")
 
+    def __len__(self) -> int:
+        return self.m
+
     def design(self, locations) -> np.ndarray:
         """Evaluation matrix with entry (i, j) = phi_i(x_j)."""
         locations = np.asarray(locations, dtype=float)

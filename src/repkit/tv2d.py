@@ -90,8 +90,9 @@ class DiskSet:
     def __len__(self) -> int:
         return len(self.disks)
 
-    def masks(self, shape) -> list:
-        """Boolean masks of pixels whose centers lie strictly inside."""
+    def masks(self, shape) -> np.ndarray:
+        """``(m, h, w)`` boolean stack: the pixels of the ``(h, w)`` grid
+        whose centers lie strictly inside each disk."""
         h, w = shape
         cols, rows = np.meshgrid(np.arange(w) + 0.5, np.arange(h) + 0.5)
         out = []
@@ -100,7 +101,7 @@ class DiskSet:
             if not mask.any():
                 raise EmptyDisk(f"disk {i} covers no pixel center")
             out.append(mask)
-        return out
+        return np.array(out, dtype=bool).reshape(len(out), h, w)
 
 
 @dataclass
@@ -156,20 +157,23 @@ class LevelSetReport:
 class _DiskMeans:
     """The disk-mean operator on flat row-major images of one shape.
 
-    Built once from the disk masks. The forward map gathers each disk's
-    pixels and sums them with numpy's pairwise sum, the arithmetic of the
-    boolean-mask means it replaces: a matrix product would reorder that sum
-    and move the solver's output by an ulp, enough to change the scale that
-    a PGM file records. The adjoint is zero off the disks, so it is computed
-    on the ``covered`` pixels only.
+    Built once from the ``(m, h, w)`` stack of disk masks. The forward map
+    gathers each disk's pixels and sums them with numpy's pairwise sum, the
+    arithmetic of the boolean-mask means it replaces: a matrix product
+    would reorder that sum and move the solver's output by an ulp, enough
+    to change the scale that a PGM file records. The adjoint is zero off
+    the disks, so it is computed on the ``covered`` pixels only.
     """
 
-    def __init__(self, disks: DiskSet, shape):
-        masks = np.array(disks.masks(shape), dtype=bool).reshape(
-            len(disks), shape[0] * shape[1])
+    def __init__(self, masks):
+        self.shape = np.shape(masks)[1:]  # (h, w)
+        masks = np.asarray(masks, dtype=bool).reshape(len(masks), -1)
         self.size = masks.shape[1]
         self.pixels = [np.flatnonzero(m) for m in masks]
         self.counts = masks.sum(axis=1).astype(float)
+        if not self.counts.all():  # a mean over no pixel
+            raise EmptyDisk(f"disk {self.counts.argmin()} covers no pixel "
+                            "center")
         self.covered = np.flatnonzero(masks.any(axis=0))
         self.cover = masks[:, self.covered].astype(float)  # (m, covered)
         self.rows = self.cover / self.counts[:, None]  # Phi on covered
@@ -193,13 +197,13 @@ class _DiskMeans:
 def disk_average_apply(u, disks: DiskSet) -> np.ndarray:
     """Mean of the image over each disk."""
     u = np.asarray(u, dtype=float)
-    return _DiskMeans(disks, u.shape).apply(u.ravel())
+    return _DiskMeans(disks.masks(u.shape)).apply(u.ravel())
 
 
 def disk_average_adjoint(z, disks: DiskSet, shape) -> np.ndarray:
     """Adjoint of :func:`disk_average_apply` for the given image shape."""
     z = np.asarray(z, dtype=float)
-    return _DiskMeans(disks, shape).adjoint(z).reshape(shape)
+    return _DiskMeans(disks.masks(shape)).adjoint(z).reshape(shape)
 
 
 def _grad_into(u, w, gx, gy):
@@ -281,8 +285,8 @@ class _DualBound:
     that the next call overwrites.
     """
 
-    def __init__(self, means: _DiskMeans, shape):
-        h, w = shape
+    def __init__(self, means: _DiskMeans):
+        h, w = means.shape
         rows = means.rows
         m = len(rows)
         # KKT matrix of the fit; the Gram block is singular for duplicate
@@ -334,8 +338,10 @@ class _DualBound:
         return float(self.q @ y) / self.s
 
 
-def chambolle_pock_tv_solve(disks: DiskSet, y, size, max_iters=20_000):
-    """Approximate minimizer of TV under exact disk-average constraints.
+def chambolle_pock_tv_solve(masks, y, max_iters=20_000):
+    """Approximate minimizer of TV under exact disk-average constraints,
+    on the ``h x w`` images of the ``(m, h, w)`` stack of disk ``masks``
+    (:meth:`DiskSet.masks`), one per entry of ``y``.
 
     Saddle formulation with ``K = grad``: ``T`` is one projected PDHG step
     on ``z = (u, p)`` with steps ``tau = sigma = 0.99 / sqrt(8)``, which
@@ -360,16 +366,16 @@ def chambolle_pock_tv_solve(disks: DiskSet, y, size, max_iters=20_000):
     """
     check_max_iters(max_iters)
     y = np.asarray(y, dtype=float)
-    w, h = size
-    n = h * w
-    if len(y) != len(disks):
+    if len(y) != len(masks):
         raise ValueError("one measurement per disk required")
-    means = _DiskMeans(disks, (h, w))
+    means = _DiskMeans(masks)
+    h, w = means.shape
+    n = h * w
     y_inf = np.abs(y).max(initial=0.0)
     tol_constraint = 1e-4 * max(y_inf, 1e-12)
     tau = sigma = 0.99 / np.sqrt(GRAD_NORM_SQ)
     lift = means.lift()
-    dual_bound = _DualBound(means, (h, w))
+    dual_bound = _DualBound(means)
     covered = means.covered
 
     # z, T(z) and the anchor stack (u, px, py) as rows. All three start

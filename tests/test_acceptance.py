@@ -232,7 +232,7 @@ def _fig2_run(size, max_iters):
     disks = DiskSet([(cx * scale, cy * scale, r * scale)
                      for cx, cy, r in FIG2_DISKS])
     try:
-        u, trace = chambolle_pock_tv_solve(disks, FIG2_Y, (size, size),
+        u, trace = chambolle_pock_tv_solve(disks.masks((size, size)), FIG2_Y,
                                            max_iters=max_iters)
         converged = True
     except NonConvergence as exc:
@@ -263,9 +263,8 @@ def test_criterion_8_fig2_full_200():
     elapsed = time.monotonic() - t0
     residual = np.abs(disk_average_apply(u, disks) - FIG2_Y).max()
     rep = level_set_report(u)
-    cert = audit(u, RegularizerSpec(
-        kind="tv2d", params={"size": (200, 200),
-                             "level_report": rep}), disks)
+    cert = audit(u, RegularizerSpec(kind="tv2d", params={"level_report": rep}),
+                 disks.masks((200, 200)))
     ok = (residual <= 1e-4 * np.abs(FIG2_Y).max()
           and rep.level_count <= 4 and rep.all_simple()
           and cert.passed and elapsed < 900.0

@@ -3,10 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from repkit.audit import (RegularizerSpec, audit, decompose_solution,
+from repkit.audit import (KINDS, RegularizerSpec, audit, decompose_solution,
                           lineality_of)
-from repkit.errors import (EmptyDisk, KindMismatch, NotSurjective,
-                           UnsupportedKind)
+from repkit.errors import KindMismatch, NotSurjective, UnsupportedKind
 from repkit.finite import (LpProblem, MatrixProblem, l1_analysis_solve,
                            nnls_solve, nuclear_min_solve, simplex_solve)
 from repkit.linalg import null_space_basis
@@ -15,6 +14,8 @@ from repkit.measure import (DiscreteMeasure, beurling_solve, moment_lp_solve,
 from repkit.tv2d import DiskSet
 
 rng = np.random.default_rng(202)
+# the one message of a Phi that holds no measurement per leading index
+PHI_REJECTED = "at least one measurement, one per leading index"
 
 
 class TestLineality:
@@ -66,21 +67,12 @@ class TestLineality:
                 check()
 
     def test_tv2d_constants_seen_by_disks(self):
-        disks = DiskSet([(8.0, 8.0, 4.0), (20.0, 20.0, 5.0)])
-        # the masks a problem reader drew, or those of Phi drawn here, from
-        # a DiskSet or from raw triples
-        for params, phi in [({"masks": disks.masks((28, 28))}, disks),
-                            ({}, disks), ({}, disks.disks)]:
-            spec = RegularizerSpec(kind="tv2d",
-                                   params={**params, "size": (28, 28)})
-            assert lineality_of(spec, phi) == 1
-            assert audit(np.ones((28, 28)), spec, phi).m == 2
-        spec = RegularizerSpec(kind="tv2d", params={"size": (28, 28)})
-        assert lineality_of(spec, DiskSet([])) == 0
-        for phi in (DiskSet([(8.0, 8.0, 4.0), (40.0, 40.0, 1.0)]),
-                    [(8.0, 8.0, 4.0), (40.0, 40.0, 1.0)]):
-            with pytest.raises(EmptyDisk, match="disk 1"):
-                lineality_of(spec, phi)
+        # Phi is the stack of disk masks, one per measurement; a disk that
+        # covers no pixel center is rejected where the masks are drawn
+        masks = DiskSet([(8.0, 8.0, 4.0), (20.0, 20.0, 5.0)]).masks((28, 28))
+        spec = RegularizerSpec(kind="tv2d")
+        assert lineality_of(spec, masks) == 1
+        assert audit(np.ones((28, 28)), spec, masks).m == 2
 
     @pytest.mark.parametrize("kind", ["nuclear", "psd_cone"])
     def test_matrix_kinds_live_in_the_flattened_space(self, kind):
@@ -90,7 +82,18 @@ class TestLineality:
 
     def test_measure_kinds_trivial(self):
         for kind in ("measure_tv", "measure_nonneg"):
-            assert lineality_of(RegularizerSpec(kind=kind), 4) == 0
+            assert lineality_of(RegularizerSpec(kind=kind),
+                                trigonometric_system(4)) == 0
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("phi", [[], np.zeros((0, 3)), np.ones(3),
+                                     [0.0, 1.0]],
+                             ids=["empty-list", "no-row", "row", "list"])
+    def test_phi_without_measurements_rejected(self, kind, phi):
+        # m = len(Phi) counts measurements only where Phi holds one per
+        # leading index: a single row is a 1 x n matrix
+        with pytest.raises(ValueError, match=PHI_REJECTED):
+            lineality_of(RegularizerSpec(kind=kind), phi)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(UnsupportedKind):
@@ -147,8 +150,7 @@ class TestDecompose:
         u = np.zeros((40, 40))
         u[5:15, 5:15] = 1.0
         u[22:32, 22:32] = 2.0
-        dec = decompose_solution(u, RegularizerSpec(
-            kind="tv2d", params={"size": (40, 40)}))
+        dec = decompose_solution(u, RegularizerSpec(kind="tv2d"))
         assert len(dec.point_atoms) == 2  # two jumps above the base level
         rec = dec.reconstruct().reshape(40, 40)
         assert np.abs(rec - u).max() < 1e-9
@@ -214,29 +216,37 @@ class TestAuditEndToEnd:
         sys_ = trigonometric_system(4)
         y = g.standard_normal(4)
         mu, _ = beurling_solve(sys_, y, grid_n=128)
-        cert = audit(mu, RegularizerSpec(kind="measure_tv"), 4)
+        cert = audit(mu, RegularizerSpec(kind="measure_tv"), sys_)
+        assert cert.m == 4
         assert cert.passed and cert.atom_count <= 4
 
         truth = DiscreteMeasure(atoms=[(0.2, 0.5), (0.7, 1.0)])
-        y2 = moments_of(truth, trigonometric_system(3))
-        mu2, _ = moment_lp_solve(lambda x: np.cos(5 * x),
-                                 trigonometric_system(3), y2, grid_n=128)
-        cert2 = audit(mu2, RegularizerSpec(kind="measure_nonneg"), 3)
+        sys3 = trigonometric_system(3)
+        y2 = moments_of(truth, sys3)
+        mu2, _ = moment_lp_solve(lambda x: np.cos(5 * x), sys3, y2,
+                                 grid_n=128)
+        cert2 = audit(mu2, RegularizerSpec(kind="measure_nonneg"), sys3)
+        assert cert2.m == 3
         assert cert2.passed and cert2.uses_rays
 
     @pytest.mark.parametrize("kind", ["measure_tv", "measure_nonneg"])
     def test_moment_count_of_any_integer_type(self, kind):
+        # the moment system is the Phi of a measure kind; a bare moment
+        # count, of any integer type, or a moment vector, is none
         mu = DiscreteMeasure(atoms=[(0.25, 1.0)])
+        spec = RegularizerSpec(kind=kind)
+        assert audit(mu, spec, trigonometric_system(3)).m == 3
         for count in (np.int64(3), np.int32(3), 3, [0.0, 1.0, 2.0]):
-            assert audit(mu, RegularizerSpec(kind=kind), count).m == 3
+            with pytest.raises(ValueError, match=PHI_REJECTED):
+                audit(mu, spec, count)
 
     @pytest.mark.parametrize("kind", ["measure_tv", "measure_nonneg"])
     @pytest.mark.parametrize("count", [True, False, np.bool_(True), -1,
                                        np.int64(-2), 3.0])
     def test_moment_count_rejects_booleans_and_negatives(self, kind, count):
-        # ``True`` gave a certificate with m = 1
+        # ``True`` once gave a certificate with m = 1
         mu = DiscreteMeasure(atoms=[(0.25, 1.0)])
-        with pytest.raises(ValueError, match="moments"):
+        with pytest.raises(ValueError, match=PHI_REJECTED):
             audit(mu, RegularizerSpec(kind=kind), count)
 
     def test_scaling_y_preserves_support_and_pass(self):

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repkit.cli import (DEFAULT_FIG2_DISKS, DEFAULT_FIG2_Y, MATRIX_FILE,
-                        MEASURE_FILE, VECTOR_FILE, _atoms_rows, _write_json,
-                        main, write_csv)
+from repkit.cli import (CLI_KINDS, DEFAULT_FIG2_DISKS, DEFAULT_FIG2_Y,
+                        MATRIX_FILE, MEASURE_FILE, VECTOR_FILE, _atoms_rows,
+                        _write_json, main, write_csv)
 from repkit.errors import NonConvergence
 from repkit.geometry import AtomicDecomposition
 from repkit.measure import DiscreteMeasure, moments_of, trigonometric_system
@@ -197,6 +197,16 @@ UNREADABLE = {
                    "cost": [1.0]}, "'phi' must be"),
     "phi-3d-analysis": ({"kind": "l1_analysis", "y": [1.0], "phi": [[[1]]],
                          "L": [[1]]}, "'phi' must be"),
+    # a phi without entries, a 1 x 0 matrix, which nonneg_cone solved and
+    # then failed to audit, lp_epigraph called infeasible and l1_analysis
+    # blamed on L
+    "phi-empty-nonneg": ({"kind": "nonneg_cone", "y": [1.0], "phi": []},
+                         "'phi' must hold at least one number"),
+    "phi-empty-lp": ({"kind": "lp_epigraph", "y": [1.0], "phi": [],
+                      "cost": [1.0]}, "'phi' must hold at least one number"),
+    "phi-empty-analysis": ({"kind": "l1_analysis", "y": [1.0], "phi": [],
+                            "L": [[1]]},
+                           "'phi' must hold at least one number"),
 }
 
 # A problem of each kind whose solutions have a fixed shape, a solution of
@@ -216,12 +226,12 @@ WRONG_SHAPE = {
 }
 
 
-def _diverged_tv_solve(disks, y, size, **solver):
+def _diverged_tv_solve(masks, y, **solver):
     """A tv2d solve that stops at ``max_iters`` on an image of NaN."""
     trace = ConvergenceTrace()
     trace.log(10, np.nan, np.inf, 0.0)
     raise NonConvergence("primal-dual iteration hit max_iters",
-                         payload=(np.full(size[::-1], np.nan), trace))
+                         payload=(np.full(np.shape(masks)[1:], np.nan), trace))
 
 
 class TestSolve:
@@ -479,8 +489,9 @@ class TestProblemReading:
             write_csv(sol, np.diag([1.0, 0.0]))
         elif doc["kind"] in ("measure_tv", "measure_nonneg"):
             write_csv(sol, [[0.5, 1.0]], header=["location", "amplitude"])
-        else:
-            write_csv(sol, [[1.0]] + [[0.0]] * (len(doc["phi"][0]) - 1))
+        else:  # one entry per column of phi, and one if it has none
+            columns = max(np.shape(doc["phi"])[-1], 1)
+            write_csv(sol, [[1.0]] + [[0.0]] * (columns - 1))
         details = []
         for argv, error in [
                 (["solve", path], "solver failed"),
@@ -1069,17 +1080,21 @@ class TestFig2:
         report = json.loads((out / "level_report.json").read_text())
         assert len(report["levels"]) == 1
 
-    @pytest.mark.parametrize("extra", [
-        ["--iters", "0"],
-        ["--size", "0"],
-        ["--size", "1"],  # no disk covers a pixel center
-    ], ids=["iters", "size-0", "size-1"])
-    def test_bad_inputs_exit_1(self, tmp_path, capsys, extra):
+    @pytest.mark.parametrize("extra,word", [
+        (["--iters", "0"], "max_iters"),
+        # the disks scaled to a size of 0 or below have no radius; the
+        # size is blamed, not the radii
+        (["--size", "0"], "size must be"),
+        (["--size", "-5"], "size must be"),
+        (["--size", "1"], "covers no pixel"),
+    ], ids=["iters", "size-0", "size-negative", "size-1"])
+    def test_bad_inputs_exit_1(self, tmp_path, capsys, extra, word):
         out = tmp_path / "out"
         argv = ["fig2", "--size", "48", "--out", str(out)] + extra
         assert run_cli(*argv) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "failed to read the fig2 inputs"
+        assert word in err["detail"]
         assert not out.exists()
 
     def test_same_outputs_as_solve(self, tmp_path):
@@ -1159,6 +1174,19 @@ class TestCatalogRoundTrip:
         else:
             assert err <= 1e-6
         assert (tmp_path / "d" / "atoms.csv").exists()
+
+    @pytest.mark.parametrize("kind", sorted(CATALOG))
+    def test_m_is_the_length_of_phi(self, tmp_path, kind):
+        # every kind's reader gives the solver's operator, one measurement
+        # per entry of y, and the certificate counts them as m
+        doc = {"kind": kind, **CATALOG[kind]}
+        phi = CLI_KINDS[kind].problem(doc).phi
+        assert len(phi) == len(doc["y"])
+        out = tmp_path / "s"
+        assert run_cli("solve", write_json(tmp_path / "p.json", doc),
+                       "--out", str(out)) == 0
+        assert json.loads((out / "certificate.json").read_text())["m"] \
+            == len(phi)
 
     @pytest.mark.parametrize("kind", [*sorted(CATALOG), "fig2"])
     def test_solve_certifies_the_file_it_wrote(self, tmp_path, kind):

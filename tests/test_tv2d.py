@@ -27,6 +27,13 @@ DEFAULT_MAX_ITERS = inspect.signature(
     chambolle_pock_tv_solve).parameters["max_iters"].default
 
 
+def _tv_solve(disks, y, size, **solver):
+    """The solver on the masks of ``disks`` on the ``size = (w, h)``
+    grid."""
+    w, h = size
+    return chambolle_pock_tv_solve(disks.masks((h, w)), y, **solver)
+
+
 def _flood_components(mask, connectivity: int) -> int:
     """Reference: number of connected components by depth-first flood fill."""
     if not mask.any():
@@ -144,7 +151,7 @@ def _reference_average_restart(disks, y, size, max_iters=DEFAULT_MAX_ITERS,
     y = np.asarray(y, dtype=float)
     w, h = size
     n = h * w
-    means = _DiskMeans(disks, (h, w))
+    means = _DiskMeans(disks.masks((h, w)))
     tol_constraint = 1e-4 * max(np.abs(y).max(initial=0.0), 1e-12)
     tau = sigma = 0.99 / np.sqrt(8.0)
     lift = means.lift()
@@ -256,8 +263,23 @@ class TestDiskOperator:
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     def test_empty_disk_rejected(self):
+        # where the masks are drawn: the reader, then solver and audit
+        # take the stack
         with pytest.raises(EmptyDisk):
             DiskSet([(100.0, 100.0, 0.2)]).masks((16, 16))
+        with pytest.raises(EmptyDisk, match="disk 1"):
+            DiskSet([(8.0, 8.0, 4.0), (40.0, 40.0, 1.0)]).masks((28, 28))
+        # a stack drawn some other way is checked where it is used
+        masks = DiskSet([(8.0, 8.0, 4.0), (20.0, 20.0, 5.0)]).masks((28, 28))
+        masks[1] = False
+        with pytest.raises(EmptyDisk, match="disk 1"):
+            chambolle_pock_tv_solve(masks, [0.5, 0.2])
+
+    def test_masks_are_one_stack(self):
+        # (m, h, w) booleans, the tv2d Phi: len counts the disks
+        masks = DiskSet([(8.0, 8.0, 4.0), (20.0, 10.0, 5.0)]).masks((16, 28))
+        assert masks.dtype == bool and masks.shape == (2, 16, 28)
+        assert masks[0, 7, 7] and not masks[0, 7, 20] and masks[1, 9, 19]
 
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
@@ -318,21 +340,19 @@ class TestChambollePock:
     def test_config_rejects_max_iters_below_1(self, max_iters):
         # The loop would end before its first log: an empty trace.
         with pytest.raises(ValueError, match="max_iters"):
-            chambolle_pock_tv_solve(DiskSet([(4.0, 4.0, 3.0)]), [0.5],
-                                    (8, 8), max_iters=max_iters)
+            _tv_solve(DiskSet([(4.0, 4.0, 3.0)]), [0.5],
+                      (8, 8), max_iters=max_iters)
 
     def test_zero_measurements_give_zero_image(self):
         disks = DiskSet([(16.0, 16.0, 8.0)])
-        u, _ = chambolle_pock_tv_solve(disks, [0.0], (32, 32),
-                                       max_iters=3000)
+        u, _ = _tv_solve(disks, [0.0], (32, 32), max_iters=3000)
         assert np.abs(u).max() < 1e-6
 
     def test_single_disk_two_level_structure(self):
         # A single mean constraint is met by the constant image (TV zero),
         # so the converged output has at most 2 quantized levels.
         disks = DiskSet([(16.0, 16.0, 8.0)])
-        u, trace = chambolle_pock_tv_solve(disks, [0.7], (32, 32),
-                                           max_iters=30000)
+        u, trace = _tv_solve(disks, [0.7], (32, 32), max_iters=30000)
         rep = level_set_report(u)
         assert rep.level_count <= 2
         assert rep.all_simple()
@@ -341,8 +361,7 @@ class TestChambollePock:
     def test_two_disks_structure_and_oracle(self):
         disks = DiskSet([(9.0, 9.0, 5.0), (23.0, 23.0, 6.0)])
         y = np.array([1.0, -0.6])
-        u, trace = chambolle_pock_tv_solve(disks, y, (32, 32),
-                                           max_iters=60000)
+        u, trace = _tv_solve(disks, y, (32, 32), max_iters=60000)
         assert np.abs(disk_average_apply(u, disks) - y).max() <= 1e-4
         # oracle: least-squares feasible image has no smaller TV
         masks = disks.masks((32, 32))
@@ -356,8 +375,7 @@ class TestChambollePock:
         # so every logged residual is at rounding level
         monkeypatch.setattr(tv2d, "LOG_EVERY", 10)
         disks = DiskSet([(16.0, 16.0, 8.0)])
-        _, trace = chambolle_pock_tv_solve(disks, [0.5], (32, 32),
-                                           max_iters=20000)
+        _, trace = _tv_solve(disks, [0.5], (32, 32), max_iters=20000)
         assert max(trace.constraint_residuals) <= 1e-12 * 0.5
 
     def test_overlapping_and_duplicate_disks_stay_feasible(self):
@@ -366,8 +384,7 @@ class TestChambollePock:
         disks = DiskSet([(10.0, 10.0, 6.0), (14.0, 12.0, 6.0),
                          (10.0, 10.0, 6.0)])
         y = np.array([0.8, -0.2, 0.8])
-        u, trace = chambolle_pock_tv_solve(disks, y, (24, 24),
-                                           max_iters=40000)
+        u, trace = _tv_solve(disks, y, (24, 24), max_iters=40000)
         assert np.abs(disk_average_apply(u, disks) - y).max() <= 1e-12
         assert max(trace.constraint_residuals) <= 1e-12
 
@@ -375,8 +392,8 @@ class TestChambollePock:
         # regression bound: the unrestarted loop took 28,900 iterations,
         # restarts to the epoch average 3,200 and the Halpern loop stopping
         # on the step size 2,300
-        _, trace = chambolle_pock_tv_solve(_fig2_layout(64), DEFAULT_FIG2_Y,
-                                           (64, 64), max_iters=1300)
+        _, trace = _tv_solve(_fig2_layout(64), DEFAULT_FIG2_Y,
+                             (64, 64), max_iters=1300)
         assert trace.iterations[-1] <= 1300
 
     @pytest.mark.parametrize("y", [0.7, -0.6])
@@ -384,7 +401,7 @@ class TestChambollePock:
         # The optimum is the constant y (TV 0), and the only bound a single
         # mean proves is 0: the gap stop needs the |y|_inf floor to stop.
         disks = DiskSet([(24.0, 24.0, 10.0)])
-        u, trace = chambolle_pock_tv_solve(disks, [y], (48, 48))
+        u, trace = _tv_solve(disks, [y], (48, 48))
         assert discrete_tv(u) <= 1e-3 * abs(y)
         assert trace.lower_bounds[-1] == 0.0
 
@@ -395,8 +412,8 @@ class TestChambollePock:
         # image carried out is still the one whose TV was logged last
         monkeypatch.setattr(tv2d, "LOG_EVERY", 20)
         with pytest.raises(NonConvergence) as got:
-            chambolle_pock_tv_solve(_fig2_layout(24), DEFAULT_FIG2_Y, (24, 24),
-                                    max_iters=max_iters)
+            _tv_solve(_fig2_layout(24), DEFAULT_FIG2_Y, (24, 24),
+                      max_iters=max_iters)
         u, trace = got.value.payload
         assert trace.iterations[-1] == max_iters
         assert discrete_tv(u) == trace.tv_values[-1]
@@ -467,7 +484,7 @@ class TestAgainstReferenceLoop:
         ids=["overlap-24x20", "fig2-24", "fig2-64"]
         + [f"random-40-{seed}" for seed in range(5)])
     def test_matches_reference(self, disks, y, size):
-        u, trace = chambolle_pock_tv_solve(disks, y, size, max_iters=120_000)
+        u, trace = _tv_solve(disks, y, size, max_iters=120_000)
         # the reference at the stopping tolerance it shipped with
         ref_u, _ = _reference_cp_solve(disks, y, size, max_iters=120_000)
         assert discrete_tv(u) <= discrete_tv(ref_u) * (1 + 1e-3)
@@ -483,8 +500,7 @@ class TestAgainstReferenceLoop:
         disks = _fig2_layout(24)
         monkeypatch.setattr(tv2d, "LOG_EVERY", 20)
         with pytest.raises(NonConvergence) as got:
-            chambolle_pock_tv_solve(disks, DEFAULT_FIG2_Y, (24, 24),
-                                    max_iters=75)
+            _tv_solve(disks, DEFAULT_FIG2_Y, (24, 24), max_iters=75)
         with pytest.raises(NonConvergence) as ref:
             _reference_cp_solve(disks, DEFAULT_FIG2_Y, (24, 24), max_iters=75,
                                 log_every=20)
@@ -509,7 +525,7 @@ class TestAgainstAverageRestart:
         ids=["fig2-24", "fig2-64"] + [f"random-40-{seed}"
                                       for seed in range(5)])
     def test_matches_average_restart(self, disks, y, size):
-        u, trace = chambolle_pock_tv_solve(disks, y, size)
+        u, trace = _tv_solve(disks, y, size)
         ref_u, _ = _reference_average_restart(disks, y, size)
         assert discrete_tv(u) <= discrete_tv(ref_u) * (1 + 1e-3)
         rep, ref_rep = level_set_report(u), level_set_report(ref_u)
@@ -531,7 +547,7 @@ def _solve_with_dual(disks, y, size):
             return super().__call__(px, py, y)
 
     with mock.patch.object(tv2d, "_DualBound", Recording):
-        u, trace = chambolle_pock_tv_solve(disks, y, size)
+        u, trace = _tv_solve(disks, y, size)
     return u, trace, last[0]
 
 
@@ -577,7 +593,7 @@ class TestDualBound:
         disks, y, size = _DUAL_LAYOUTS[index]
         w, h = size
         u, trace, (px, py) = _solved_dual(index)
-        bound = _DualBound(_DiskMeans(disks, (h, w)), (h, w))
+        bound = _DualBound(_DiskMeans(disks.masks((h, w))))
         lower = bound(px, py, np.asarray(y, dtype=float))
         self._check_dual(bound, disks, size)
         tv, best = discrete_tv(u), trace.lower_bounds[-1]
@@ -597,7 +613,7 @@ class TestDualBound:
         px, py = 3.0 * g.standard_normal((2, h, w))
         px[:, -1] = 0.0
         py[-1] = 0.0
-        bound = _DualBound(_DiskMeans(disks, (h, w)), (h, w))
+        bound = _DualBound(_DiskMeans(disks.masks((h, w))))
         bound(px.ravel(), py.ravel(), np.asarray(y, dtype=float))
         assert bound.s > 1.0
         self._check_dual(bound, disks, size)
@@ -613,7 +629,7 @@ def test_bound_below_tv_of_every_feasible_image(index, seed, scale):
     disks, y, size = _DUAL_LAYOUTS[index]
     w, h = size
     u, trace, _ = _solved_dual(index)
-    means = _DiskMeans(disks, (h, w))
+    means = _DiskMeans(disks.masks((h, w)))
     lift = means.lift()
     v = np.random.default_rng(seed).standard_normal(h * w)
     v[means.covered] -= means.apply(v) @ lift  # Phi v = 0
@@ -931,8 +947,7 @@ class TestFlagsOnRead:
         assert seen == {True, False}
 
     def test_match_reference_on_fig2_64(self):
-        u, _ = chambolle_pock_tv_solve(_fig2_layout(64), DEFAULT_FIG2_Y,
-                                       (64, 64))
+        u, _ = _tv_solve(_fig2_layout(64), DEFAULT_FIG2_Y, (64, 64))
         indecomposable, saturated = self._assert_reference_flags(u)
         assert len(indecomposable) >= 2
 
