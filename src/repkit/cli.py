@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .audit import RegularizerSpec, audit
 from .errors import (NonConvergence, RepkitError, Unbounded,
-                     check_max_iters, check_shape, is_integer)
+                     check_max_iters, check_shape, finite_floats, is_integer)
 from .finite import (LpProblem, MatrixProblem, l1_analysis_solve, nnls_solve,
                      nuclear_min_solve, psd_solve, simplex_solve)
 from .geometry import birkhoff_decompose, enumerate_slice_extreme_points
@@ -132,10 +132,8 @@ def load_problem(path) -> dict:
     kind = doc["kind"]
     if not isinstance(kind, str) or kind not in CLI_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    allowed = COMMON_KEYS | CLI_KINDS[kind].keys
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ValueError(f"unknown keys for kind {kind!r}: {sorted(unknown)}")
+    _known_keys(doc, COMMON_KEYS | CLI_KINDS[kind].keys,
+                f"keys for kind {kind!r}")
     return doc
 
 
@@ -143,6 +141,7 @@ def _psi_from_spec(spec):
     if spec in (None, "zero"):
         return lambda x: np.zeros_like(np.asarray(x, dtype=float))
     if isinstance(spec, dict) and spec.get("type") == "polynomial":
+        _known_keys(spec, {"type", "coefficients"}, "psi keys")
         coeffs = _numbers(spec["coefficients"], "coefficients", ndim=1)
         if coeffs.size == 0:
             raise ValueError("'coefficients' must hold at least one number")
@@ -162,6 +161,13 @@ def _manifest(out_dir, input_path, config, t0, outputs) -> None:
     })
 
 
+def _known_keys(obj, allowed, what) -> None:
+    """Raise ``ValueError`` "unknown <what>: [...]" for keys not allowed."""
+    unknown = set(obj) - allowed
+    if unknown:
+        raise ValueError(f"unknown {what}: {sorted(unknown)}")
+
+
 def _max_iters(doc) -> dict:
     """A problem file's ``solver`` object, checked to hold nothing but a
     valid ``max_iters``: the keyword arguments it gives the solver."""
@@ -170,9 +176,7 @@ def _max_iters(doc) -> dict:
         return {}
     if not isinstance(solver, dict):
         raise ValueError("'solver' must be an object")
-    unknown = set(solver) - SOLVER_KEYS
-    if unknown:
-        raise ValueError(f"unknown solver keys: {sorted(unknown)}")
+    _known_keys(solver, SOLVER_KEYS, "solver keys")
     if "max_iters" in solver:
         check_max_iters(solver["max_iters"])
     return solver
@@ -224,13 +228,10 @@ class Problem(NamedTuple):
 def _numbers(value, name, ndim=None) -> np.ndarray:
     """A problem file's ``value`` as a float array, with ``ndim`` dimensions
     if given; ``ValueError`` naming ``name`` if it is anything else, such
-    as an object, a ragged list, or a null, NaN or infinity."""
-    try:
-        array = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        array = None
-    if (array is None or ndim not in (None, array.ndim)
-            or not np.isfinite(array).all()):
+    as an object, a ragged list, a string, a boolean, or a null, NaN or
+    infinity."""
+    array = finite_floats(value)
+    if array is None or ndim not in (None, array.ndim):
         what = "a list" if ndim == 1 else "an array"
         raise ValueError(f"'{name}' must be {what} of numbers")
     return array
@@ -355,6 +356,7 @@ def _image_problem(doc) -> Problem:
     phi = doc.get("phi")
     if not isinstance(phi, dict) or "disks" not in phi:
         raise ValueError("'phi' must be an object with a 'disks' key")
+    _known_keys(phi, {"disks"}, "phi keys")
     size = check_shape(doc["size"], "size")
     disks = DiskSet(phi["disks"])
     if not len(disks):
@@ -644,8 +646,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Runs one command and returns its exit code. A command that raises
-    a repkit, value, key or OS error exits 1 here, with its label and the
-    error's text as JSON on stderr."""
+    a repkit, value, key, OS or memory error exits 1 here, with its label
+    and the error's text as JSON on stderr."""
     _setup_logging()
     try:
         args = _parser().parse_args(argv)
@@ -655,7 +657,7 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return globals()[args.func](args)
-    except (RepkitError, ValueError, KeyError, OSError) as exc:
+    except (RepkitError, ValueError, KeyError, OSError, MemoryError) as exc:
         return _error_exit(args.failed, str(exc))
 
 

@@ -3,6 +3,8 @@ plain input values that more than one module reads."""
 
 import numbers
 
+import numpy as np
+
 
 class RepkitError(Exception):
     """Base class for all toolkit errors."""
@@ -70,6 +72,29 @@ class KindMismatch(RepkitError):
 
 class UnsupportedKind(RepkitError):
     """Unknown regularizer kind tag."""
+
+
+def finite_floats(value):
+    """``value`` as a float array if it holds finite numbers only, else
+    None. A string such as "3" or a boolean is not a number here. numpy
+    reads one as a number only among numbers, a boolean as 0 or 1, or
+    among integers too long for int64: only then are the leaves read, and
+    always in a short list, where that costs less than comparing."""
+    try:
+        array = np.asarray(value)
+        kind = array.dtype.kind
+        if kind == "O":  # such as a null, or an integer of 64 bits or more
+            array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    if kind not in "iufO" or not np.isfinite(array).all():
+        return None
+    if (kind == "O" or array.size <= 100
+            or ((array == 0) | (array == 1)).any()):
+        leaves = np.asarray(value, dtype=object).flat
+        if {str, bool} & set(map(type, leaves)):
+            return None
+    return array.astype(float, copy=False)
 
 
 def check_shape(shape, name: str = "shape") -> tuple:

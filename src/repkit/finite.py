@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (Infeasible, NonConvergence, NotSurjective,
-                     check_max_iters, check_shape)
+                     check_max_iters, check_shape, finite_floats)
 from .geometry import AtomicDecomposition
 from .linalg import lstsq, null_space_basis, pseudo_inverse, rank, svd
 from .simplex import LpProblem, LpSolution, row_compress, solve_standard_form
@@ -27,7 +27,7 @@ __all__ = [
     "LpProblem", "LpSolution", "MatrixProblem",
     "simplex_solve", "nnls_solve", "l1_analysis_solve", "kernel_image_basis",
     "nuclear_min_solve", "psd_solve", "rank_reduce_psd",
-    "rank1_atomic_decomposition", "barvinok_bound",
+    "rank1_atomic_decomposition",
 ]
 
 # Douglas-Rachford splitting of the matrix solvers: the proximal step, and
@@ -55,10 +55,10 @@ class MatrixProblem:
 
     def __post_init__(self):
         try:
-            maps = [np.asarray(a, dtype=float) for a in self.measurement_maps]
-        except (TypeError, ValueError):
-            maps = None
-        if maps is None or not all(np.isfinite(a).all() for a in maps):
+            maps = [finite_floats(a) for a in self.measurement_maps]
+        except TypeError:  # not a list
+            maps = [None]
+        if any(a is None for a in maps):
             raise ValueError("measurement maps must be a list of matrices "
                              "of finite numbers")
         self.measurement_maps = maps
@@ -74,10 +74,6 @@ class MatrixProblem:
         self._stacked = np.vstack([a.reshape(1, -1)
                                    for a in self.measurement_maps])
         self._stacked.flags.writeable = False
-
-    @property
-    def m(self) -> int:
-        return len(self.measurement_maps)
 
     def apply(self, M) -> np.ndarray:
         vec = np.asarray(M, dtype=float).reshape(-1, 1)
@@ -280,11 +276,6 @@ def _project_psd(M):
     sym = 0.5 * (M + M.T)
     vals, vecs = np.linalg.eigh(sym)
     return (vecs * np.maximum(vals, 0.0)) @ vecs.T
-
-
-def barvinok_bound(m: int) -> float:
-    """Largest rank r with r(r+1)/2 <= m, in closed form."""
-    return 0.5 * (np.sqrt(8.0 * m + 1.0) - 1.0)
 
 
 def psd_solve(prob: MatrixProblem, cost=None,

@@ -27,9 +27,6 @@ class SvdResult:
     singular_values: np.ndarray
     v: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.singular_values) @ self.v.T
-
 
 def svd(mat) -> SvdResult:
     """Thin SVD of a dense matrix.

@@ -88,11 +88,6 @@ def trigonometric_system(m: int) -> MomentSystem:
     return MomentSystem(basis_eval=basis_eval, m=m)
 
 
-def monomial_system(m: int) -> MomentSystem:
-    """Moments against 1, x, x^2, ..."""
-    return MomentSystem(basis_eval=lambda i, x: np.asarray(x, float) ** i, m=m)
-
-
 def moments_of(mu: DiscreteMeasure, sys: MomentSystem) -> np.ndarray:
     """Exact generalized moments ``sum_j a_j phi_i(x_j)``."""
     if not mu.atoms:

@@ -39,7 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyDisk, NonConvergence, check_max_iters
+from .errors import (EmptyDisk, NonConvergence, check_max_iters,
+                     finite_floats)
 # Unused here; kept importable because profiling hooks patch this name.
 from .linalg import op_norm_estimate  # noqa: F401
 from .linalg import pseudo_inverse
@@ -75,16 +76,12 @@ class DiskSet:
     disks: list
 
     def __post_init__(self):
-        try:
-            disks = [(float(cx), float(cy), float(r))
-                     for cx, cy, r in self.disks]
-        except (TypeError, ValueError):
-            disks = None
-        if disks is None or not np.isfinite(disks).all():
+        disks = finite_floats(self.disks)
+        if disks is None or disks.shape != (0,) and disks.shape[1:] != (3,):
             raise ValueError("disks must be (cx, cy, r) triples of finite "
                              "numbers")
-        self.disks = disks
-        if any(r <= 0 for _, _, r in disks):
+        self.disks = [tuple(disk) for disk in disks.tolist()]
+        if any(r <= 0 for _, _, r in self.disks):
             raise ValueError("disk radii must be positive")
 
     def __len__(self) -> int:
@@ -161,30 +158,24 @@ class _DiskMeans:
     gathers each disk's pixels and sums them with numpy's pairwise sum, the
     arithmetic of the boolean-mask means it replaces: a matrix product
     would reorder that sum and move the solver's output by an ulp, enough
-    to change the scale that a PGM file records. The adjoint is zero off
-    the disks, so it is computed on the ``covered`` pixels only.
+    to change the scale that a PGM file records. A row of ``Phi`` is zero
+    off its disk, so the rows are kept on the ``covered`` pixels only.
     """
 
     def __init__(self, masks):
         self.shape = np.shape(masks)[1:]  # (h, w)
         masks = np.asarray(masks, dtype=bool).reshape(len(masks), -1)
-        self.size = masks.shape[1]
         self.pixels = [np.flatnonzero(m) for m in masks]
         self.counts = masks.sum(axis=1).astype(float)
         if not self.counts.all():  # a mean over no pixel
             raise EmptyDisk(f"disk {self.counts.argmin()} covers no pixel "
                             "center")
         self.covered = np.flatnonzero(masks.any(axis=0))
-        self.cover = masks[:, self.covered].astype(float)  # (m, covered)
-        self.rows = self.cover / self.counts[:, None]  # Phi on covered
+        # Phi on covered, (m, covered)
+        self.rows = masks[:, self.covered] / self.counts[:, None]
 
     def apply(self, u) -> np.ndarray:
         return np.array([u[p].sum() for p in self.pixels]) / self.counts
-
-    def adjoint(self, z) -> np.ndarray:
-        out = np.zeros(self.size)
-        out[self.covered] = (z / self.counts) @ self.cover
-        return out
 
     def lift(self) -> np.ndarray:
         """``(Phi Phi^T)^+ Phi`` on the covered pixels, an ``(m, covered)``
@@ -198,12 +189,6 @@ def disk_average_apply(u, disks: DiskSet) -> np.ndarray:
     """Mean of the image over each disk."""
     u = np.asarray(u, dtype=float)
     return _DiskMeans(disks.masks(u.shape)).apply(u.ravel())
-
-
-def disk_average_adjoint(z, disks: DiskSet, shape) -> np.ndarray:
-    """Adjoint of :func:`disk_average_apply` for the given image shape."""
-    z = np.asarray(z, dtype=float)
-    return _DiskMeans(disks.masks(shape)).adjoint(z).reshape(shape)
 
 
 def _grad_into(u, w, gx, gy):
@@ -238,18 +223,6 @@ def _grad(u):
     gx, gy = np.zeros(h * w), np.zeros(h * w)
     _grad_into(np.ascontiguousarray(u, dtype=float).ravel(), w, gx, gy)
     return gx.reshape(h, w), gy.reshape(h, w)
-
-
-def _div(px, py):
-    """Negative adjoint of :func:`_grad`."""
-    h, w = px.shape
-    px = np.array(px, dtype=float)
-    py = np.array(py, dtype=float)
-    px[:, -1] = 0.0
-    py[-1] = 0.0
-    out = np.empty(h * w)
-    _div_into(px.ravel(), py.ravel(), w, out, np.empty(h * w))
-    return out.reshape(h, w)
 
 
 def discrete_tv(u) -> float:

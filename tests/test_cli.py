@@ -207,6 +207,52 @@ UNREADABLE = {
     "phi-empty-analysis": ({"kind": "l1_analysis", "y": [1.0], "phi": [],
                             "L": [[1]]},
                            "'phi' must hold at least one number"),
+    # a JSON string or boolean where a number belongs, which numpy read as
+    # a float: each of these was solved
+    "y-string": ({"kind": "nonneg_cone", "y": ["3"], "phi": [[1.0]]},
+                 "'y' must be"),
+    "y-boolean": ({"kind": "nonneg_cone", "y": [True], "phi": [[1.0]]},
+                  "'y' must be"),
+    "phi-strings": ({"kind": "nonneg_cone", "y": [1.0], "phi": [["1", "2"]]},
+                    "'phi' must be"),
+    "phi-booleans": ({"kind": "nonneg_cone", "y": [1.0, 1.0],
+                      "phi": [[True, False], [False, True]]},
+                     "'phi' must be"),
+    # one boolean among floats, which numpy reads as a float array
+    "phi-boolean-among-numbers": ({"kind": "nonneg_cone", "y": [1.0],
+                                   "phi": [[0.5, True]]}, "'phi' must be"),
+    "cost-string": ({"kind": "lp_epigraph", "y": [1.0], "phi": [[1, 1]],
+                     "cost": [1.0, "2"]}, "'cost' must be"),
+    "L-boolean": ({"kind": "l1_analysis", "y": [1.0], "phi": [[1, 0]],
+                   "L": [[1, 0], [0, True]]}, "'L' must be"),
+    "psi-coefficient-boolean": (
+        {"kind": "measure_nonneg", "y": [1.0, 0.5, 0.2],
+         "psi": {"type": "polynomial", "coefficients": [0.5, True]}},
+        "'coefficients' must be"),
+    "maps-string": ({**SPLITTING_DOC,
+                     "measurement_maps": [[["1", 0.0], [0.0, 0.0]]]},
+                    "measurement maps must be"),
+    "maps-boolean": ({**SPLITTING_DOC,
+                      "measurement_maps": [[[1.0, False], [0.0, 0.0]]]},
+                     "measurement maps must be"),
+    "disk-radius-true": ({**PRIMAL_DUAL_DOC, "phi": {"disks": [[4, 4, True]]}},
+                         "disks must be"),
+    "disk-center-string": ({**PRIMAL_DUAL_DOC,
+                            "phi": {"disks": [[4, "4", 3]]}}, "disks must be"),
+    # a string among integers too long for int64, which numpy reads as
+    # objects
+    "y-string-among-long-integers": ({"kind": "nonneg_cone",
+                                      "y": [10 ** 20, "3"],
+                                      "phi": [[1.0], [1.0]]}, "'y' must be"),
+    # keys that no reader reads inside a nested object
+    "psi-unknown-key": (
+        {"kind": "measure_nonneg", "y": [1.0, 0.5, 0.2],
+         "psi": {"type": "polynomial", "coefficients": [0.5, 0.1],
+                 "degree": 7}}, "unknown psi keys: ['degree']"),
+    "disks-unknown-key": ({**PRIMAL_DUAL_DOC,
+                           "phi": {"disks": [[4, 4, 3]],
+                                   "radius_units": "mm"}},
+                          "unknown phi keys: ['radius_units']"),
 }
 
 # A problem of each kind whose solutions have a fixed shape, a solution of
@@ -276,6 +322,16 @@ class TestSolve:
             "kind": "nonneg_cone", "phi": [[1.0]], "y": [1.0],
             "mystery": 1})
         assert run_cli("solve", path) == 1
+
+    @pytest.mark.parametrize("phi,y", [
+        ([[1, 0], [0, 1]], [2, 3]),  # 0s and 1s, where a boolean could be
+        ([[1, 0], [0, 1]], [10 ** 20, 3 * 10 ** 20])])  # beyond int64
+    def test_integers_are_numbers(self, tmp_path, phi, y):
+        path = write_json(tmp_path / "p.json",
+                          {"kind": "nonneg_cone", "phi": phi, "y": y})
+        assert run_cli("solve", path, "--out", str(tmp_path / "o")) == 0
+        x = (tmp_path / "o" / "solution.csv").read_text().split()
+        assert [float(v) for v in x] == [float(v) for v in y]
 
     def test_nonneg_solve(self, tmp_path):
         g = np.random.default_rng(1)
@@ -640,6 +696,31 @@ class TestOutIsAFile:
         line, = run.stderr.splitlines()
         assert json.loads(line)["error"] == "solver failed"
         assert out.read_bytes() == b"not a directory\n"
+
+
+class TestFailedAllocation:
+    """A solve whose arrays do not fit in memory, such as a ``measure_tv``
+    file with ``"grid_n": 1000000000000`` or ``fig2 --size 1000000``, exits
+    1 with its label as JSON on stderr. The solver here raises the
+    ``MemoryError`` that such a request gets, and allocates nothing."""
+
+    DETAIL = "Unable to allocate 7.28 TiB for an array"
+
+    def _raise(self, *args, **kwargs):
+        raise MemoryError(self.DETAIL)
+
+    @pytest.mark.parametrize("solver,command", [
+        ("beurling_solve", "solve"), ("chambolle_pock_tv_solve", "fig2")])
+    def test_exits_1(self, tmp_path, capsys, monkeypatch, solver, command):
+        monkeypatch.setattr(importlib.import_module("repkit.cli"), solver,
+                            self._raise)
+        prob = write_json(tmp_path / "p.json",
+                          {"kind": "measure_tv", **CATALOG["measure_tv"]})
+        argv = {"solve": ["solve", prob],
+                "fig2": ["fig2", "--size", "24"]}[command]
+        assert run_cli(*argv, "--out", str(tmp_path / "o")) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "solver failed", "detail": self.DETAIL}
 
 
 class TestParserReuse:

@@ -8,14 +8,18 @@ from repkit.audit import (RegularizerSpec, audit, decompose_solution,
 from repkit.errors import Infeasible, NonConvergence, NotSurjective
 from repkit.cli import _max_iters
 from repkit.finite import (EPS_FEAS, GAMMA, LpProblem, MatrixProblem,
-                           barvinok_bound, l1_analysis_solve, nnls_solve,
-                           nuclear_min_solve, psd_solve,
-                           rank1_atomic_decomposition, rank_reduce_psd,
-                           simplex_solve)
+                           l1_analysis_solve, nnls_solve, nuclear_min_solve,
+                           psd_solve, rank1_atomic_decomposition,
+                           rank_reduce_psd, simplex_solve)
 from repkit.geometry import HPolyhedron, is_extreme_point
 from repkit.linalg import lstsq, pseudo_inverse, svd
 
 rng = np.random.default_rng(31)
+
+
+def barvinok_bound(m):
+    """Reference: the largest rank r with r(r+1)/2 <= m, in closed form."""
+    return 0.5 * (np.sqrt(8.0 * m + 1.0) - 1.0)
 
 
 def random_feasible_lp(g, m, n):
@@ -167,7 +171,9 @@ class TestMatrixProblem:
         (5, [1.0], "list of matrices"),
         ([{"a": 1}], [1.0], "list of matrices"),
         ([np.eye(2)], 1.0, "one measurement map per observation"),
-        ([np.eye(2)], [[1.0]], "one measurement map per observation")])
+        ([np.eye(2)], [[1.0]], "one measurement map per observation"),
+        ([[["1", 0.0], [0.0, 0.0]]], [1.0], "list of matrices"),
+        ([[[1.0, True], [0.0, 0.0]]], [1.0], "list of matrices")])
     def test_maps_and_y_of_another_type_rejected(self, maps, y, detail):
         with pytest.raises(ValueError, match=detail):
             MatrixProblem(maps, y, (2, 2))
@@ -456,7 +462,7 @@ class TestRankReduceWithCost:
         assert np.tensordot(cost, R) <= np.tensordot(cost, M) + 1e-9
         assert np.abs(prob.apply(R) - prob.y).max() \
             <= 1e-9 * (1.0 + np.abs(prob.y).max())
-        assert rank * (rank + 1) // 2 <= prob.m
+        assert rank * (rank + 1) // 2 <= len(prob.measurement_maps)
 
     def test_stops_where_only_a_rising_cost_reaches_the_boundary(self):
         # The feasible set is the ray {t I : t >= 0}; the cost -trace falls

@@ -6,7 +6,7 @@ from repkit import measure
 from repkit.errors import Infeasible, Unbounded
 from repkit.measure import (DiscreteMeasure, MomentSystem, beurling_solve,
                             merge_atoms, moment_lp_solve, moments_of,
-                            monomial_system, trigonometric_system)
+                            trigonometric_system)
 from repkit.simplex import solve_standard_form
 
 
@@ -14,6 +14,12 @@ def constant_system():
     return MomentSystem(
         basis_eval=lambda i, x: np.ones_like(np.asarray(x, dtype=float)),
         m=1)
+
+
+def monomial_system(m):
+    """Moments against 1, x, x^2, ..."""
+    return MomentSystem(basis_eval=lambda i, x: np.asarray(x, float) ** i,
+                        m=m)
 
 
 class TestMoments:

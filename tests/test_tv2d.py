@@ -17,10 +17,9 @@ from repkit.errors import EmptyDisk, NonConvergence
 from repkit.linalg import lstsq, op_norm_estimate
 from repkit.tv2d import (RESTART_ARTIFICIAL, RESTART_NECESSARY,
                          RESTART_SUFFICIENT, TOL_GAP, ConvergenceTrace,
-                         DiskSet, _DiskMeans, _DualBound, _div, _div_into,
+                         DiskSet, _DiskMeans, _DualBound, _div_into,
                          _grad_into, _label, chambolle_pock_tv_solve,
-                         discrete_tv, disk_average_adjoint,
-                         disk_average_apply, level_set_report)
+                         discrete_tv, disk_average_apply, level_set_report)
 
 rng = np.random.default_rng(55)
 DEFAULT_MAX_ITERS = inspect.signature(
@@ -32,6 +31,26 @@ def _tv_solve(disks, y, size, **solver):
     grid."""
     w, h = size
     return chambolle_pock_tv_solve(disks.masks((h, w)), y, **solver)
+
+
+def _div(px, py):
+    """Reference: the negative adjoint of ``tv2d._grad``, whose forward
+    differences are zero on the last column and row, on 2-d arrays."""
+    px = np.array(px, dtype=float)
+    py = np.array(py, dtype=float)
+    px[:, -1] = 0.0
+    py[-1] = 0.0
+    return (np.diff(px, axis=1, prepend=0.0)
+            + np.diff(py, axis=0, prepend=0.0))
+
+
+def disk_average_adjoint(z, disks, shape):
+    """Reference: the adjoint of ``disk_average_apply`` on images of
+    ``shape``, the sum of ``z_i / |D_i|`` over the pixels of each disk."""
+    out = np.zeros(shape)
+    for zi, mask in zip(z, disks.masks(shape)):
+        out[mask] += zi / mask.sum()
+    return out
 
 
 def _flood_components(mask, connectivity: int) -> int:
@@ -285,6 +304,17 @@ class TestDiskOperator:
         with pytest.raises(ValueError):
             DiskSet([(4.0, 4.0, -1.0)])
 
+    @pytest.mark.parametrize("disks", [
+        5, [(4, 4)], [(4, 4, 3, 1)], [4, 4, 3], [(4, "4", 3)], [(4, 4, True)],
+        [(4, 4, float("nan"))]])
+    def test_not_triples_of_numbers(self, disks):
+        with pytest.raises(ValueError, match="triples of finite numbers"):
+            DiskSet(disks)
+
+    def test_triples_read_as_floats(self):
+        assert DiskSet([]).disks == []
+        assert DiskSet([[4, 4, 3]]).disks == [(4.0, 4.0, 3.0)]
+
 
 class TestDiscreteTv:
     def test_constant_is_zero(self):
@@ -421,7 +451,7 @@ class TestChambollePock:
     def test_full_operator_adjoint(self):
         # inner-product test on K = (grad, Phi) through the norm estimate
         from repkit.linalg import op_norm_estimate
-        from repkit.tv2d import _div, _grad
+        from repkit.tv2d import _grad
         disks = DiskSet([(8.0, 8.0, 4.0)])
         h = w = 16
         masks = disks.masks((h, w))
